@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import InputError
-from .linalg import invert
+from .linalg import invert, to_scalars
 from .scalars import Scalar, q
 from .superpoly import SuperPoly
 
@@ -42,7 +42,7 @@ class HbarModel:
                 if rows[i][j] != rows[j][i]:
                     raise InputError("pairing matrix must be symmetric")
         self.a = rows
-        self.ainv = invert(rows)  # SingularMatrix propagates
+        self.ainv = to_scalars(*invert(rows))  # SingularMatrix propagates
         verts: dict[int, SuperPoly] = {}
         for deg, p in (vertices or {}).items():
             deg = int(deg)

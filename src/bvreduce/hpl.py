@@ -22,10 +22,13 @@ Smallness of delta is certified in one of two ways:
     against a wrong declaration.
   * "weight_solve": delta o eta is weight-non-increasing; on each finite
     (homological degree, weight) slice the operator id - delta o eta is
-    assembled in the monomial basis and solved exactly by fraction-free
-    Gaussian elimination, with factored slices memoized.  Strictly
-    weight-lowering leakage between slices is handled by block
-    back-substitution from the top weight down.
+    assembled in the monomial basis and inverted exactly by fraction-free
+    Gaussian elimination.  Each slice inverse is memoized as a
+    Gaussian-integer matrix X and a Gaussian integer det with
+    (id - delta o eta) X = det id, so applying it is an integer matvec and
+    one exact division per output entry.  Strictly weight-lowering leakage
+    between slices is handled by block back-substitution from the top
+    weight down.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NonTerminating, NotGenericAtWeight, SingularMatrix
-from .linalg import invert
-from .scalars import Scalar
+from .linalg import clear_denominators, invert
+from .scalars import ONE, ZERO, Scalar, from_q, q
 from .superpoly import Key, SuperPoly, monomials_of_degree, term_weight
 
 NILPOTENT = "nilpotent"
@@ -153,8 +156,13 @@ class SliceSolver:
     """Applies (id - t)^{-1} for a degree-preserving, weight-non-increasing t.
 
     Per (degree, weight) slice the matrix of id - t is inverted exactly once
-    and memoized; concurrent readers see a consistent cache thanks to
-    single-flight population under a lock.
+    and memoized as `linalg.invert` returns it: a Gaussian-integer X and a
+    Gaussian integer det with (id - t) X = det I, X kept as the nonzero
+    entries of each column.  `apply` clears a slice's right-hand side r to
+    Gaussian integers over one common denominator L, accumulates X r in
+    integers and divides once per nonzero output entry, by L * det.
+    Concurrent readers see a consistent cache thanks to single-flight
+    population under a lock.
     """
 
     def __init__(self, n: int, d: int, t: LinearOp):
@@ -182,7 +190,7 @@ class SliceSolver:
             basis = slice_basis(self.n, self.d, h, w)
             index = {k: i for i, k in enumerate(basis)}
             k = len(basis)
-            cols = []
+            t_cols = []
             nontrivial = False
             for key in basis:
                 img = self.t.fn(SuperPoly(self.n, {key: Scalar(1)}))
@@ -192,22 +200,26 @@ class SliceSolver:
                     if j is not None:
                         col[j] = c
                         nontrivial = True
-                cols.append(col)
+                t_cols.append(col)
             if not nontrivial:
                 entry = (basis, index, None)
             else:
                 mat = [
                     [
-                        (Scalar(1) if i == j else Scalar(0)) - cols[j][i]
+                        (ONE if i == j else ZERO) - t_cols[j][i]
                         for j in range(k)
                     ]
                     for i in range(k)
                 ]
                 try:
-                    inv = invert(mat)
+                    x, det = invert(mat)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
-                entry = (basis, index, inv)
+                x_cols = [
+                    [(i, xr, xi) for i, (xr, xi) in enumerate(col) if xr or xi]
+                    for col in zip(*x)
+                ]
+                entry = (basis, index, (x_cols, det))
             self._cache[(h, w)] = entry
             return entry
 
@@ -230,17 +242,7 @@ class SliceSolver:
                 if inv is None:
                     y_terms = vec_terms
                 else:
-                    rhs = [Scalar(0)] * len(basis)
-                    for key, c in vec_terms.items():
-                        rhs[index[key]] = c
-                    y_terms = {}
-                    for i, row in enumerate(inv):
-                        acc = Scalar(0)
-                        for j, rj in enumerate(rhs):
-                            if rj:
-                                acc = acc + row[j] * rj
-                        if acc:
-                            y_terms[basis[i]] = acc
+                    y_terms = _apply_inverse(inv, basis, index, vec_terms)
                 for key, c in y_terms.items():
                     s = out.get(key)
                     s = c if s is None else s + c
@@ -265,6 +267,34 @@ class SliceSolver:
                         if not bucket:
                             pending.pop(ww, None)
         return SuperPoly(n, out)
+
+
+def _apply_inverse(inv, basis: list[Key], index: dict[Key, int], vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
+    """X r / det for a cached slice inverse (X columns, det) and the slice terms r."""
+    x_cols, (dr, di) = inv
+    rhs, den = clear_denominators(vec_terms.values())
+    k = len(basis)
+    yr = [0] * k
+    yi = [0] * k
+    for key, (ar, ai) in zip(vec_terms, rhs):
+        if ai:
+            for i, xr, xi in x_cols[index[key]]:
+                yr[i] += xr * ar - xi * ai
+                yi[i] += xr * ai + xi * ar
+        else:
+            for i, xr, xi in x_cols[index[key]]:
+                yr[i] += xr * ar
+                yi[i] += xi * ar
+    # y / (den * det) = y * conj(det) / (den * |det|^2)
+    if di:
+        norm = den * (dr * dr + di * di)
+        return {
+            basis[i]: from_q(q(a * dr + b * di, norm), q(b * dr - a * di, norm))
+            for i, (a, b) in enumerate(zip(yr, yi))
+            if a or b
+        }
+    norm = den * dr
+    return {basis[i]: from_q(q(a, norm), q(b, norm)) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
 
 
 @dataclass

@@ -9,9 +9,10 @@ letting rational numerators blow up.
 from __future__ import annotations
 
 from math import lcm
+from typing import Iterable
 
 from .errors import SingularMatrix
-from .scalars import Scalar, q
+from .scalars import ZERO, Scalar, from_q, q
 
 # A Gaussian integer is an (a, b) pair meaning a + b*i.
 GInt = tuple[int, int]
@@ -50,12 +51,19 @@ def _gdiv_exact(x: GInt, y: GInt) -> GInt:
     return (qr, qi)
 
 
-def _clear_row(row: list[Scalar]) -> list[GInt]:
-    """Scale a Scalar row by the lcm of its denominators; rank and kernels are unchanged."""
+def clear_denominators(values: Iterable[Scalar]) -> tuple[list[GInt], int]:
+    """Gaussian integers g and den, the lcm of all denominators, with values[j] == g[j] / den.
+
+    Scaling a matrix row this way leaves rank and kernels unchanged.
+    """
+    vals = list(values)
     den = 1
-    for s in row:
-        den = lcm(den, int(s.re.denominator), int(s.im.denominator))
-    return [(int(s.re * den), int(s.im * den)) for s in row]
+    for s in vals:
+        den = lcm(den, s.re.denominator, s.im.denominator)
+    return [
+        (s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
+        for s in vals
+    ], den
 
 
 def _forward_eliminate(m: list[list[GInt]], ncols: int | None = None):
@@ -107,26 +115,24 @@ def rank(rows: list[list[Scalar]]) -> int:
     """Exact rank of a rectangular Scalar matrix."""
     if not rows:
         return 0
-    m = [_clear_row(row) for row in rows]
+    m = [clear_denominators(row)[0] for row in rows]
     return len(_forward_eliminate(m))
 
 
-def _back_substitute(m: list[list[GInt]], pivots, ncols: int, nrhs: int) -> list[list[Scalar]]:
+def _back_substitute(m: list[list[GInt]], pivots, ncols: int, nrhs: int) -> tuple[list[list[GInt]], GInt]:
     """Fraction-free back-substitution on a Bareiss echelon form.
 
     Solves the pivot rows of `m` for each of the `nrhs` augmented columns
-    that follow the first `ncols`, with free variables set to zero.  The last
-    pivot `det` is the determinant of the pivot minor, so by Cramer's rule
-    X = det*x is a Gaussian-integer vector: each step
-    X_c = (det*b_r - sum U_rj X_j) / U_rc divides exactly, and each entry is
-    converted to a Scalar once, as X_c / det.
+    that follow the first `ncols`, with free variables set to zero, and
+    returns (X, det).  The last pivot `det` is the determinant of the pivot
+    minor, so by Cramer's rule X = det*x is a Gaussian-integer vector: each
+    step X_c = (det*b_r - sum U_rj X_j) / U_rc divides exactly.  X[t] is the
+    solution for the t-th right-hand side.
     """
     det = m[pivots[-1][0]][pivots[-1][1]] if pivots else _G1
-    dr, di = det
-    norm = dr * dr + di * di
-    sols: list[list[Scalar]] = []
+    sols: list[list[GInt]] = []
     for t in range(ncols, ncols + nrhs):
-        x = [Scalar(0)] * ncols
+        x = [_G0] * ncols
         solved: list[tuple[int, GInt]] = []
         for r, c in reversed(pivots):
             row = m[r]
@@ -138,10 +144,33 @@ def _back_substitute(m: list[list[GInt]], pivots, ncols: int, nrhs: int) -> list
             xc = _gdiv_exact(acc, row[c])
             if xc != _G0:
                 solved.append((c, xc))
-                xr, xi = xc
-                x[c] = Scalar(q(xr * dr + xi * di, norm), q(xi * dr - xr * di, norm))
+                x[c] = xc
         sols.append(x)
-    return sols
+    return sols, det
+
+
+def to_scalars(rows: list[list[GInt]], det: GInt) -> list[list[Scalar]]:
+    """Every Gaussian-integer entry X of `rows` as the exact Scalar X / det."""
+    dr, di = det
+    norm = dr * dr + di * di
+    return [
+        [
+            ZERO if x == _G0 else from_q(q(x[0] * dr + x[1] * di, norm), q(x[1] * dr - x[0] * di, norm))
+            for x in row
+        ]
+        for row in rows
+    ]
+
+
+def _solve(m: list[list[GInt]], k: int, nrhs: int) -> tuple[list[list[GInt]], GInt]:
+    """(X, det) for the cleared rows [A | B] of a square A: A X[t] = det * B[t].
+
+    Raises SingularMatrix when A is rank-deficient.
+    """
+    pivots = _forward_eliminate(m, ncols=k)
+    if len(pivots) < k:
+        raise SingularMatrix(f"matrix of size {k} has rank {len(pivots)}")
+    return _back_substitute(m, pivots, k, nrhs)
 
 
 def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -151,23 +180,29 @@ def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[li
     in Gaussian integers on the Bareiss echelon form (it solves for det*x);
     each solution entry costs one exact rational division at the end.
     """
-    k = len(a)
-    if k == 0:
-        return [[] for _ in rhs_cols]
-    m = [_clear_row(list(a[i]) + [col[i] for col in rhs_cols]) for i in range(k)]
-    pivots = _forward_eliminate(m, ncols=k)
-    if len(pivots) < k:
-        raise SingularMatrix(f"matrix of size {k} has rank {len(pivots)}")
-    return _back_substitute(m, pivots, k, len(rhs_cols))
+    m = [clear_denominators(list(a[i]) + [col[i] for col in rhs_cols])[0] for i in range(len(a))]
+    return to_scalars(*_solve(m, len(a), len(rhs_cols)))
 
 
-def invert(a: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exact inverse of a square Scalar matrix (rows of the inverse)."""
+def invert(a: list[list[Scalar]]) -> tuple[list[list[GInt]], GInt]:
+    """Fraction-free inverse of a square Scalar matrix, as (X, det).
+
+    X is a Gaussian-integer matrix (a list of rows) and det a nonzero
+    Gaussian integer with a X = det I, so the inverse is X / det entry by
+    entry; `to_scalars(X, det)` gives it as Scalar rows.  det is the last
+    Bareiss pivot of the row-cleared matrix, so it can differ from det(a) by
+    a rational factor.  Raises SingularMatrix when a is rank-deficient.
+    """
     k = len(a)
-    eye = [[Scalar(1) if i == j else Scalar(0) for i in range(k)] for j in range(k)]
-    cols = solve_square(a, eye)
-    # cols[j] is the j-th column of the inverse
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    m = []
+    for i, row in enumerate(a):
+        # [den*a_i | den*e_i], the row cleared together with its identity row
+        g, den = clear_denominators(row)
+        g.extend((den, 0) if j == i else _G0 for j in range(k))
+        m.append(g)
+    cols, det = _solve(m, k, k)
+    # cols[j] is the j-th column of X
+    return [list(row) for row in zip(*cols)], det
 
 
 def particular_solution(a: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
@@ -176,11 +211,11 @@ def particular_solution(a: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar
     if rows == 0:
         return []
     k = len(a[0])
-    m = [_clear_row(list(a[i]) + [rhs[i]]) for i in range(rows)]
+    m = [clear_denominators(list(a[i]) + [rhs[i]])[0] for i in range(rows)]
     pivots = _forward_eliminate(m, ncols=k)
     piv_rows = {r for r, _ in pivots}
     for i in range(rows):
         if i not in piv_rows and m[i][k] != _G0:
             return None
-    (x,) = _back_substitute(m, pivots, k, 1)
+    (x,) = to_scalars(*_back_substitute(m, pivots, k, 1))
     return x

@@ -33,7 +33,7 @@ from .hpl import (
     perturb_retraction,
     slice_basis,
 )
-from .linalg import invert, particular_solution, rank
+from .linalg import invert, particular_solution, rank, to_scalars
 from .scalars import Scalar, q
 from .superpoly import Key, SuperPoly, monomials_of_degree
 
@@ -360,11 +360,22 @@ class ReduceSession:
         return self.retraction.solved_weights()
 
 
+_SESSION_LOCK = threading.Lock()
+
+
 def session_for(action: Action) -> ReduceSession:
-    """The default (monomial-inclusion) session, built once per Action."""
-    if action._session is None:
-        action._session = ReduceSession(action)
-    return action._session
+    """The default (monomial-inclusion) session, built once per Action.
+
+    The first build is double-checked under a lock, so concurrent first calls
+    share one session and its slice caches.
+    """
+    sess = action._session
+    if sess is None:
+        with _SESSION_LOCK:
+            sess = action._session
+            if sess is None:
+                sess = action._session = ReduceSession(action)
+    return sess
 
 
 def reduce_full(action: Action, f: SuperPoly) -> JacClass:
@@ -392,7 +403,7 @@ def wick(action: Action, f: SuperPoly) -> Scalar:
     if any(mask for _, mask in f.terms):
         raise InputError("wick is defined on homological degree 0")
     s2, s1, _ = action.quad
-    s2inv = invert(s2)  # raises SingularMatrix when degenerate
+    s2inv = to_scalars(*invert(s2))  # raises SingularMatrix when degenerate
     n = action.n
     crit = [
         -sum((s2inv[i][j] * s1[j] for j in range(n)), Scalar(0)) for i in range(n)

@@ -36,40 +36,33 @@ class Scalar:
             return value
         return Scalar(value)
 
-    @staticmethod
-    def from_pairs(re_pair, im_pair=(0, 1)) -> "Scalar":
-        return Scalar(Q(re_pair[0], re_pair[1]), Q(im_pair[0], im_pair[1]))
-
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = Scalar.of(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        return from_q(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = Scalar.of(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        return from_q(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return from_q(-self.re, -self.im)
 
     def __mul__(self, other):
         other = Scalar.of(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        return from_q(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -79,7 +72,7 @@ class Scalar:
         n = c * c + d * d
         if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        return from_q((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
@@ -95,9 +88,6 @@ class Scalar:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
 
     # -- comparison / hashing --------------------------------------------------
 
@@ -125,6 +115,23 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.text()})"
+
+
+_new = object.__new__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def from_q(re, im) -> Scalar:
+    """The Scalar re + im*i from two values that are already Q, without coercing them.
+
+    Arithmetic on Q values returns Q, so Scalar arithmetic builds its results
+    here; values from outside go through Scalar(re, im), which coerces.
+    """
+    s = _new(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 ZERO = Scalar(0)

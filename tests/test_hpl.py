@@ -14,7 +14,7 @@ from bvreduce import (
     q,
 )
 from bvreduce.bvdiff import d_div, d_mix
-from bvreduce.hpl import NILPOTENT, WEIGHT_SOLVE, LinearOp
+from bvreduce.hpl import NILPOTENT, WEIGHT_SOLVE, LinearOp, SliceSolver
 from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
 from bvreduce.verify import random_action, random_degree1, random_rational
 
@@ -164,3 +164,78 @@ def test_declared_gradings_hold_at_runtime():
                 continue
     finally:
         hpl.CHECK_DECLARED = False
+
+
+def _degree0_op(images, name, n=2, d=3):
+    """The degree-0 LinearOp sending x^a y^b (a + b > 0) to sum c x^e over images(a, b) = [(e, c)].
+
+    Weight 0 is its kernel, so that slice has no inverse."""
+
+    def fn(v):
+        out = {}
+        for ((a, b), _), c in v.terms.items():
+            if a + b == 0:
+                continue
+            for e, f in images(a, b):
+                s = out.get((e, 0), Scalar(0)) + c * f
+                if s:
+                    out[(e, 0)] = s
+                else:
+                    out.pop((e, 0), None)
+        return SuperPoly(n, out)
+
+    return LinearOp(fn, degree_shift=0, weight_change=0, d=d, name=name)
+
+
+def _mixing_images(a, b):
+    # complex entries, mixed denominators: within a weight, scale and shift
+    # x^a y^b both ways; leak one weight down through y-lowering
+    yield (a, b), Scalar(q(a + 1, 2 * (a + b) + 9), q(b, 5))
+    if a:
+        yield (a - 1, b + 1), Scalar(q(1, 3), q(-2, 5))
+    if b:
+        yield (a + 1, b - 1), Scalar(q(-3, 7))
+        yield (a, b - 1), Scalar(q(3, 4), 1)
+
+
+def _triangular_images(a, b):
+    # id - t is lower triangular with a purely imaginary diagonal, so X has
+    # purely imaginary entries
+    yield (a, b), Scalar(1, q(-(a + 1), b + 2))
+    if a:
+        yield (a - 1, b + 1), Scalar(q(1, 2))
+    if b:
+        yield (a, b - 1), Scalar(q(-2, 3))
+
+
+@pytest.mark.parametrize("images", [_mixing_images, _triangular_images])
+def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
+    n = 2
+    t = _degree0_op(images, images.__name__)
+    solver = SliceSolver(n, 3, t)
+    builds = []
+    hpl_invert = hpl.invert
+
+    def counting_invert(mat):
+        builds.append(len(mat))
+        return hpl_invert(mat)
+
+    monkeypatch.setattr(hpl, "invert", counting_invert)
+    v = SuperPoly(n, {
+        ((3, 1), 0): Scalar(q(2, 3), q(-1, 6)),
+        ((0, 4), 0): Scalar(q(-5, 4)),
+        ((1, 1), 0): Scalar(0, q(7, 10)),
+        ((2, 0), 0): Scalar(q(1, 9), q(3, 2)),
+        ((0, 0), 0): Scalar(q(4, 15)),
+    })
+    y = solver.apply(v)
+    assert y - t(y) == v
+    assert builds and max(builds) == 5  # the weight-4 slice: x^4 ... y^4
+    assert solver.solved_weights() == [0, 1, 2, 3, 4]
+    n_builds = len(builds)
+    assert solver.apply(v) == y
+    assert len(builds) == n_builds  # every slice came from the cache
+    # weight 0 is t's kernel: no inverse is kept and its input passes through
+    assert solver._slice(0, 0)[2] is None
+    one = SuperPoly.const(n, Scalar(q(-2, 7), q(1, 3)))
+    assert solver.apply(one) == one

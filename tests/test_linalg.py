@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import invert, particular_solution, rank, solve_square
+from bvreduce.linalg import invert, particular_solution, rank, solve_square, to_scalars
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -114,7 +114,7 @@ def test_invert_round_trip():
             a = _mat(rng, k, k)
             if rank(a) == k:
                 break
-        inv = invert(a)
+        inv = to_scalars(*invert(a))
         for i in range(k):
             for j in range(k):
                 s = sum((a[i][t] * inv[t][j] for t in range(k)), Scalar(0))
@@ -172,10 +172,38 @@ def test_solve_square_row_swap_complex_mixed_denominators():
     (x,) = solve_square(a, [b])
     assert x == _as_scalars(_fraction_gauss_solve(a, b))
     assert [sum((a[i][j] * x[j] for j in range(3)), Scalar(0)) for i in range(3)] == b
-    inv = invert(a)
+    inv = to_scalars(*invert(a))
     for j in range(3):
         e = [Scalar(1) if i == j else Scalar(0) for i in range(3)]
         assert [row[j] for row in inv] == _as_scalars(_fraction_gauss_solve(a, e))
+
+
+def test_invert_adjugate_form_with_row_swap():
+    # zero leading entry forces a row swap; complex entries, a denominator per entry
+    rng = random.Random(26)
+    complex_dets = 0
+    for _ in range(12):
+        k = rng.randint(2, 6)
+        while True:
+            a = _mat(rng, k, k)
+            a[0][0] = Scalar(0)
+            if rank(a) == k:
+                break
+        x, det = invert(a)
+        assert det != (0, 0)
+        complex_dets += det[1] != 0
+        assert all(isinstance(v, int) for row in x for pair in row for v in pair)
+        # a X == det I, with X and det exact Gaussian integers
+        xs = [[Scalar(xr, xi) for xr, xi in row] for row in x]
+        ax = [[sum((a[i][t] * xs[t][j] for t in range(k)), Scalar(0)) for j in range(k)] for i in range(k)]
+        d = Scalar(*det)
+        assert ax == [[d if i == j else Scalar(0) for j in range(k)] for i in range(k)]
+        # the converted rows are the Fraction reference inverse
+        inv = to_scalars(x, det)
+        for j in range(k):
+            e = [Scalar(1) if i == j else Scalar(0) for i in range(k)]
+            assert [row[j] for row in inv] == _as_scalars(_fraction_gauss_solve(a, e))
+    assert complex_dets
 
 
 def test_solve_square_gate_sized_slice():

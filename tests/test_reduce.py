@@ -387,6 +387,47 @@ def test_session_reuse_is_cached():
     assert session_for(a) is session_for(a)
 
 
+def test_concurrent_first_session_for_builds_one_session():
+    """Threads racing on a fresh Action all get its one session and agree."""
+    import sys
+    import threading
+
+    x, y = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    s = x**3 + (x * y) * (x - y).scale(q(2, 5)) + y**3
+    f = (x**4 * y + y**3 - x).scale(q(3, 7))
+    expected = ReduceSession(action_build(s)).reduce(f)
+    a = action_build(s)
+    workers = 8
+    barrier = threading.Barrier(workers)
+    sessions = [None] * workers
+    classes = [None] * workers
+    errors = []
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=30)
+            sessions[i] = session_for(a)
+            classes[i] = sessions[i].reduce(f)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(sess is sessions[0] for sess in sessions)
+    assert a._session is sessions[0]
+    assert classes == [expected] * workers
+
+
 def test_concurrent_reduce_shares_one_session():
     """Concurrent readers of one session agree with the sequential answers."""
     import threading
