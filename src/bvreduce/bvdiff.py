@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import InputError
-from .scalars import Scalar, q
+from .scalars import Scalar
 from .superpoly import SuperPoly
 
 

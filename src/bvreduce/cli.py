@@ -20,10 +20,11 @@ from .errors import (
     NotGenericAtWeight,
     SingularMatrix,
     ToleranceNotReached,
+    read_json,
 )
 from .hbar import HbarModel, hbar_reduce
-from .oracle import default_contours, load_contours, verify_reduction
-from .reduce import JacClass, jac_basis, reduce_full, session_for, wick
+from .oracle import load_contours, verify_reduction
+from .reduce import JacClass, jac_basis, session_for, wick
 from .scalars import Scalar, q
 from .superpoly import SuperPoly
 
@@ -55,10 +56,8 @@ def _scalar_from_json(obj) -> Scalar:
 
 
 def _scalar_to_json(s: Scalar) -> dict:
-    return {
-        "re": [int(s.re.numerator), int(s.re.denominator)],
-        "im": [int(s.im.numerator), int(s.im.denominator)],
-    }
+    re, im = s.re, s.im
+    return {"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator]}
 
 
 def _poly_from_json(n: int, terms) -> SuperPoly:
@@ -80,13 +79,7 @@ def _poly_from_json(n: int, terms) -> SuperPoly:
 
 
 def _load_problem(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict) or "n" not in data:
         raise InputError("problem file must be an object with an 'n' field")
     n = data["n"]
@@ -109,15 +102,23 @@ def _load_problem(path: str) -> dict:
             if not isinstance(row, list) or len(row) != n:
                 raise InputError("'a' must be an n x n matrix")
             rows.append([_scalar_from_json(v) for v in row])
+        raw_vertices = {} if h.get("vertices") is None else h["vertices"]
+        if not isinstance(raw_vertices, dict):
+            raise InputError("'vertices' must be an object mapping degrees to polynomials")
+        K = h.get("K")
+        if K is not None and (not isinstance(K, int) or isinstance(K, bool) or K < 0):
+            raise InputError("'K' must be a non-negative integer")
         vertices = {}
-        for key, terms in (h.get("vertices") or {}).items():
+        for key, terms in raw_vertices.items():
             try:
                 deg = int(key)
             except ValueError as exc:
                 raise InputError(f"vertex degree {key!r} is not an integer") from exc
             vertices[deg] = _poly_from_json(n, terms)
-        problem["hbar"] = {"a": rows, "vertices": vertices, "K": h.get("K")}
+        problem["hbar"] = {"a": rows, "vertices": vertices, "K": K}
     if "contour" in data:
+        if not isinstance(data["contour"], str):
+            raise InputError("'contour' must be a file path")
         problem["contour"] = data["contour"]
     return problem
 

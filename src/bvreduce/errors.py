@@ -1,4 +1,6 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the JSON file reader that raises them."""
+
+import json
 
 
 class EngineError(Exception):
@@ -43,3 +45,14 @@ class NotAllowable(EngineError):
 
 class ToleranceNotReached(EngineError):
     """Adaptive quadrature could not certify the requested tolerance."""
+
+
+def read_json(path: str):
+    """The parsed contents of a JSON file; an unreadable or malformed file is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc

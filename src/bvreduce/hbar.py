@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
+from .bvdiff import _contract, d_div
 from .errors import InputError
 from .linalg import invert, to_scalars
 from .scalars import Scalar, q
@@ -136,33 +137,12 @@ def _big_l(m: HbarModel, v: SuperPoly) -> SuperPoly:
     return out
 
 
-def _big_b(m: HbarModel, v: SuperPoly) -> SuperPoly:
-    out = SuperPoly.zero(m.n)
-    for j in range(m.n):
-        g = m.grad_u[j]
-        if g.is_zero:
-            continue
-        dv = v.dxi(j)
-        if not dv.is_zero:
-            out = out + g * dv
-    return out
-
-
-def _div(v: SuperPoly) -> SuperPoly:
-    out = SuperPoly.zero(v.n)
-    for i in range(v.n):
-        t = v.dxi(i).dx(i)
-        if not t.is_zero:
-            out = out + t
-    return out
-
-
 def model_differential(m: HbarModel, v: SuperPoly, K: int) -> HbarSeries:
     """Apply L - B - hbar*div to a polynomial, as a truncated series."""
     out = HbarSeries(m.n, K)
-    out.coeffs[0] = _big_l(m, v) - _big_b(m, v)
+    out.coeffs[0] = _big_l(m, v) - _contract(m.grad_u, v)
     if K >= 1:
-        out.coeffs[1] = -_div(v)
+        out.coeffs[1] = -d_div(v)
     return out
 
 
@@ -231,11 +211,11 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
             if p.is_zero:
                 continue
             e = hbar_eta(p, m)
-            vert = prune(-_big_b(m, e), k)
+            vert = prune(-_contract(m.grad_u, e), k)
             if not vert.is_zero:
                 nxt[k] = nxt.get(k, SuperPoly.zero(m.n)) + vert
             if k + 1 <= K:
-                fuse = prune(-_div(e), k + 1)
+                fuse = prune(-d_div(e), k + 1)
                 if not fuse.is_zero:
                     nxt[k + 1] = nxt.get(k + 1, SuperPoly.zero(m.n)) + fuse
         work = nxt

@@ -33,12 +33,12 @@ Smallness of delta is certified in one of two ways:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NonTerminating, NotGenericAtWeight, SingularMatrix
-from .linalg import clear_denominators, invert
-from .scalars import ONE, ZERO, Scalar, from_q, q
+from .linalg import clear_denominators, invert, to_scalars
+from .scalars import ONE, ZERO, Scalar
 from .superpoly import Key, SuperPoly, monomials_of_degree, term_weight
 
 NILPOTENT = "nilpotent"
@@ -285,16 +285,9 @@ def _apply_inverse(inv, basis: list[Key], index: dict[Key, int], vec_terms: dict
             for i, xr, xi in x_cols[index[key]]:
                 yr[i] += xr * ar
                 yi[i] += xi * ar
-    # y / (den * det) = y * conj(det) / (den * |det|^2)
-    if di:
-        norm = den * (dr * dr + di * di)
-        return {
-            basis[i]: from_q(q(a * dr + b * di, norm), q(b * dr - a * di, norm))
-            for i, (a, b) in enumerate(zip(yr, yi))
-            if a or b
-        }
-    norm = den * dr
-    return {basis[i]: from_q(q(a, norm), q(b, norm)) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
+    # r = rhs / den, so X r / det = y / (den * det)
+    (y,) = to_scalars([list(zip(yr, yi))], (den * dr, den * di))
+    return {basis[i]: s for i, s in enumerate(y) if s}
 
 
 @dataclass
@@ -303,10 +296,10 @@ class Retraction:
 
     tau maps V to H (realized however the caller likes, e.g. JacClass), phi is
     a section of tau, eta is the degree +1 homotopy on V, and diff is the
-    differential of the V side.  d_h is the transferred differential on H,
-    which is zero (None) for every retraction this engine constructs; the
-    exactness invariant tau o diff = 0 on degree-1 inputs witnesses it.  The
-    convention tag records which retraction identity is in force.
+    differential of the V side, with phi o tau - id = diff o eta + eta o diff.
+    The transferred differential on H is zero for every retraction this
+    engine constructs; the exactness invariant tau o diff = 0 on degree-1
+    inputs witnesses it.
     """
 
     n: int
@@ -315,8 +308,6 @@ class Retraction:
     phi: Callable[[object], SuperPoly]
     eta: LinearOp
     diff: LinearOp
-    d_h: None = None
-    convention: str = "B"  # phi o tau - id = diff o eta + eta o diff
     solvers: tuple = ()
 
     def solved_weights(self) -> list[int]:

@@ -12,7 +12,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import SingularMatrix
-from .scalars import ZERO, Scalar, from_q, q
+from .scalars import ZERO, Scalar, gauss
 
 # A Gaussian integer is an (a, b) pair meaning a + b*i.
 GInt = tuple[int, int]
@@ -57,13 +57,8 @@ def clear_denominators(values: Iterable[Scalar]) -> tuple[list[GInt], int]:
     Scaling a matrix row this way leaves rank and kernels unchanged.
     """
     vals = list(values)
-    den = 1
-    for s in vals:
-        den = lcm(den, s.re.denominator, s.im.denominator)
-    return [
-        (s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
-        for s in vals
-    ], den
+    den = lcm(*(s.den for s in vals))
+    return [(s.a * (den // s.den), s.b * (den // s.den)) for s in vals], den
 
 
 def _forward_eliminate(m: list[list[GInt]], ncols: int | None = None):
@@ -152,12 +147,12 @@ def _back_substitute(m: list[list[GInt]], pivots, ncols: int, nrhs: int) -> tupl
 def to_scalars(rows: list[list[GInt]], det: GInt) -> list[list[Scalar]]:
     """Every Gaussian-integer entry X of `rows` as the exact Scalar X / det."""
     dr, di = det
+    if not di:
+        return [[ZERO if x == _G0 else gauss(x[0], x[1], dr) for x in row] for row in rows]
+    # X / det = X * conj(det) / |det|^2
     norm = dr * dr + di * di
     return [
-        [
-            ZERO if x == _G0 else from_q(q(x[0] * dr + x[1] * di, norm), q(x[1] * dr - x[0] * di, norm))
-            for x in row
-        ]
+        [ZERO if x == _G0 else gauss(x[0] * dr + x[1] * di, x[1] * dr - x[0] * di, norm) for x in row]
         for row in rows
     ]
 

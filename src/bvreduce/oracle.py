@@ -12,14 +12,13 @@ sampling Re(s) at and beyond the cutoff.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
 from scipy.integrate import quad
 
 from .bvdiff import Action
-from .errors import InputError, NotAllowable, ToleranceNotReached
+from .errors import InputError, NotAllowable, ToleranceNotReached, read_json
 from .reduce import ReduceSession, session_for
 from .superpoly import SuperPoly
 
@@ -306,8 +305,7 @@ def verify_reduction(
 
 def load_contours(path: str) -> list[ContourSpec]:
     """Read one contour or a list of contours from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

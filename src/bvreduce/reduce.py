@@ -46,17 +46,23 @@ class JacBasis:
     d: int
     monomials: tuple[tuple[int, ...], ...]
 
-    def index(self, exps: tuple[int, ...]) -> int:
-        return self.monomials.index(exps)
-
     def __len__(self):
         return len(self.monomials)
+
+
+MAX_BASIS_ENTRIES = 1 << 22
+"""Budget on the exponents a basis stores, n * (d-1)^n; a larger basis is an InputError."""
 
 
 @lru_cache(maxsize=None)
 def jac_basis(n: int, d: int) -> JacBasis:
     if d < 2:
         raise InputError("Jacobian basis needs d >= 2")
+    if n < 1:
+        raise InputError("Jacobian basis needs n >= 1")
+    # (d-1)^n >= 2^n when d > 2, so a long exponent word is over budget before the power is taken
+    if d > 2 and n > MAX_BASIS_ENTRIES.bit_length() or n * (d - 1) ** n > MAX_BASIS_ENTRIES:
+        raise InputError(f"basis of (d-1)^n monomials for n={n}, d={d} exceeds the size budget")
     monos = tuple(sorted(itertools.product(range(d - 1), repeat=n)))
     return JacBasis(n, d, monos)
 
@@ -246,12 +252,6 @@ class _DiagEta:
         return out
 
 
-def _as_jacclass(value, basis: JacBasis) -> JacClass:
-    if isinstance(value, JacClass):
-        return value
-    raise TypeError("expected a JacClass")
-
-
 def diag_retraction(action: Action, phi_correction=None) -> Retraction:
     """The explicit retraction of the diagonal complex onto the basis span.
 
@@ -351,7 +351,7 @@ class ReduceSession:
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:
             raise ValueError("variable count mismatch")
-        return _as_jacclass(self.retraction.tau(f), self.basis)
+        return self.retraction.tau(f)
 
     def phi(self, h: JacClass) -> SuperPoly:
         return self.retraction.phi(h)

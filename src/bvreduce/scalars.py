@@ -1,14 +1,14 @@
 """Exact Gaussian-rational scalars, the coefficient field for every algebraic module.
 
 The numeric oracle is the only place floating point is allowed; everything else
-computes in Q(i) with no rounding.
+computes in Q(i) with no rounding.  A Scalar is a Gaussian integer over a
+positive denominator, (a + b*i)/den, so its arithmetic is integer arithmetic
+and the exact linear algebra reads and builds Scalars without conversion.
 """
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
+from math import gcd, lcm
 
 
 def q(num: int, den: int = 1) -> Q:
@@ -17,18 +17,22 @@ def q(num: int, den: int = 1) -> Q:
 
 
 class Scalar:
-    """A Gaussian rational re + im*i with exact arithmetic."""
+    """A Gaussian rational (a + b*i)/den with exact arithmetic.
 
-    __slots__ = ("re", "im")
+    Stored reduced: den > 0 and gcd(a, b, den) == 1, so zero is (0, 0, 1) and
+    equal values have equal fields.  Scalars are never mutated after they are
+    built.
+    """
+
+    __slots__ = ("a", "b", "den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Q(re))
-        object.__setattr__(self, "im", Q(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    # -- constructors -------------------------------------------------------
+        re, im = Q(re), Q(im)
+        # the lcm of two lowest-terms denominators leaves a, b, den coprime
+        den = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (den // re.denominator)
+        self.b = im.numerator * (den // im.denominator)
+        self.den = den
 
     @staticmethod
     def of(value) -> "Scalar":
@@ -36,104 +40,108 @@ class Scalar:
             return value
         return Scalar(value)
 
-    # -- predicates ----------------------------------------------------------
+    @property
+    def re(self) -> Q:
+        return Q(self.a, self.den)
+
+    @property
+    def im(self) -> Q:
+        return Q(self.b, self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = Scalar.of(other)
-        return from_q(self.re + other.re, self.im + other.im)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return gauss(self.a + other.a, self.b + other.b, d1)
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        a, b = self.a * t + other.a * s, self.b * t + other.b * s
+        # a prime of s or t cannot divide both a and b, so only a factor of g cancels
+        g = gcd(g, a, b)
+        return _make(a // g, b // g, s * d2 // g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.of(other)
-        return from_q(self.re - other.re, self.im - other.im)
+        return self + -Scalar.of(other)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __neg__(self):
-        return from_q(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.den)
 
     def __mul__(self, other):
         other = Scalar.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return from_q(a * c - b * d, a * d + b * c)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return gauss(a * c - b * d, a * d + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Scalar.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, d = self.a, self.b, other.a, other.b
         n = c * c + d * d
         if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return from_q((a * c + b * d) / n, (b * c - a * d) / n)
+        # (a + bi)/d1 / ((c + di)/d2) = (a + bi)(c - di) d2 / (d1 (c^2 + d^2))
+        e = other.den
+        return gauss((a * c + b * d) * e, (b * c - a * d) * e, self.den * n)
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return Scalar(1) / self ** (-k)
-        out = Scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparison / hashing --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(Q(0)))):
+        if isinstance(other, (int, Q)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.den))
 
     # -- conversions -----------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.den, self.b / self.den)
 
     def text(self) -> str:
         """Canonical rendering "a/b+c/d*i", byte-stable for goldens."""
-        rn, rd = self.re.numerator, self.re.denominator
-        im = self.im
-        sign = "+" if im >= 0 else "-"
-        return f"{rn}/{rd}{sign}{abs(im.numerator)}/{im.denominator}*i"
+        re, im = self.re, self.im
+        sign = "-" if self.b < 0 else "+"
+        return f"{re.numerator}/{re.denominator}{sign}{abs(im.numerator)}/{im.denominator}*i"
 
     def __repr__(self):
         return f"Scalar({self.text()})"
 
 
-_new = object.__new__
-_set_re = Scalar.re.__set__
-_set_im = Scalar.im.__set__
-
-
-def from_q(re, im) -> Scalar:
-    """The Scalar re + im*i from two values that are already Q, without coercing them.
-
-    Arithmetic on Q values returns Q, so Scalar arithmetic builds its results
-    here; values from outside go through Scalar(re, im), which coerces.
-    """
-    s = _new(Scalar)
-    _set_re(s, re)
-    _set_im(s, im)
+def _make(a: int, b: int, den: int) -> Scalar:
+    s = object.__new__(Scalar)
+    s.a = a
+    s.b = b
+    s.den = den
     return s
+
+
+def gauss(a: int, b: int, den: int) -> Scalar:
+    """The Scalar (a + b*i)/den for integers a, b and den != 0, reduced."""
+    if den < 0:
+        a, b, den = -a, -b, -den
+    elif not den:
+        raise ZeroDivisionError("Scalar with zero denominator")
+    g = gcd(den, a, b)
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    return _make(a, b, den)
 
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)

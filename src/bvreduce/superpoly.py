@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import Scalar, q
+from .scalars import Scalar
 
 Key = tuple[tuple[int, ...], int]
 
@@ -113,9 +113,6 @@ class SuperPoly:
         for i in xi_indices:
             mask |= 1 << i
         return self.terms.get((tuple(exps), mask), Scalar(0))
-
-    def homological_degrees(self) -> set[int]:
-        return {mask.bit_count() for _, mask in self.terms}
 
     def max_xdeg(self) -> int:
         """Largest total x-degree of any term; -1 for the zero element."""
@@ -339,11 +336,6 @@ class SuperPoly:
         for (e, m), c in self.terms.items():
             out.setdefault(sum(e), SuperPoly(self.n)).terms[(e, m)] = c
         return out
-
-    def degree_part(self, h: int) -> "SuperPoly":
-        return SuperPoly(
-            self.n, {k: v for k, v in self.terms.items() if k[1].bit_count() == h}
-        )
 
     # -- evaluation / rendering ------------------------------------------------------
 

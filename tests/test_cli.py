@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -214,3 +215,58 @@ def test_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["coefficients"][0] == {"im": [0, 1], "re": [-1, 3]}
+
+
+HBAR_PROBLEM = {
+    "n": 1,
+    "observable": [term((2,), (1, 1))],
+    "hbar": {"a": [[{"re": [1, 1]}]], "K": 2},
+}
+
+
+def _with(base, section, **fields):
+    p = copy.deepcopy(base)
+    if section is None:
+        p.update(fields)
+    else:
+        p[section].update(fields)
+    return p
+
+
+@pytest.mark.parametrize(
+    "argv, problem, files",
+    [
+        (["basis", "--n", "-1", "--d", "3"], None, {}),
+        (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K="2"), {}),
+        (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K=2.5), {}),
+        (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices=[[term((3,), (1, 1))]]), {}),
+        (["oracle", "{p}"], _with(CUBIC_PROBLEM, None, contour=0), {}),
+        (["oracle", "{p}", "--contour", "{dir}/missing.json"], CUBIC_PROBLEM, {}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": "{not json"}),
+    ],
+    ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
+         "contour-missing", "contour-malformed"],
+)
+def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
+    if problem is not None:
+        write(tmp_path / "p.json", problem)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(p=tmp_path / "p.json", dir=tmp_path) for a in argv]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: invalid input:")
+
+
+def test_basis_over_budget_exit_3_without_allocating(tmp_path, monkeypatch, capsys):
+    import itertools
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis was allocated")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    big = {"n": 60, "action": [term((4,) + (0,) * 59, (1, 1))], "observable": [term((0,) * 60, (1, 1))]}
+    inp = write(tmp_path / "big.json", big)
+    assert main(["basis", "--n", "60", "--d", "4"]) == EXIT_INVALID
+    assert main(["basis", "--n", "100000000", "--d", "2"]) == EXIT_INVALID
+    assert main(["reduce", inp]) == EXIT_INVALID
+    assert "size budget" in capsys.readouterr().err
