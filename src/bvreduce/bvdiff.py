@@ -8,10 +8,11 @@ mutate shared state.
 from __future__ import annotations
 
 from math import factorial
+from operator import add
 
 from .errors import InputError
-from .scalars import Scalar
-from .superpoly import SuperPoly
+from .scalars import Scalar, gauss
+from .superpoly import Key, SuperPoly
 
 
 class Action:
@@ -67,6 +68,7 @@ class Action:
 
         self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
+        self._neg_inv_diag = None  # lazily built (a, b, den) of each -1/a_i (reduce.eta_diag)
 
     def _quadratic_form(self):
         n = self.n
@@ -107,15 +109,41 @@ def action_build(s: SuperPoly, n: int | None = None) -> Action:
 
 
 def _contract(grads, v: SuperPoly) -> SuperPoly:
-    """sum_i grads[i] * dxi(v, i): the odd contraction common to all d_* maps."""
-    out = SuperPoly.zero(v.n)
-    for i, g in enumerate(grads):
-        if g.is_zero:
-            continue
-        dv = v.dxi(i)
-        if not dv.is_zero:
-            out = out + g * dv
-    return out
+    """sum_i grads[i] * dxi(v, i): the odd contraction common to all d_* maps.
+
+    Every gradient must be xi-free, as those of an Action and an HbarModel
+    are, so each product carries the sign of dxi alone.  One pass over the
+    terms of v, with no intermediate SuperPoly.
+    """
+    gterms = [[(e, g.a, g.b, g.den) for (e, _), g in gi.terms.items()] for gi in grads]
+    out: dict[Key, Scalar] = {}
+    for (e, m), c in v.terms.items():
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            gt = gterms[bit.bit_length() - 1]
+            if not gt:
+                continue
+            ca, cb, cd = c.a, c.b, c.den
+            if (m & (bit - 1)).bit_count() & 1:
+                ca, cb = -ca, -cb
+            mask = m ^ bit
+            for ge, ga, gb, gd in gt:
+                c_g = gauss(ga * ca - gb * cb, ga * cb + gb * ca, gd * cd)
+                _accumulate(out, (tuple(map(add, e, ge)), mask), c_g)
+    return SuperPoly(v.n, out)
+
+
+def _accumulate(out: dict[Key, Scalar], key: Key, c: Scalar):
+    """Add c into out[key], dropping the key when the sum cancels to zero."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    elif s := s + c:
+        out[key] = s
+    else:
+        del out[key]
 
 
 def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
@@ -127,12 +155,21 @@ def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
 
 def d_div(v: SuperPoly) -> SuperPoly:
     """Divergence sum_i d^2/(dx_i dxi_i); lowers weight by exactly d on xi terms."""
-    out = SuperPoly.zero(v.n)
-    for i in range(v.n):
-        t = v.dxi(i).dx(i)
-        if not t.is_zero:
-            out = out + t
-    return out
+    out: dict[Key, Scalar] = {}
+    for (e, m), c in v.terms.items():
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            p = e[i]
+            if not p:
+                continue
+            key = (e[:i] + (p - 1,) + e[i + 1:], m ^ bit)
+            if (m & (bit - 1)).bit_count() & 1:
+                p = -p
+            _accumulate(out, key, gauss(c.a * p, c.b * p, c.den))
+    return SuperPoly(v.n, out)
 
 
 def d_bv(a: Action, v: SuperPoly) -> SuperPoly:

@@ -23,11 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .bvdiff import _contract, d_div
+from .bvdiff import _accumulate, _contract, d_div
 from .errors import InputError
 from .linalg import invert, to_scalars
-from .scalars import Scalar, q
-from .superpoly import SuperPoly
+from .scalars import Scalar, gauss, q
+from .superpoly import Key, SuperPoly
 
 
 class HbarModel:
@@ -63,6 +63,11 @@ class HbarModel:
         for p in verts.values():
             u = u + p
         self.grad_u = tuple(u.dx(j) for j in range(n))
+        # L - B = sum_j (sum_i a_ij x_i - dU/dx_j) d/dxi_j
+        self.grad_lb = tuple(
+            sum((SuperPoly.x(n, i) * rows[i][j] for i in range(n)), SuperPoly.zero(n)) - g
+            for j, g in enumerate(self.grad_u)
+        )
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -124,23 +129,10 @@ class HbarSeries:
         return f"HbarSeries({self.text()})"
 
 
-def _big_l(m: HbarModel, v: SuperPoly) -> SuperPoly:
-    out = SuperPoly.zero(m.n)
-    for j in range(m.n):
-        dv = v.dxi(j)
-        if dv.is_zero:
-            continue
-        for i in range(m.n):
-            c = m.a[i][j]
-            if c:
-                out = out + (SuperPoly.x(m.n, i) * dv).scale(c)
-    return out
-
-
 def model_differential(m: HbarModel, v: SuperPoly, K: int) -> HbarSeries:
     """Apply L - B - hbar*div to a polynomial, as a truncated series."""
     out = HbarSeries(m.n, K)
-    out.coeffs[0] = _big_l(m, v) - _contract(m.grad_u, v)
+    out.coeffs[0] = _contract(m.grad_lb, v)
     if K >= 1:
         out.coeffs[1] = -d_div(v)
     return out
@@ -152,23 +144,26 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
     Satisfies L o hbar_eta = -id on xi-free polynomials of positive degree and
     kills constants.
     """
-    if any(mask for _, mask in v.terms):
-        raise InputError("hbar_eta expects homological degree 0")
-    out = SuperPoly.zero(m.n)
-    for ell, part in v.xdeg_split().items():
-        if ell == 0:
+    ainv = m.ainv
+    out: dict[Key, Scalar] = {}
+    for (e, mask), c in v.terms.items():
+        if mask:
+            raise InputError("hbar_eta expects homological degree 0")
+        ell = sum(e)
+        if not ell:
             continue
-        piece = SuperPoly.zero(m.n)
-        for j in range(m.n):
-            dp = part.dx(j)
-            if dp.is_zero:
+        ca, cb, cd = c.a, c.b, c.den
+        for j, p in enumerate(e):
+            if not p:
                 continue
+            ej = e[:j] + (p - 1,) + e[j + 1:]
             for i in range(m.n):
-                c = m.ainv[i][j]
-                if c:
-                    piece = piece + (SuperPoly.xi(m.n, i) * dp).scale(c)
-        out = out + piece.scale(Scalar(q(-1, ell)))
-    return out
+                t = ainv[i][j]
+                if t:
+                    # -(p / ell) * ainv[i][j] * c
+                    c_ij = gauss(-p * (t.a * ca - t.b * cb), -p * (t.a * cb + t.b * ca), t.den * cd * ell)
+                    _accumulate(out, (ej, 1 << i), c_ij)
+    return SuperPoly(m.n, out)
 
 
 def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:

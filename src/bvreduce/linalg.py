@@ -41,11 +41,14 @@ def _gdiv_exact(x: GInt, y: GInt) -> GInt:
     # x * conj(y) / |y|^2; the Bareiss recurrence and Cramer's rule guarantee exactness
     a, b = x
     c, d = y
-    n = c * c + d * d
-    re = a * c + b * d
-    im = b * c - a * d
-    qr, rr = divmod(re, n)
-    qi, ri = divmod(im, n)
+    if d:
+        n = c * c + d * d
+        qr, rr = divmod(a * c + b * d, n)
+        qi, ri = divmod(b * c - a * d, n)
+    else:
+        # a real divisor, as every pivot of a real matrix is
+        qr, rr = divmod(a, c)
+        qi, ri = divmod(b, c)
     if rr or ri:
         raise ArithmeticError("inexact division in fraction-free elimination")
     return (qr, qi)

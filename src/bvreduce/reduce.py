@@ -20,7 +20,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 from . import bvdiff
 from .bvdiff import Action, d_diag, d_div, d_low, d_mix
@@ -34,7 +34,7 @@ from .hpl import (
     slice_basis,
 )
 from .linalg import invert, particular_solution, rank, to_scalars
-from .scalars import Scalar, q
+from .scalars import Scalar, gauss, q
 from .superpoly import Key, SuperPoly, monomials_of_degree
 
 
@@ -156,29 +156,28 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     extended linearly; it vanishes on basis monomials.  The sign makes
     d_diag o eta_diag = phi o tau_diag - id on degree 0.
     """
-    _check_diag(action)
-    d = action.d
+    units = action._neg_inv_diag
+    if units is None:
+        _check_diag(action)
+        units = tuple((u.a, u.b, u.den) for u in (-1 / a for a in action.diag_coeffs))
+        action._neg_inv_diag = units
+    d1 = action.d - 1
     out: dict[Key, Scalar] = {}
     for (e, mask), c in v.terms.items():
         if mask:
             raise InputError("eta_diag is defined on homological degree 0")
-        den = sum(comb(p, d - 1) for p in e)
+        den = sum(comb(p, d1) for p in e)
         if den == 0:
             continue
+        ca, cb, cd = c.a, c.b, c.den
         for i, p in enumerate(e):
-            if p < d - 1:
+            if p < d1:
                 continue
-            falling = 1
-            for t in range(d - 1):
-                falling *= p - t
-            coeff = -(c * falling) / (action.diag_coeffs[i] * den)
-            key = (e[:i] + (p - (d - 1),) + e[i + 1:], 1 << i)
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            # (e, i) determines the output key, so no two contributions meet
+            f = perm(p, d1)
+            ua, ub, ud = units[i]
+            key = (e[:i] + (p - d1,) + e[i + 1:], 1 << i)
+            out[key] = gauss((ca * ua - cb * ub) * f, (ca * ub + cb * ua) * f, cd * ud * den)
     return SuperPoly(v.n, out)
 
 

@@ -38,6 +38,8 @@ class Scalar:
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
+        if type(value) is int:
+            return _make(value, 0, 1)
         return Scalar(value)
 
     @property
@@ -106,6 +108,9 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
+        # a real value hashes like the int or Fraction it equals
+        if not self.b:
+            return hash(self.a) if self.den == 1 else hash(Q(self.a, self.den))
         return hash((self.a, self.b, self.den))
 
     # -- conversions -----------------------------------------------------------

@@ -47,15 +47,14 @@ def test_eta_inverts_leading_term():
     # (sum a_ij x_i d/dxi_j) o eta = -id on positive-degree xi-free inputs
     rng = random.Random(71)
     n = 2
-    m = HbarModel(n, [[2, 1], [1, 3]])
-    from bvreduce.hbar import _big_l
+    m = HbarModel(n, [[2, 1], [1, 3]])  # no vertices, so L - B = L
 
     for _ in range(10):
         e = [0, 0]
         for _ in range(rng.randint(1, 5)):
             e[rng.randrange(2)] += 1
         v = SuperPoly.monomial(n, e, coeff=random_rational(rng, nonzero=True))
-        assert _big_l(m, hbar_eta(v, m)) == -v
+        assert model_differential(m, hbar_eta(v, m), 0).coeffs[0] == -v
 
 
 def test_reduce_one_is_one():

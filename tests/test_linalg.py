@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import invert, particular_solution, rank, solve_square, to_scalars
+from bvreduce.linalg import _gdiv_exact, invert, particular_solution, rank, solve_square, to_scalars
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -238,3 +238,22 @@ def test_particular_solution_free_variable_between_pivots():
     # on the pivot columns the solution is the unique one of the pivot minor
     minor = [[row[j] for j in (0, 2, 3)] for row in a]
     assert [x[0], x[2], x[3]] == _as_scalars(_fraction_gauss_solve(minor, b))
+
+
+@pytest.mark.parametrize(
+    "x, y, quotient",
+    [
+        ((4, -6), (-2, 0), (-2, 3)),
+        ((0, 9), (3, 0), (0, 3)),
+        ((5, 5), (1, 2), (3, -1)),
+        ((3, 4), (2, 0), None),
+        ((4, 3), (2, 0), None),
+        ((5, 5), (2, 4), None),
+    ],
+)
+def test_gdiv_exact_real_and_complex_divisors(x, y, quotient):
+    if quotient is None:
+        with pytest.raises(ArithmeticError):
+            _gdiv_exact(x, y)
+    else:
+        assert _gdiv_exact(x, y) == quotient

@@ -129,3 +129,14 @@ def test_text_format(re, im, text):
 def test_text_reads_back(x):
     re_part, im_part = Scalar(*x).text()[:-2].replace("-", "+-").lstrip("+").split("+")
     assert (Fraction(re_part), Fraction(im_part)) == x
+
+
+@SETTINGS
+@given(rationals | st.integers(-10**30, 10**30))
+def test_real_scalars_hash_like_int_and_fraction(x):
+    s = Scalar(x)
+    assert hash(s) == hash(x)
+    assert {x: "found"}[s] == "found"
+    assert {s: "found"}[x] == "found"
+    assert len({x, s}) == 1
+    assert Scalar.of(x) == s and hash(Scalar.of(x)) == hash(x)
