@@ -19,7 +19,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .hbar import HbarModel, HbarSeries, hbar_eta, hbar_oracle, hbar_reduce, isserlis_moment
-from .hpl import LinearOp, Retraction, neumann_inverse_apply, perturb_retraction
+from .hpl import LinearOp, Retraction, perturb_retraction
 from .oracle import ComplexEstimate, ContourSpec, contour_integrate, default_contours, verify_reduction
 from .reduce import (
     JacBasis,
@@ -29,7 +29,6 @@ from .reduce import (
     jac_basis,
     jac_rank_check,
     reduce_full,
-    reduce_homogeneous,
     tau_diag,
     wick,
 )
@@ -76,11 +75,9 @@ __all__ = [
     "isserlis_moment",
     "jac_basis",
     "jac_rank_check",
-    "neumann_inverse_apply",
     "perturb_retraction",
     "q",
     "reduce_full",
-    "reduce_homogeneous",
     "tau_diag",
     "verify_reduction",
     "wick",

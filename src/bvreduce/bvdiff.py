@@ -12,7 +12,7 @@ from operator import add
 
 from .errors import InputError
 from .scalars import Scalar, gauss
-from .superpoly import Key, SuperPoly
+from .superpoly import Key, SuperPoly, add_term
 
 
 class Action:
@@ -94,9 +94,6 @@ class Action:
     def has_lower(self) -> bool:
         return not self.low.is_zero
 
-    def is_homogeneous(self) -> bool:
-        return not self.has_lower()
-
     def __repr__(self):
         return f"Action(n={self.n}, d={self.d}, s={self.s.text()})"
 
@@ -131,19 +128,8 @@ def _contract(grads, v: SuperPoly) -> SuperPoly:
             mask = m ^ bit
             for ge, ga, gb, gd in gt:
                 c_g = gauss(ga * ca - gb * cb, ga * cb + gb * ca, gd * cd)
-                _accumulate(out, (tuple(map(add, e, ge)), mask), c_g)
+                add_term(out, (tuple(map(add, e, ge)), mask), c_g)
     return SuperPoly(v.n, out)
-
-
-def _accumulate(out: dict[Key, Scalar], key: Key, c: Scalar):
-    """Add c into out[key], dropping the key when the sum cancels to zero."""
-    s = out.get(key)
-    if s is None:
-        out[key] = c
-    elif s := s + c:
-        out[key] = s
-    else:
-        del out[key]
 
 
 def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
@@ -168,7 +154,7 @@ def d_div(v: SuperPoly) -> SuperPoly:
             key = (e[:i] + (p - 1,) + e[i + 1:], m ^ bit)
             if (m & (bit - 1)).bit_count() & 1:
                 p = -p
-            _accumulate(out, key, gauss(c.a * p, c.b * p, c.den))
+            add_term(out, key, gauss(c.a * p, c.b * p, c.den))
     return SuperPoly(v.n, out)
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .bvdiff import _accumulate, _contract, d_div
+from .bvdiff import _contract, d_div
 from .errors import InputError
 from .linalg import invert, to_scalars
 from .scalars import Scalar, gauss, q
-from .superpoly import Key, SuperPoly
+from .superpoly import Key, SuperPoly, add_term
 
 
 class HbarModel:
@@ -162,7 +162,7 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
                 if t:
                     # -(p / ell) * ainv[i][j] * c
                     c_ij = gauss(-p * (t.a * ca - t.b * cb), -p * (t.a * cb + t.b * ca), t.den * cd * ell)
-                    _accumulate(out, (ej, 1 << i), c_ij)
+                    add_term(out, (ej, 1 << i), c_ij)
     return SuperPoly(m.n, out)
 
 

@@ -15,12 +15,13 @@ the deformed differential.  Deforming D by a small delta produces
                            so delta o phi = 0 and the transferred phi and
                            the transferred differential on H are unchanged)
 
-Smallness of delta is certified in one of two ways:
+Smallness of delta is certified from the declared weight changes, in one of
+two ways:
 
-  * "nilpotent": delta o eta strictly drops the weight grading, so the
-    Neumann series terminates; a cap of weight(v) + 1 applications guards
-    against a wrong declaration.
-  * "weight_solve": delta o eta is weight-non-increasing; on each finite
+  * delta o eta strictly drops the weight grading, so the Neumann series
+    terminates; a cap of weight(v) + 1 applications guards against a wrong
+    declaration.
+  * delta o eta is weight-non-increasing; on each finite
     (homological degree, weight) slice the operator id - delta o eta is
     assembled in the monomial basis and inverted exactly by fraction-free
     Gaussian elimination.  Each slice inverse is memoized as a
@@ -39,10 +40,7 @@ from typing import Callable
 from .errors import NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import clear_denominators, invert, to_scalars
 from .scalars import ONE, ZERO, Scalar
-from .superpoly import Key, SuperPoly, monomials_of_degree, term_weight
-
-NILPOTENT = "nilpotent"
-WEIGHT_SOLVE = "weight_solve"
+from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 # When true, every LinearOp call re-checks its declared degree shift and
 # weight change on the actual output.  Meant for the invariant test suite;
@@ -244,12 +242,7 @@ class SliceSolver:
                 else:
                     y_terms = _apply_inverse(inv, basis, index, vec_terms)
                 for key, c in y_terms.items():
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, key, c)
                 # strictly lower-weight leakage of t feeds the lower slices
                 if y_terms:
                     spill = self.t.fn(SuperPoly(n, y_terms))
@@ -258,12 +251,7 @@ class SliceSolver:
                         if ww == w:
                             continue
                         bucket = pending.setdefault(ww, {})
-                        s = bucket.get(key)
-                        s = c if s is None else s + c
-                        if s:
-                            bucket[key] = s
-                        else:
-                            bucket.pop(key, None)
+                        add_term(bucket, key, c)
                         if not bucket:
                             pending.pop(ww, None)
         return SuperPoly(n, out)
@@ -317,40 +305,24 @@ class Retraction:
         return sorted(ws)
 
 
-def make_inverter(delta: LinearOp, eta: LinearOp, mode: str, n: int, d: int):
-    """Return an object with .apply computing (id - delta o eta)^{-1}."""
-    t = compose(delta, eta)
-    if mode == NILPOTENT:
-        if t.weight_change >= 0:
-            raise ValueError(
-                "nilpotent mode needs delta o eta to strictly drop weight "
-                f"(declared change {t.weight_change})"
-            )
-
-        class _Neumann:
-            def apply(self, v: SuperPoly) -> SuperPoly:
-                return neumann_apply(t, v, d)
-
-        return _Neumann()
-    if mode == WEIGHT_SOLVE:
-        return SliceSolver(n, d, t)
-    raise ValueError(f"unknown smallness mode {mode!r}")
-
-
-def neumann_inverse_apply(delta: LinearOp, eta: LinearOp, v: SuperPoly, mode: str, d: int) -> SuperPoly:
-    """(id - delta o eta)^{-1} v under the given smallness mode."""
-    return make_inverter(delta, eta, mode, v.n, d).apply(v)
-
-
-def perturb_retraction(r: Retraction, delta: LinearOp, mode: str) -> Retraction:
+def perturb_retraction(r: Retraction, delta: LinearOp) -> Retraction:
     """Transfer the retraction across the small deformation delta of its differential.
 
     The caller guarantees (diff + delta)^2 = 0.  When H is concentrated in
     degree 0 and V in non-negative degrees, delta o phi lands in degree -1 and
     vanishes, so phi and the zero differential on H carry over unchanged.
+    (id - delta o eta)^{-1} is the Neumann series when the declared weight
+    change of delta o eta is negative, and a SliceSolver otherwise.
     """
-    inverter = make_inverter(delta, r.eta, mode, r.n, r.d)
-    apply_inv = inverter.apply
+    t = compose(delta, r.eta)
+    solvers = r.solvers
+    if t.weight_change < 0:
+        def apply_inv(v: SuperPoly) -> SuperPoly:
+            return neumann_apply(t, v, r.d)
+    else:
+        solver = SliceSolver(r.n, r.d, t)
+        apply_inv = solver.apply
+        solvers += (solver,)
     tau0, eta0 = r.tau, r.eta
 
     new_eta = LinearOp(
@@ -360,7 +332,6 @@ def perturb_retraction(r: Retraction, delta: LinearOp, mode: str) -> Retraction:
         d=r.d,
         name=f"eta[{delta.name}]",
     )
-    solvers = r.solvers + ((inverter,) if isinstance(inverter, SliceSolver) else ())
     return Retraction(
         n=r.n,
         d=r.d,

@@ -25,17 +25,10 @@ from math import comb, perm
 from . import bvdiff
 from .bvdiff import Action, d_diag, d_div, d_low, d_mix
 from .errors import InputError, NonDiagonalizableAction
-from .hpl import (
-    NILPOTENT,
-    WEIGHT_SOLVE,
-    LinearOp,
-    Retraction,
-    perturb_retraction,
-    slice_basis,
-)
+from .hpl import LinearOp, Retraction, perturb_retraction, slice_basis
 from .linalg import invert, particular_solution, rank, to_scalars
 from .scalars import Scalar, gauss, q
-from .superpoly import Key, SuperPoly, monomials_of_degree
+from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -93,12 +86,7 @@ class JacClass:
     def __add__(self, other: "JacClass") -> "JacClass":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, k, v)
         res = JacClass(self.basis)
         res.coeffs = out
         return res
@@ -222,14 +210,15 @@ class _DiagEta:
             return entry
 
     def __call__(self, v: SuperPoly) -> SuperPoly:
-        parts = v.degree_split()
-        out = SuperPoly.zero(v.n)
-        for h, p in sorted(parts.items()):
-            if h == 0:
-                out = out + eta_diag(p, self.action)
-            else:
-                out = out + self._higher(p, h)
-        return out
+        if not any(m for _, m in v.terms):
+            # all the reduction pipeline sends: no split, no copy
+            return eta_diag(v, self.action)
+        out: dict[Key, Scalar] = {}
+        for h, p in sorted(v.degree_split().items()):
+            part = eta_diag(p, self.action) if h == 0 else self._higher(p, h)
+            for key, c in part.terms.items():
+                add_term(out, key, c)
+        return SuperPoly(v.n, out)
 
     def _higher(self, v: SuperPoly, h: int) -> SuperPoly:
         a = self.action
@@ -313,10 +302,6 @@ def diag_retraction(action: Action, phi_correction=None) -> Retraction:
     )
 
 
-def _mode_for(delta: LinearOp, eta: LinearOp) -> str:
-    return NILPOTENT if delta.weight_change + eta.weight_change < 0 else WEIGHT_SOLVE
-
-
 class ReduceSession:
     """Action plus the fully transferred retraction and its memoized solves.
 
@@ -334,17 +319,17 @@ class ReduceSession:
             delta = LinearOp(
                 lambda v: d_mix(action, v), degree_shift=-1, weight_change=0, d=d, name="d_mix"
             )
-            r = perturb_retraction(r, delta, _mode_for(delta, r.eta))
+            r = perturb_retraction(r, delta)
 
         if any(not g.is_zero for g in action.grad_low):
             drop = action.low.max_xdeg() - d  # every lower part loses at least this much weight
             delta = LinearOp(
                 lambda v: d_low(action, v), degree_shift=-1, weight_change=drop, d=d, name="d_low"
             )
-            r = perturb_retraction(r, delta, _mode_for(delta, r.eta))
+            r = perturb_retraction(r, delta)
 
         delta = LinearOp(d_div, degree_shift=-1, weight_change=-d, d=d, name="div")
-        r = perturb_retraction(r, delta, _mode_for(delta, r.eta))
+        r = perturb_retraction(r, delta)
         self.retraction = r
 
     def reduce(self, f: SuperPoly) -> JacClass:
@@ -380,13 +365,6 @@ def session_for(action: Action) -> ReduceSession:
 def reduce_full(action: Action, f: SuperPoly) -> JacClass:
     """The homology class of f over the Jacobian-ring monomial basis."""
     return session_for(action).reduce(f)
-
-
-def reduce_homogeneous(action: Action, f: SuperPoly) -> JacClass:
-    """Same as reduce_full, restricted to homogeneous actions s = s^(d)."""
-    if not action.is_homogeneous():
-        raise InputError("action is not homogeneous; use reduce_full")
-    return reduce_full(action, f)
 
 
 def wick(action: Action, f: SuperPoly) -> Scalar:

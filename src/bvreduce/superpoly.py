@@ -46,6 +46,22 @@ def merge_masks(m1: int, m2: int) -> tuple[int, int]:
     return (-1 if inv & 1 else 1), (m1 | m2)
 
 
+def add_term(terms: dict, key, c: Scalar) -> None:
+    """Add the nonzero c into terms[key], dropping the key when the sum cancels.
+
+    Term maps never store a zero coefficient: SuperPoly.terms, JacClass.coeffs
+    and every dict a kernel builds before wrapping it in one.  This is the one
+    place that adds into such a map where two contributions can meet.
+    """
+    s = terms.get(key)
+    if s is None:
+        terms[key] = c
+    elif s := s + c:
+        terms[key] = s
+    else:
+        del terms[key]
+
+
 class SuperPoly:
     """Sparse element of Q(i)[x_1..x_n, xi_1..xi_n]; stored terms never have zero coefficient."""
 
@@ -146,12 +162,7 @@ class SuperPoly:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, k, v)
         return SuperPoly(self.n, out)
 
     __radd__ = __add__
@@ -191,12 +202,7 @@ class SuperPoly:
                 c = c1 * c2
                 if sign < 0:
                     c = -c
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, key, c)
         return SuperPoly(self.n, out)
 
     def __rmul__(self, other):
@@ -226,20 +232,12 @@ class SuperPoly:
         """Even partial derivative in x_i; xi words are untouched."""
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range for n={self.n}")
-        out: dict[Key, Scalar] = {}
-        for (e, m), c in self.terms.items():
-            p = e[i]
-            if p == 0:
-                continue
-            key = (e[:i] + (p - 1,) + e[i + 1:], m)
-            v = c * p
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SuperPoly(self.n, out)
+        # (e, m) -> (e - 1_i, m) is injective, and c * p with p >= 1 is nonzero
+        return SuperPoly(self.n, {
+            (e[:i] + (e[i] - 1,) + e[i + 1:], m): c * e[i]
+            for (e, m), c in self.terms.items()
+            if e[i]
+        })
 
     def dxi(self, i: int) -> "SuperPoly":
         """Odd partial derivative in xi_i.
@@ -250,20 +248,12 @@ class SuperPoly:
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range for n={self.n}")
         bit = 1 << i
-        out: dict[Key, Scalar] = {}
-        for (e, m), c in self.terms.items():
-            if not m & bit:
-                continue
-            sign = (m & (bit - 1)).bit_count() & 1
-            key = (e, m ^ bit)
-            v = -c if sign else c
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SuperPoly(self.n, out)
+        # (e, m) -> (e, m ^ bit) is injective on the terms that hold xi_i
+        return SuperPoly(self.n, {
+            (e, m ^ bit): -c if (m & (bit - 1)).bit_count() & 1 else c
+            for (e, m), c in self.terms.items()
+            if m & bit
+        })
 
     # -- substitutions -----------------------------------------------------------
 
@@ -274,7 +264,6 @@ class SuperPoly:
             raise ValueError("offset sequence must have length n")
         from math import comb
 
-        total = SuperPoly(self.n)
         acc: dict[Key, Scalar] = {}
         for (e, m), coef in self.terms.items():
             # expand prod_i (x_i + c_i)^{e_i} term by term
@@ -285,31 +274,18 @@ class SuperPoly:
                 if ei == 0 or not ci:
                     partial = {k + (ei,): v for k, v in partial.items()}
                     continue
-                nxt: dict[tuple[int, ...], Scalar] = {}
                 powers = [Scalar(1)]
                 for _ in range(ei):
                     powers.append(powers[-1] * ci)
-                for k, v in partial.items():
-                    for j in range(ei + 1):
-                        w = v * (comb(ei, j) * powers[ei - j])
-                        kk = k + (j,)
-                        s = nxt.get(kk)
-                        s = w if s is None else s + w
-                        if s:
-                            nxt[kk] = s
-                        else:
-                            nxt.pop(kk, None)
-                partial = nxt
+                # the keys k + (j,) are distinct, and ci != 0 keeps every product nonzero
+                partial = {
+                    k + (j,): v * (comb(ei, j) * powers[ei - j])
+                    for k, v in partial.items()
+                    for j in range(ei + 1)
+                }
             for k, v in partial.items():
-                key = (k, m)
-                s = acc.get(key)
-                s = v if s is None else s + v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        total.terms = acc
-        return total
+                add_term(acc, (k, m), v)
+        return SuperPoly(self.n, acc)
 
     # -- gradings ------------------------------------------------------------------
 

@@ -126,11 +126,10 @@ def check_exactness(
     n_max: int = 3,
     d_max: int = 4,
     max_weight: int = 8,
-    reduce_fn=None,
 ) -> SuiteReport:
     """Classes of full-differential boundaries must vanish exactly."""
     rng = random.Random(seed)
-    red = reduce_fn or _reduce_fn()
+    red = _reduce_fn()
     report = SuiteReport("exactness")
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -162,10 +161,10 @@ def check_exactness(
     return report
 
 
-def check_section(trials: int, seed: int, n_max: int = 3, d_max: int = 4, reduce_fn=None) -> SuiteReport:
+def check_section(trials: int, seed: int, n_max: int = 3, d_max: int = 4) -> SuiteReport:
     """reduce(basis monomial) must be the corresponding unit vector."""
     rng = random.Random(seed + 1)
-    red = reduce_fn or _reduce_fn()
+    red = _reduce_fn()
     report = SuiteReport("section")
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -234,10 +233,10 @@ def random_quadratic(rng: random.Random, n: int, height: int = 3) -> Action:
         return a
 
 
-def check_wick(trials: int, seed: int, n_max: int = 4, f_degree: int = 6, reduce_fn=None) -> SuiteReport:
+def check_wick(trials: int, seed: int, n_max: int = 4, f_degree: int = 6) -> SuiteReport:
     """wick == reduce_full == Isserlis oracle for quadratic actions, exactly."""
     rng = random.Random(seed + 2)
-    red = reduce_fn or _reduce_fn()
+    red = _reduce_fn()
     report = SuiteReport("wick-agreement")
     for _ in range(trials):
         n = rng.randint(1, n_max)
@@ -270,10 +269,10 @@ def check_wick(trials: int, seed: int, n_max: int = 4, f_degree: int = 6, reduce
     return report
 
 
-def check_ranks(trials: int, seed: int, pairs=((2, 3), (2, 4), (2, 5), (3, 3)), reduce_fn=None) -> SuiteReport:
+def check_ranks(trials: int, seed: int, pairs=((2, 3), (2, 4), (2, 5), (3, 3))) -> SuiteReport:
     """Per-weight rank counts match the basis monomial counts for generic homogeneous actions."""
     rng = random.Random(seed + 3)
-    red = reduce_fn or _reduce_fn()
+    red = _reduce_fn()
     report = SuiteReport("rank-counts")
     for _ in range(trials):
         n, d = pairs[rng.randrange(len(pairs))]

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bvreduce
 import bvreduce.verify as verify_mod
 from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main, result_from_json
 
@@ -207,10 +210,13 @@ def test_verify_sign_flip_trips_gate(monkeypatch, capsys):
 
 def test_entry_point_subprocess(tmp_path):
     inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
+    # the child imports the same bvreduce as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(bvreduce.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "bvreduce.cli", "reduce", inp, "-o", "-"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

@@ -9,12 +9,11 @@ from bvreduce import (
     Scalar,
     SuperPoly,
     action_build,
-    neumann_inverse_apply,
     perturb_retraction,
     q,
 )
 from bvreduce.bvdiff import d_div, d_mix
-from bvreduce.hpl import NILPOTENT, WEIGHT_SOLVE, LinearOp, SliceSolver
+from bvreduce.hpl import LinearOp, SliceSolver, compose, neumann_apply
 from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
 from bvreduce.verify import random_action, random_degree1, random_rational
 
@@ -28,7 +27,7 @@ def test_neumann_zero_delta_identity():
     a = action_build(x**3)
     r = diag_retraction(a)
     v = x**5 + 2 * x - 3
-    assert neumann_inverse_apply(_zero_op(3), r.eta, v, NILPOTENT, d=3) == v
+    assert neumann_apply(compose(_zero_op(3), r.eta), v, 3) == v
 
 
 def test_neumann_one_term_series():
@@ -37,7 +36,7 @@ def test_neumann_one_term_series():
     a = action_build(x**3)
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
-    got = neumann_inverse_apply(delta, r.eta, x**3, NILPOTENT, d=3)
+    got = neumann_apply(compose(delta, r.eta), x**3, 3)
     assert got == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
     # div(eta(x^3)) computed by hand is -1/3
     assert d_div(r.eta(x**3)) == SuperPoly.const(1, Scalar(q(-1, 3)))
@@ -50,7 +49,7 @@ def test_weight_solve_failure_quartic():
     r = diag_retraction(a)
     delta = LinearOp(lambda v: d_mix(a, v), -1, 0, 4, "d_mix")
     with pytest.raises(NotGenericAtWeight) as exc:
-        neumann_inverse_apply(delta, r.eta, x**2 * y**2, WEIGHT_SOLVE, d=4)
+        SliceSolver(n, 4, compose(delta, r.eta)).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
@@ -62,20 +61,11 @@ def test_nonterminating_guard():
         hpl.neumann_apply(lying, x**2, 3)
 
 
-def test_nilpotent_mode_rejects_non_dropping_declaration():
-    x = SuperPoly.x(1, 0)
-    a = action_build(x**3)
-    r = diag_retraction(a)
-    keeps_weight = LinearOp(lambda v: v, -1, 0, 3, "w0")
-    with pytest.raises(ValueError):
-        neumann_inverse_apply(keeps_weight, r.eta, x**3, NILPOTENT, d=3)
-
-
 def test_perturb_zero_delta_keeps_tau():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
     r = diag_retraction(a)
-    r2 = perturb_retraction(r, _zero_op(3), NILPOTENT)
+    r2 = perturb_retraction(r, _zero_op(3))
     for f in [x**3, x**5 + x, SuperPoly.one(1)]:
         assert r2.tau(f) == r.tau(f)
 
@@ -85,7 +75,8 @@ def test_perturb_diagonal_by_div_matches_known_class():
     a = action_build(x**3)
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
-    rb = perturb_retraction(r, delta, NILPOTENT)
+    rb = perturb_retraction(r, delta)
+    assert rb.solvers == ()  # div o eta drops weight: a Neumann series, no slice solver
     got = rb.tau(x**3)
     basis = jac_basis(1, 3)
     assert got == JacClass(basis, {(0,): Scalar(q(-1, 3))})
@@ -140,8 +131,9 @@ def test_two_perturbations_equal_combined():
         ddiv = LinearOp(d_div, -1, -d, d, "div")
         both = LinearOp(lambda v, a=a: d_mix(a, v) + d_div(v), -1, 0, d, "d_mix+div")
         try:
-            r_staged = perturb_retraction(perturb_retraction(r0, dmix, WEIGHT_SOLVE), ddiv, NILPOTENT)
-            r_combined = perturb_retraction(r0, both, WEIGHT_SOLVE)
+            r_staged = perturb_retraction(perturb_retraction(r0, dmix), ddiv)
+            r_combined = perturb_retraction(r0, both)
+            assert len(r_staged.solvers) == len(r_combined.solvers) == 1
             for _ in range(3):
                 f = _random_degree0(rng, n)
                 assert r_staged.tau(f) == r_combined.tau(f)

@@ -1,18 +1,23 @@
-"""The single-pass kernels of the HPL loop against their compositional definitions.
+"""The term-map kernels against independent references.
 
-Each kernel builds its output in one pass over the input terms; the
-references here are written with public SuperPoly operations only.
+The single-pass kernels of the HPL loop are checked against their
+compositional definitions, written with public SuperPoly operations only.
+The SuperPoly ring operations, JacClass addition and SliceSolver.apply are
+checked against a plain reference on dicts of Fraction pairs, on inputs with
+planted cancellations.  Every output must hold no zero coefficient.
 """
 from fractions import Fraction
 from math import comb, prod
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bvreduce import HbarModel, Scalar, SuperPoly, action_build, eta_diag, hbar_eta
+from bvreduce import HbarModel, JacClass, Scalar, SuperPoly, action_build, eta_diag, hbar_eta, jac_basis
 from bvreduce.bvdiff import _contract, d_div
 from bvreduce.errors import SingularMatrix
+from bvreduce.hpl import LinearOp, SliceSolver
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -157,4 +162,199 @@ def _xi(i):
 def test_cancelled_contributions_leave_no_term(kernel, v, expected):
     got = kernel(v)
     assert got == expected
+    assert_no_zero_coefficient(got)
+
+
+# -- a plain reference: term maps as dicts of (re, im) Fraction pairs ---------------
+
+
+def ref(p: SuperPoly) -> dict:
+    return {k: (c.re, c.im) for k, c in p.terms.items()}
+
+
+def from_ref(n: int, p: dict) -> SuperPoly:
+    return SuperPoly(n, {k: Scalar(re, im) for k, (re, im) in p.items()})
+
+
+def ref_sum(contributions) -> dict:
+    """Sum (key, (re, im)) contributions and drop the keys that cancel."""
+    out = {}
+    for k, (re, im) in contributions:
+        r0, i0 = out.get(k, (0, 0))
+        out[k] = (r0 + re, i0 + im)
+    return {k: c for k, c in out.items() if c != (0, 0)}
+
+
+def ref_neg(p: dict) -> dict:
+    return {k: (-re, -im) for k, (re, im) in p.items()}
+
+
+def cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def cpow(u, k: int):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = cmul(out, u)
+    return out
+
+
+def word(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    contributions = []
+    for (e1, m1), c1 in p.items():
+        for (e2, m2), c2 in q.items():
+            if m1 & m2:
+                continue
+            w = word(m1) + word(m2)
+            swaps = sum(w[a] > w[b] for a in range(len(w)) for b in range(a + 1, len(w)))
+            c = cmul(c1, c2)
+            contributions.append(((tuple(map(add, e1, e2)), m1 | m2), (-c[0], -c[1]) if swaps % 2 else c))
+    return ref_sum(contributions)
+
+
+def ref_dx(p: dict, i: int) -> dict:
+    return ref_sum(
+        ((e[:i] + (e[i] - 1,) + e[i + 1:], m), (re * e[i], im * e[i]))
+        for (e, m), (re, im) in p.items()
+        if e[i]
+    )
+
+
+def ref_dxi(p: dict, i: int) -> dict:
+    return ref_sum(
+        ((e, m & ~(1 << i)), (-re, -im) if sum(j < i for j in word(m)) % 2 else (re, im))
+        for (e, m), (re, im) in p.items()
+        if m >> i & 1
+    )
+
+
+def ref_shift(p: dict, cs) -> dict:
+    """x_i -> x_i + cs[i] by binomial expansion of every term."""
+    contributions = []
+    for (e, m), c in p.items():
+        expansion = [((), c)]
+        for ei, ci in zip(e, cs):
+            expansion = [
+                (k + (j,), cmul(v, cmul((comb(ei, j), 0), cpow(ci, ei - j))))
+                for k, v in expansion
+                for j in range(ei + 1)
+            ]
+        contributions += [((k, m), v) for k, v in expansion]
+    return ref_sum(contributions)
+
+
+def planted(data, p: dict, extra: dict) -> dict:
+    """extra minus a drawn part of p: added to p, every term of that part cancels."""
+    keys = sorted(p)
+    part = {k: p[k] for k in keys if data.draw(st.booleans())}
+    return ref_sum([*ref_neg(part).items(), *extra.items()])
+
+
+@SETTINGS
+@given(st.data())
+def test_add_sub_match_reference_and_drop_cancelled_terms(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, xi=True))
+    r = ref(data.draw(polys(n, xi=True)))
+    q = planted(data, ref(p), r)
+    got = p + from_ref(n, q)
+    assert ref(got) == ref_sum([*ref(p).items(), *q.items()])
+    assert_no_zero_coefficient(got)
+    got = p - from_ref(n, ref_neg(q))
+    assert ref(got) == ref_sum([*ref(p).items(), *q.items()])
+    assert_no_zero_coefficient(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_mul_matches_reference_and_drops_cancelled_terms(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, xi=True, max_exp=2))
+    q = from_ref(n, planted(data, ref(p), ref(data.draw(polys(n, xi=True, max_exp=2)))))
+    # on the even parts the cross terms of (p + q)(p - q) cancel
+    a, b = p + q, p - q
+    got = a * b
+    assert ref(got) == ref_mul(ref(a), ref(b))
+    assert_no_zero_coefficient(got)
+    # an odd element squares to zero: every contribution meets its negative
+    odd = SuperPoly(n, {k: c for k, c in p.terms.items() if k[1].bit_count() % 2})
+    assert (odd * odd).is_zero
+    assert ref_mul(ref(odd), ref(odd)) == {}
+
+
+@SETTINGS
+@given(st.data())
+def test_dx_dxi_match_reference(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, xi=True))
+    for i in range(n):
+        for got, want in ((p.dx(i), ref_dx(ref(p), i)), (p.dxi(i), ref_dxi(ref(p), i))):
+            assert ref(got) == want
+            assert_no_zero_coefficient(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_shift_matches_reference_and_undoes_its_inverse(data):
+    n = data.draw(st.integers(1, 3))
+    g = data.draw(polys(n, xi=True, max_exp=3))
+    cs = [data.draw(scalars) for _ in range(n)]
+    pairs = [(c.re, c.im) for c in cs]
+    # f = g(x - c), so shifting f by c cancels back down to g
+    f = ref_shift(ref(g), [(-re, -im) for re, im in pairs])
+    got = from_ref(n, f).shift(cs)
+    assert ref(got) == ref_shift(f, pairs) == ref(g)
+    assert_no_zero_coefficient(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_jac_class_add_matches_reference(data):
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(2, 4))
+    basis = jac_basis(n, d)
+    coeffs = st.dictionaries(st.sampled_from(basis.monomials), scalars, max_size=6)
+    a = JacClass(basis, data.draw(coeffs))
+    extra = {m: (c.re, c.im) for m, c in data.draw(coeffs).items() if c}
+    b = planted(data, {m: (c.re, c.im) for m, c in a.coeffs.items()}, extra)
+    got = a + JacClass(basis, {m: Scalar(re, im) for m, (re, im) in b.items()})
+    assert {m: (c.re, c.im) for m, c in got.coeffs.items()} == ref_sum(
+        [*((m, (c.re, c.im)) for m, c in a.coeffs.items()), *b.items()]
+    )
+    assert all(got.coeffs.values())
+
+
+def t_ref(p: dict) -> dict:
+    """A degree-0, weight-non-increasing map on two variables with (id - t) invertible per slice.
+
+    Within a weight it is lower triangular in the y exponent, with (id - t)
+    diagonal i*(a+1)/(b+2); it leaks one weight down through y-lowering, and
+    kills the constants.
+    """
+    contributions = []
+    for ((a, b), m), c in p.items():
+        if a + b == 0:
+            continue
+        contributions.append((((a, b), m), cmul(c, (1, Fraction(-(a + 1), b + 2)))))
+        if a:
+            contributions.append((((a - 1, b + 1), m), cmul(c, (Fraction(1, 2), 0))))
+        if b:
+            contributions.append((((a, b - 1), m), cmul(c, (Fraction(-2, 3), Fraction(1, 5)))))
+    return ref_sum(contributions)
+
+
+@SETTINGS
+@given(st.data())
+def test_slice_solver_apply_matches_reference(data):
+    t = LinearOp(lambda v: from_ref(2, t_ref(ref(v))), degree_shift=0, weight_change=0, d=3, name="t")
+    y = data.draw(polys(2, xi=True))
+    # v = y - t(y): the leak of each solved slice cancels the matching terms of v
+    v = ref_sum([*ref(y).items(), *ref_neg(t_ref(ref(y))).items()])
+    got = SliceSolver(2, 3, t).apply(from_ref(2, v))
+    assert ref(got) == ref(y)
     assert_no_zero_coefficient(got)

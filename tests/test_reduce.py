@@ -16,7 +16,6 @@ from bvreduce import (
     jac_rank_check,
     q,
     reduce_full,
-    reduce_homogeneous,
     tau_diag,
     wick,
 )
@@ -130,8 +129,8 @@ def test_reduce_cubic_known_values():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
     b = jac_basis(1, 3)
-    assert reduce_homogeneous(a, x**3) == JacClass(b, {(0,): Scalar(q(-1, 3))})
-    assert reduce_homogeneous(a, x**6) == JacClass(b, {(0,): Scalar(q(4, 9))})
+    assert reduce_full(a, x**3) == JacClass(b, {(0,): Scalar(q(-1, 3))})
+    assert reduce_full(a, x**6) == JacClass(b, {(0,): Scalar(q(4, 9))})
     assert reduce_full(a, x**4) == JacClass(b, {(1,): Scalar(q(-2, 3))})
 
 
@@ -139,7 +138,7 @@ def test_reduce_separable_product():
     n = 2
     x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
     a = action_build(x0**3 + x1**3)
-    got = reduce_homogeneous(a, x0**3 * x1**3)
+    got = reduce_full(a, x0**3 * x1**3)
     assert got == JacClass(jac_basis(2, 3), {(0, 0): Scalar(q(1, 9))})
 
 
@@ -150,13 +149,6 @@ def test_reduce_inhomogeneous_known_values():
     assert reduce_full(a, x**2) == JacClass(b, {(0,): 1})
     assert reduce_full(a, x**3) == JacClass(b, {(0,): -1, (1,): 1})
     assert reduce_full(a, SuperPoly.one(1)) == JacClass(b, {(0,): 1})
-
-
-def test_reduce_homogeneous_rejects_inhomogeneous():
-    x = SuperPoly.x(1, 0)
-    a = action_build(x**3 + x)
-    with pytest.raises(InputError):
-        reduce_homogeneous(a, x**2)
 
 
 def test_reduce_ibp_oracle_both_actions():
