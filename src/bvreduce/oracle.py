@@ -7,15 +7,17 @@ linear relation I(f) = sum_m tau(f)_m I(x^m) predicted by the reduction.
 
 Rays are truncated where Re(s) <= -30, at which point the integrand is below
 1e-13 of its scale and the discarded tail is noise; allowability is checked by
-sampling Re(s) at and beyond the cutoff.
+sampling Re(s) at and beyond the cutoff.  The quadrature is QUADPACK's
+adaptive Gauss-Kronrod (G7K15) rule in plain Python, so the module needs only
+the standard library.
 """
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+import sys
 from dataclasses import dataclass, field
-
-from scipy.integrate import quad
 
 from .bvdiff import Action
 from .errors import InputError, NotAllowable, ToleranceNotReached, read_json
@@ -42,8 +44,10 @@ class ContourSpec:
     def __post_init__(self):
         if not self.waypoints:
             raise InputError("a contour needs at least one waypoint")
-        if self.ray_length <= 0:
-            raise InputError("ray length must be positive")
+        if not all(cmath.isfinite(w) for w in (*self.waypoints, *self.end_directions)):
+            raise InputError("waypoints and end directions must be finite")
+        if not (math.isfinite(self.ray_length) and self.ray_length > 0):
+            raise InputError("ray length must be positive and finite")
         dirs = []
         for u in self.end_directions:
             r = abs(u)
@@ -108,22 +112,101 @@ def _ray_points(c: ContourSpec, which: int):
 
 
 def check_allowable(s_coeffs: list[complex], c: ContourSpec) -> None:
-    """Re(s) must be <= -30 at the ray cutoff and stay there beyond it."""
+    """Re(s) must be finite and <= -30 at the ray cutoff and stay there beyond it.
+
+    A sample whose Re(s) overflows (or is NaN) certifies nothing about the decay.
+    """
     for which in (0, 1):
         base, u = _ray_points(c, which)
         for t in _RAY_SAMPLES:
-            z = base + (t * c.ray_length) * u
-            if _horner(s_coeffs, z).real > RAY_RE_CUTOFF:
+            re = _horner(s_coeffs, base + (t * c.ray_length) * u).real
+            if not (math.isfinite(re) and re <= RAY_RE_CUTOFF):
                 raise NotAllowable(
-                    f"Re(s) = {_horner(s_coeffs, z).real:.3g} at {t:.3g} ray lengths "
-                    f"on end {which}; need <= {RAY_RE_CUTOFF}"
+                    f"Re(s) = {re:.3g} at {t:.3g} ray lengths "
+                    f"on end {which}; need a finite value <= {RAY_RE_CUTOFF}"
                 )
 
 
-def _quad_piece(g, a: float, b: float, tol: float) -> ComplexEstimate:
-    re, re_err = quad(lambda t: g(t).real, a, b, epsabs=tol, epsrel=tol, limit=400)
-    im, im_err = quad(lambda t: g(t).imag, a, b, epsabs=tol, epsrel=tol, limit=400)
-    return ComplexEstimate(complex(re, im), re_err + im_err)
+# QUADPACK qk15 (Piessens et al., 1983): the Kronrod nodes on (0, 1], largest
+# first, with their weights; nodes 1, 3 and 5 and the centre are the Gauss nodes.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG_CENTRE = 0.417959183673469387755102040816327
+_EPS = sys.float_info.epsilon
+_ABS_FLOOR = sys.float_info.min / (50.0 * _EPS)
+_LIMIT = 400  # most pieces one quad call splits its range into
+
+
+def _qk15(g, a: float, b: float) -> tuple[complex, float]:
+    """The 15-point Kronrod value of g over [a, b] and QUADPACK's error estimate."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = g(c)
+    lo = [g(c - h * x) for x in _XGK]
+    hi = [g(c + h * x) for x in _XGK]
+    sums = [u + v for u, v in zip(lo, hi)]
+    resk = _WGK_CENTRE * fc + sum(w * f for w, f in zip(_WGK, sums))
+    resg = _WG_CENTRE * fc + sum(w * f for w, f in zip(_WG, sums[1::2]))
+    mean = 0.5 * resk
+    resabs = _WGK_CENTRE * abs(fc)
+    resasc = _WGK_CENTRE * abs(fc - mean)
+    for w, u, v in zip(_WGK, lo, hi):
+        resabs += w * (abs(u) + abs(v))
+        resasc += w * (abs(u - mean) + abs(v - mean))
+    h = abs(h)
+    resabs *= h
+    resasc *= h
+    err = abs(resk - resg) * h
+    if resasc and err:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _ABS_FLOOR:
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * h, err
+
+
+def quad(g, a: float, b: float, tol: float) -> ComplexEstimate:
+    """Integrate the complex-valued g over [a, b] by adaptive G7K15 (QUADPACK QAG).
+
+    The piece with the largest error estimate is bisected until the summed
+    estimate is <= max(tol, tol * |value|) or there are _LIMIT pieces; the
+    caller decides whether the returned err is good enough.
+    """
+    value, err = _qk15(g, a, b)
+    heap = [(-err, a, b, value)]
+    total, errsum = value, err
+    while errsum > max(tol, tol * abs(total)) and len(heap) < _LIMIT:
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _qk15(g, lo, mid)
+        v2, e2 = _qk15(g, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total += v1 + v2 - v
+        errsum += e1 + e2 + neg_err
+    value = complex(math.fsum(p[3].real for p in heap), math.fsum(p[3].imag for p in heap))
+    return ComplexEstimate(value, math.fsum(-p[0] for p in heap))
 
 
 def _quad_ray(g, length: float, tol: float) -> ComplexEstimate:
@@ -137,7 +220,7 @@ def _quad_ray(g, length: float, tol: float) -> ComplexEstimate:
     lo = 0.0
     hi = min(1.0, length)
     while lo < length:
-        total = total + _quad_piece(g, lo, hi, tol)
+        total = total + quad(g, lo, hi, tol)
         lo, hi = hi, min(hi * 2.0, length)
     return total
 
@@ -147,16 +230,22 @@ def contour_integrate(
 ) -> ComplexEstimate:
     """Adaptive quadrature of f e^s along the contour; raises when not certified.
 
+    A contour on which e^s leaves the double range is NotAllowable, like one
+    that fails the decay check.
+
     The returned err is the accumulated quadrature error estimate.  If it
-    exceeds tol * max(1, |value|) the result cannot be trusted at the
-    requested tolerance and ToleranceNotReached is raised.
+    exceeds tol * max(1, |value|), or either is not finite, the result cannot
+    be trusted at the requested tolerance and ToleranceNotReached is raised.
     """
     sc = poly1d_coeffs(s)
     fc = poly1d_coeffs(f)
     check_allowable(sc, c)
 
     def integrand(z: complex) -> complex:
-        return _horner(fc, z) * cmath.exp(_horner(sc, z))
+        try:
+            return _horner(fc, z) * cmath.exp(_horner(sc, z))
+        except OverflowError:
+            raise NotAllowable(f"e^s overflows double precision at z = {z:.6g}") from None
 
     quad_tol = tol * 1e-2
     total = ComplexEstimate(0j, 0.0)
@@ -168,13 +257,13 @@ def contour_integrate(
     for w0, w1 in zip(c.waypoints, c.waypoints[1:]):
         dz = w1 - w0
         g_seg = lambda t, w0=w0, dz=dz: dz * integrand(w0 + t * dz)
-        total = total + _quad_piece(g_seg, 0.0, 1.0, quad_tol)
+        total = total + quad(g_seg, 0.0, 1.0, quad_tol)
 
     base, u = _ray_points(c, 1)
     g_out = lambda t: u * integrand(base + t * u)
     total = total + _quad_ray(g_out, c.ray_length, quad_tol)
 
-    if total.err > tol * max(1.0, abs(total.value)):
+    if not (cmath.isfinite(total.value) and total.err <= tol * max(1.0, abs(total.value))):
         raise ToleranceNotReached(
             f"estimated error {total.err:.3g} exceeds tolerance for value {total.value:.6g}"
         )

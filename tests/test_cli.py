@@ -239,6 +239,13 @@ def _with(base, section, **fields):
     return p
 
 
+def _contour(**fields):
+    """An allowable contour for e^{x^3}, with some fields replaced."""
+    c = {"waypoints": [[0.0, 0.0]], "end_directions": [[-1.0, 0.0], [0.5, 0.866025403784]], "ray_length": 6.0}
+    c.update(fields)
+    return c
+
+
 @pytest.mark.parametrize(
     "argv, problem, files",
     [
@@ -249,9 +256,16 @@ def _with(base, section, **fields):
         (["oracle", "{p}"], _with(CUBIC_PROBLEM, None, contour=0), {}),
         (["oracle", "{p}", "--contour", "{dir}/missing.json"], CUBIC_PROBLEM, {}),
         (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": "{not json"}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(ray_length=float("nan")))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(waypoints=[[float("nan"), 0.0]]))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(end_directions=[[float("inf"), 0.0], [0.5, 0.866025403784]]))}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
-         "contour-missing", "contour-malformed"],
+         "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
+         "contour-inf-direction"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:
@@ -261,6 +275,45 @@ def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     argv = [a.format(p=tmp_path / "p.json", dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: invalid input:")
+
+
+@pytest.mark.parametrize(
+    "problem, contour, message",
+    [
+        # Re(s) overflows to -inf at the ray samples, which certifies no decay
+        (CUBIC_PROBLEM, _contour(ray_length=1e150), "error: Re(s) = -inf"),
+        (CUBIC_PROBLEM, _contour(ray_length=1e300), "error: Re(s) = -inf"),
+        # a waypoint deep in the growth sector: e^{x^3} at x = 10 is e^1000
+        (CUBIC_PROBLEM, _contour(waypoints=[[0.0, 0.0], [10.0, 0.0], [0.0, 0.0]]), "error: e^s overflows"),
+        # s = -x^2/2 + 40x peaks at e^800 on the default contour
+        (_with(CUBIC_PROBLEM, None, action=[term((2,), (-1, 2)), term((1,), (40, 1))]), None,
+         "error: e^s overflows"),
+    ],
+    ids=["ray-1e150", "ray-1e300", "waypoint-in-growth-sector", "action-peak-e800"],
+)
+def test_overflowing_contour_not_allowable_exit_2(tmp_path, capsys, problem, contour, message):
+    argv = ["oracle", write(tmp_path / "p.json", problem)]
+    if contour is not None:
+        argv += ["--contour", write(tmp_path / "c.json", contour)]
+    assert main(argv) == EXIT_NOT_GENERIC
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_oracle_runs_on_stdlib_only(tmp_path):
+    """The package imports neither numpy nor scipy, and the oracle runs with both unimportable."""
+    inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
+    script = (
+        "import sys\n"
+        "import bvreduce.cli\n"
+        "leaked = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "assert not leaked, leaked\n"
+        "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+        "raise SystemExit(bvreduce.cli.main(['oracle', sys.argv[1], '-o', '-']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bvreduce.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, inp], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_basis_over_budget_exit_3_without_allocating(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 
@@ -12,9 +13,11 @@ from bvreduce import (
     action_build,
     contour_integrate,
     default_contours,
+    ToleranceNotReached,
     q,
     verify_reduction,
 )
+from bvreduce import oracle
 from bvreduce.reduce import ReduceSession
 
 
@@ -165,3 +168,86 @@ def test_separable_two_variable_recipe():
         rhs += coeff.to_complex() * i1(m0, c1) * i1(m1, c2)
     scale = max(abs(lhs), abs(rhs), 1e-10)
     assert abs(lhs - rhs) <= 1e-6 * scale
+
+
+def _rule_on_monomial(nodes, weights, centre_weight, k):
+    # the symmetric rule applied to t^k over [-1, 1]
+    return centre_weight * (k == 0) + sum(w * (x**k + (-x) ** k) for x, w in zip(nodes, weights))
+
+
+@pytest.mark.parametrize("k", range(23))
+def test_gauss_kronrod_tables_exact_on_monomials(k):
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    assert abs(_rule_on_monomial(oracle._XGK, oracle._WGK, oracle._WGK_CENTRE, k) - exact) <= 1e-15
+    value, _ = oracle._qk15(lambda t: complex(t**k), -1.0, 1.0)
+    assert abs(value - exact) <= 1e-15
+    if k <= 13:
+        gauss = _rule_on_monomial(oracle._XGK[1::2], oracle._WG, oracle._WG_CENTRE, k)
+        assert abs(gauss - exact) <= 1e-15
+
+
+def test_gauss_tables_not_exact_beyond_degree_13():
+    # degree 14 is where 7-point Gauss first errs, so the k <= 13 check above has teeth
+    assert abs(_rule_on_monomial(oracle._XGK[1::2], oracle._WG, oracle._WG_CENTRE, 14) - 2 / 15) > 1e-6
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 35, 50])
+def test_quad_oscillatory_closed_form(k):
+    tol = 1e-10
+    exact = 1.0 if k == 0 else (cmath.exp(1j * k) - 1) / (1j * k)
+    est = oracle.quad(lambda t: cmath.exp(1j * k * t), 0.0, 1.0, tol)
+    assert abs(est.value - exact) <= tol * max(1.0, abs(exact))
+    assert est.err <= max(tol, tol * abs(est.value))
+
+
+def test_quad_gaussian_closed_forms():
+    tol = 1e-10
+    est = oracle.quad(lambda t: cmath.exp(-t * t), 0.0, 3.0, tol)
+    exact = math.sqrt(math.pi) / 2 * math.erf(3.0)
+    assert abs(est.value - exact) <= tol * exact
+    # complex width: the tails beyond |t| = 6 are below 1e-15
+    a = 1 + 2j
+    est = oracle.quad(lambda t: cmath.exp(-a * t * t), -6.0, 6.0, tol)
+    exact = cmath.sqrt(math.pi / a)
+    assert abs(est.value - exact) <= tol * abs(exact)
+
+
+def test_quad_unreachable_tol_stops_at_limit():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return cmath.exp(1j * 40 * t)
+
+    est = oracle.quad(g, 0.0, 1.0, 1e-300)
+    # one 15-point rule on the whole range, then two per bisection
+    assert len(calls) == 15 * (2 * oracle._LIMIT - 1)
+    assert est.err > 1e-300
+    assert abs(est.value - (cmath.exp(40j) - 1) / 40j) <= 1e-12
+
+
+def test_unreachable_tol_raises_without_warning(monkeypatch, capsys):
+    evaluations = []
+    real_quad = oracle.quad
+
+    def counted_quad(g, a, b, tol):
+        count = [0]
+
+        def h(t):
+            count[0] += 1
+            return g(t)
+
+        est = real_quad(h, a, b, tol)
+        evaluations.append(count[0])
+        return est
+
+    monkeypatch.setattr(oracle, "quad", counted_quad)
+    a = action_build(X**3)
+    c = default_contours(3, s=a.s)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotReached):
+            contour_integrate(a.s, X**2, c, tol=1e-22)
+    assert evaluations
+    assert all(n <= 15 * (2 * oracle._LIMIT - 1) for n in evaluations)
+    assert capsys.readouterr() == ("", "")
