@@ -27,6 +27,7 @@ class Action:
                     monomial involves at least two variables
       diag_coeffs   the sequence a_1..a_n (d! times the x_i^d coefficient)
       grad*         gradients of s, top, diag, mix and of the lower part s - top
+      cgrad*        the same gradients as `contraction_terms`, for _contract
       quad          for d = 2 only: (s2 matrix, s1 vector, s0 constant) with
                     s = 1/2 x^T s2 x + s1 . x + s0
     """
@@ -65,6 +66,12 @@ class Action:
         low = s - self.top
         self.low = low
         self.grad_low = tuple(low.dx(i) for i in range(s.n))
+        # the gradients as the rows _contract reads, built once per action
+        self.cgrad = contraction_terms(self.grad)
+        self.cgrad_top = contraction_terms(self.grad_top)
+        self.cgrad_diag = contraction_terms(self.grad_diag)
+        self.cgrad_mix = contraction_terms(self.grad_mix)
+        self.cgrad_low = contraction_terms(self.grad_low)
 
         self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
@@ -105,14 +112,19 @@ def action_build(s: SuperPoly, n: int | None = None) -> Action:
     return Action(s)
 
 
-def _contract(grads, v: SuperPoly) -> SuperPoly:
+def contraction_terms(grads) -> tuple[list[tuple], ...]:
+    """Each xi-free gradient as the (e, a, b, den) rows of its terms, the form `_contract` reads."""
+    return tuple([(e, g.a, g.b, g.den) for (e, _), g in gi.terms.items()] for gi in grads)
+
+
+def _contract(gterms, v: SuperPoly) -> SuperPoly:
     """sum_i grads[i] * dxi(v, i): the odd contraction common to all d_* maps.
 
-    Every gradient must be xi-free, as those of an Action and an HbarModel
-    are, so each product carries the sign of dxi alone.  One pass over the
-    terms of v, with no intermediate SuperPoly.
+    gterms is `contraction_terms(grads)`, which an Action and an HbarModel
+    build once.  Every gradient must be xi-free, as theirs are, so each
+    product carries the sign of dxi alone.  One pass over the terms of v,
+    with no intermediate SuperPoly.
     """
-    gterms = [[(e, g.a, g.b, g.den) for (e, _), g in gi.terms.items()] for gi in grads]
     out: dict[Key, Scalar] = {}
     for (e, m), c in v.terms.items():
         rest = m
@@ -136,7 +148,7 @@ def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
     """Koszul differential sum_i (ds/dx_i) d/dxi_i; lowers homological degree by 1."""
     if v.n != a.n:
         raise ValueError("variable count mismatch")
-    return _contract(a.grad, v)
+    return _contract(a.cgrad, v)
 
 
 def d_div(v: SuperPoly) -> SuperPoly:
@@ -165,17 +177,17 @@ def d_bv(a: Action, v: SuperPoly) -> SuperPoly:
 
 def d_top(a: Action, v: SuperPoly) -> SuperPoly:
     """Contraction with the top part only; preserves weight."""
-    return _contract(a.grad_top, v)
+    return _contract(a.cgrad_top, v)
 
 
 def d_diag(a: Action, v: SuperPoly) -> SuperPoly:
-    return _contract(a.grad_diag, v)
+    return _contract(a.cgrad_diag, v)
 
 
 def d_mix(a: Action, v: SuperPoly) -> SuperPoly:
-    return _contract(a.grad_mix, v)
+    return _contract(a.cgrad_mix, v)
 
 
 def d_low(a: Action, v: SuperPoly) -> SuperPoly:
     """Contraction with s - s^(d); strictly lowers weight when present."""
-    return _contract(a.grad_low, v)
+    return _contract(a.cgrad_low, v)

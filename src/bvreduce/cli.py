@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -225,6 +226,8 @@ def cmd_hbar(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be a finite positive number, got {args.tol}")
     problem = _load_problem(args.input)
     action = _require_action(problem)
     f = _require_observable(problem)

@@ -23,9 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .bvdiff import _contract, d_div
+from .bvdiff import _contract, contraction_terms, d_div
 from .errors import InputError
-from .linalg import invert, to_scalars
+from .linalg import invert
 from .scalars import Scalar, gauss, q
 from .superpoly import Key, SuperPoly, add_term
 
@@ -43,7 +43,7 @@ class HbarModel:
                 if rows[i][j] != rows[j][i]:
                     raise InputError("pairing matrix must be symmetric")
         self.a = rows
-        self.ainv = to_scalars(*invert(rows))  # SingularMatrix propagates
+        self.ainv = invert(rows).inverse()  # SingularMatrix propagates
         verts: dict[int, SuperPoly] = {}
         for deg, p in (vertices or {}).items():
             deg = int(deg)
@@ -68,6 +68,8 @@ class HbarModel:
             sum((SuperPoly.x(n, i) * rows[i][j] for i in range(n)), SuperPoly.zero(n)) - g
             for j, g in enumerate(self.grad_u)
         )
+        self.cgrad_u = contraction_terms(self.grad_u)
+        self.cgrad_lb = contraction_terms(self.grad_lb)
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -132,7 +134,7 @@ class HbarSeries:
 def model_differential(m: HbarModel, v: SuperPoly, K: int) -> HbarSeries:
     """Apply L - B - hbar*div to a polynomial, as a truncated series."""
     out = HbarSeries(m.n, K)
-    out.coeffs[0] = _contract(m.grad_lb, v)
+    out.coeffs[0] = _contract(m.cgrad_lb, v)
     if K >= 1:
         out.coeffs[1] = -d_div(v)
     return out
@@ -206,7 +208,7 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
             if p.is_zero:
                 continue
             e = hbar_eta(p, m)
-            vert = prune(-_contract(m.grad_u, e), k)
+            vert = prune(-_contract(m.cgrad_u, e), k)
             if not vert.is_zero:
                 nxt[k] = nxt.get(k, SuperPoly.zero(m.n)) + vert
             if k + 1 <= K:

@@ -23,9 +23,10 @@ two ways:
     declaration.
   * delta o eta is weight-non-increasing; on each finite
     (homological degree, weight) slice the operator id - delta o eta is
-    assembled in the monomial basis and inverted exactly by fraction-free
-    Gaussian elimination.  Each slice inverse is memoized as a
-    Gaussian-integer matrix X and a Gaussian integer det with
+    assembled in the monomial basis and factored once by fraction-free
+    Gaussian elimination, with the columns of its inverse solved on first
+    use.  Each slice is memoized as that factor: an integer det and the
+    solved columns of the Gaussian-integer matrix X with
     (id - delta o eta) X = det id, so applying it is an integer matvec and
     one exact division per output entry.  Strictly weight-lowering leakage
     between slices is handled by block back-substitution from the top
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import comb
 from typing import Callable
 
-from .errors import NonTerminating, NotGenericAtWeight, SingularMatrix
-from .linalg import clear_denominators, invert, to_scalars
-from .scalars import ONE, ZERO, Scalar
+from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
+from .linalg import clear_denominators, invert
+from .scalars import ONE, ZERO, Scalar, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 # When true, every LinearOp call re-checks its declared degree shift and
@@ -150,17 +152,21 @@ def slice_basis(n: int, d: int, h: int, w: int) -> list[Key]:
     return keys
 
 
+MAX_SLICE_ROWS = 256
+"""Budget on the rows of one (degree, weight) slice; a larger slice is an InputError."""
+
+
 class SliceSolver:
     """Applies (id - t)^{-1} for a degree-preserving, weight-non-increasing t.
 
-    Per (degree, weight) slice the matrix of id - t is inverted exactly once
-    and memoized as `linalg.invert` returns it: a Gaussian-integer X and a
-    Gaussian integer det with (id - t) X = det I, X kept as the nonzero
-    entries of each column.  `apply` clears a slice's right-hand side r to
-    Gaussian integers over one common denominator L, accumulates X r in
-    integers and divides once per nonzero output entry, by L * det.
-    Concurrent readers see a consistent cache thanks to single-flight
-    population under a lock.
+    Per (degree, weight) slice the matrix of id - t is factored once by
+    `linalg.invert` and memoized as its `Factor`: a fraction-free LU, an
+    integer det and the columns of X = det (id - t)^{-1}, each solved on
+    first use.  `apply` clears a slice's right-hand side r to Gaussian
+    integers over one common denominator L, accumulates X r in integers over
+    the columns r touches and divides once per nonzero output entry, by
+    L * det.  Concurrent readers see a consistent cache thanks to
+    single-flight population of slices and columns under a lock.
     """
 
     def __init__(self, n: int, d: int, t: LinearOp):
@@ -185,39 +191,35 @@ class SliceSolver:
             got = self._cache.get((h, w))
             if got is not None:
                 return got
-            basis = slice_basis(self.n, self.d, h, w)
-            index = {k: i for i, k in enumerate(basis)}
-            k = len(basis)
-            t_cols = []
+            n = self.n
+            # the size of slice_basis(n, d, h, w), counted before anything is built
+            xdeg = w - (self.d - 1) * h
+            k = comb(n, h) * comb(xdeg + n - 1, n - 1) if xdeg >= 0 else 0
+            if k > MAX_SLICE_ROWS:
+                raise InputError(
+                    f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"
+                )
+            basis = slice_basis(n, self.d, h, w)
+            index = {key: i for i, key in enumerate(basis)}
+            # id - t, with t's images written into the identity rows
+            mat = [[ZERO] * k for _ in range(k)]
+            for i in range(k):
+                mat[i][i] = ONE
             nontrivial = False
-            for key in basis:
-                img = self.t.fn(SuperPoly(self.n, {key: Scalar(1)}))
-                col = [Scalar(0)] * k
+            for j, key in enumerate(basis):
+                img = self.t.fn(SuperPoly(n, {key: ONE}))
                 for kk, c in img.terms.items():
-                    j = index.get(kk)
-                    if j is not None:
-                        col[j] = c
+                    i = index.get(kk)
+                    if i is not None:
+                        mat[i][j] = mat[i][j] - c
                         nontrivial = True
-                t_cols.append(col)
-            if not nontrivial:
-                entry = (basis, index, None)
-            else:
-                mat = [
-                    [
-                        (ONE if i == j else ZERO) - t_cols[j][i]
-                        for j in range(k)
-                    ]
-                    for i in range(k)
-                ]
+            factor = None
+            if nontrivial:
                 try:
-                    x, det = invert(mat)
+                    factor = invert(mat)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
-                x_cols = [
-                    [(i, xr, xi) for i, (xr, xi) in enumerate(col) if xr or xi]
-                    for col in zip(*x)
-                ]
-                entry = (basis, index, (x_cols, det))
+            entry = (basis, index, factor)
             self._cache[(h, w)] = entry
             return entry
 
@@ -236,11 +238,11 @@ class SliceSolver:
             while pending:
                 w = max(pending)
                 vec_terms = pending.pop(w)
-                basis, index, inv = self._slice(h, w)
-                if inv is None:
+                basis, index, factor = self._slice(h, w)
+                if factor is None:
                     y_terms = vec_terms
                 else:
-                    y_terms = _apply_inverse(inv, basis, index, vec_terms)
+                    y_terms = self._apply_inverse(factor, basis, index, vec_terms)
                 for key, c in y_terms.items():
                     add_term(out, key, c)
                 # strictly lower-weight leakage of t feeds the lower slices
@@ -256,26 +258,32 @@ class SliceSolver:
                             pending.pop(ww, None)
         return SuperPoly(n, out)
 
-
-def _apply_inverse(inv, basis: list[Key], index: dict[Key, int], vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
-    """X r / det for a cached slice inverse (X columns, det) and the slice terms r."""
-    x_cols, (dr, di) = inv
-    rhs, den = clear_denominators(vec_terms.values())
-    k = len(basis)
-    yr = [0] * k
-    yi = [0] * k
-    for key, (ar, ai) in zip(vec_terms, rhs):
-        if ai:
-            for i, xr, xi in x_cols[index[key]]:
-                yr[i] += xr * ar - xi * ai
-                yi[i] += xr * ai + xi * ar
-        else:
-            for i, xr, xi in x_cols[index[key]]:
-                yr[i] += xr * ar
-                yi[i] += xi * ar
-    # r = rhs / den, so X r / det = y / (den * det)
-    (y,) = to_scalars([list(zip(yr, yi))], (den * dr, den * di))
-    return {basis[i]: s for i, s in enumerate(y) if s}
+    def _apply_inverse(
+        self, factor, basis: list[Key], index: dict[Key, int], vec_terms: dict[Key, Scalar]
+    ) -> dict[Key, Scalar]:
+        """X r / det for a slice factor and the slice terms r; a column of X is solved when r first needs it."""
+        cols = factor.columns
+        rhs, den = clear_denominators(vec_terms.values())
+        k = len(basis)
+        yr = [0] * k
+        yi = [0] * k
+        for key, (ar, ai) in zip(vec_terms, rhs):
+            j = index[key]
+            col = cols[j]
+            if col is None:
+                with self._lock:
+                    col = factor.column(j)
+            if ai:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar - xi * ai
+                    yi[i] += xr * ai + xi * ar
+            else:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar
+                    yi[i] += xi * ar
+        # r = rhs / den, so X r / det = y / (den * det)
+        scale = den * factor.det
+        return {basis[i]: gauss(a, b, scale) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
 
 
 @dataclass

@@ -26,7 +26,7 @@ from . import bvdiff
 from .bvdiff import Action, d_diag, d_div, d_low, d_mix
 from .errors import InputError, NonDiagonalizableAction
 from .hpl import LinearOp, Retraction, perturb_retraction, slice_basis
-from .linalg import invert, particular_solution, rank, to_scalars
+from .linalg import invert, particular_solution, rank
 from .scalars import Scalar, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
@@ -154,9 +154,9 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     for (e, mask), c in v.terms.items():
         if mask:
             raise InputError("eta_diag is defined on homological degree 0")
+        if max(e) < d1:
+            continue  # a basis monomial, on which every C(p, d-1) is 0
         den = sum(comb(p, d1) for p in e)
-        if den == 0:
-            continue
         ca, cb, cd = c.a, c.b, c.den
         for i, p in enumerate(e):
             if p < d1:
@@ -380,7 +380,7 @@ def wick(action: Action, f: SuperPoly) -> Scalar:
     if any(mask for _, mask in f.terms):
         raise InputError("wick is defined on homological degree 0")
     s2, s1, _ = action.quad
-    s2inv = to_scalars(*invert(s2))  # raises SingularMatrix when degenerate
+    s2inv = invert(s2).inverse()  # raises SingularMatrix when degenerate
     n = action.n
     crit = [
         -sum((s2inv[i][j] * s1[j] for j in range(n)), Scalar(0)) for i in range(n)

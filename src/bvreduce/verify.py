@@ -14,7 +14,7 @@ from . import reduce as reduce_mod
 from .bvdiff import Action, action_build, d_bv
 from .errors import EngineError, NotGenericAtWeight
 from .hbar import isserlis_moment
-from .linalg import invert, to_scalars
+from .linalg import invert
 from .errors import SingularMatrix
 from .reduce import jac_basis, jac_rank_check, reduce_full, wick
 from .scalars import Scalar, q
@@ -196,7 +196,7 @@ def check_section(trials: int, seed: int, n_max: int = 3, d_max: int = 4) -> Sui
 def isserlis_wick(a: Action, f: SuperPoly) -> Scalar:
     """Independent quadratic oracle: shift to the critical point, pair with covariance -(s2)^{-1}."""
     s2, s1, _ = a.quad
-    s2inv = to_scalars(*invert(s2))
+    s2inv = invert(s2).inverse()
     n = a.n
     crit = [-sum((s2inv[i][j] * s1[j] for j in range(n)), Scalar(0)) for i in range(n)]
     cov = tuple(tuple(-s2inv[i][j] for j in range(n)) for i in range(n))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,10 +263,14 @@ def _contour(**fields):
          {"c.json": json.dumps(_contour(waypoints=[[float("nan"), 0.0]]))}),
         (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
          {"c.json": json.dumps(_contour(end_directions=[[float("inf"), 0.0], [0.5, 0.866025403784]]))}),
+        (["oracle", "{p}", "--tol", "nan"], CUBIC_PROBLEM, {}),
+        (["oracle", "{p}", "--tol", "inf"], CUBIC_PROBLEM, {}),
+        (["oracle", "{p}", "--tol", "0"], CUBIC_PROBLEM, {}),
+        (["oracle", "{p}", "--tol", "-1"], CUBIC_PROBLEM, {}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
          "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
-         "contour-inf-direction"],
+         "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:
@@ -329,3 +334,20 @@ def test_basis_over_budget_exit_3_without_allocating(tmp_path, monkeypatch, caps
     assert main(["basis", "--n", "100000000", "--d", "2"]) == EXIT_INVALID
     assert main(["reduce", inp]) == EXIT_INVALID
     assert "size budget" in capsys.readouterr().err
+
+
+def _cubic3(p):
+    """n = 3, x0^3 + x1^3 + x2^3 + x0 x1 x2 with observable x0^p: the weight-p slice has C(p+2, 2) rows."""
+    action = [term((3, 0, 0), (1, 1)), term((0, 3, 0), (1, 1)), term((0, 0, 3), (1, 1)), term((1, 1, 1), (1, 1))]
+    return {"n": 3, "action": action, "observable": [term((p, 0, 0), (1, 1))]}
+
+
+def test_slice_over_budget_exit_3_before_assembly(tmp_path, capsys):
+    # the weight-40 slice has 861 rows; building and factoring it took minutes
+    inp = write(tmp_path / "p.json", _cubic3(40))
+    t0 = time.perf_counter()
+    assert main(["reduce", inp]) == EXIT_INVALID
+    assert time.perf_counter() - t0 < 5
+    assert "861 rows, over the budget" in capsys.readouterr().err
+    # 153 rows at weight 16 are within the budget
+    assert main(["reduce", write(tmp_path / "q.json", _cubic3(16)), "-o", str(tmp_path / "q.out")]) == EXIT_OK

@@ -231,3 +231,20 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     assert solver._slice(0, 0)[2] is None
     one = SuperPoly.const(n, Scalar(q(-2, 7), q(1, 3)))
     assert solver.apply(one) == one
+
+
+def test_slice_solver_solves_only_the_columns_apply_reaches():
+    n = 2
+    t = _degree0_op(_mixing_images, "mixing")
+    solver = SliceSolver(n, 3, t)
+    v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
+    y = solver.apply(v)
+    assert y - t(y) == v
+    basis, index, factor = solver._slice(0, 4)
+    solved = [j for j, col in enumerate(factor.columns) if col is not None]
+    assert solved == sorted(index[key] for key in v.terms) and len(solved) < len(basis)
+    # the top slice of y is the whole inverse of id - t applied to v
+    inv = factor.inverse()
+    top = {key: sum((inv[i][index[kv]] * c for kv, c in v.terms.items()), Scalar(0)) for i, key in enumerate(basis)}
+    assert {key: c for key, c in y.terms.items() if key in index} == {key: c for key, c in top.items() if c}
+    assert solver.apply(v) == y

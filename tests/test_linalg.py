@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import _gdiv_exact, invert, particular_solution, rank, solve_square, to_scalars
+from bvreduce.linalg import _gdiv_exact, invert, particular_solution, rank, solve_square
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -114,7 +116,7 @@ def test_invert_round_trip():
             a = _mat(rng, k, k)
             if rank(a) == k:
                 break
-        inv = to_scalars(*invert(a))
+        inv = invert(a).inverse()
         for i in range(k):
             for j in range(k):
                 s = sum((a[i][t] * inv[t][j] for t in range(k)), Scalar(0))
@@ -172,7 +174,7 @@ def test_solve_square_row_swap_complex_mixed_denominators():
     (x,) = solve_square(a, [b])
     assert x == _as_scalars(_fraction_gauss_solve(a, b))
     assert [sum((a[i][j] * x[j] for j in range(3)), Scalar(0)) for i in range(3)] == b
-    inv = to_scalars(*invert(a))
+    inv = invert(a).inverse()
     for j in range(3):
         e = [Scalar(1) if i == j else Scalar(0) for i in range(3)]
         assert [row[j] for row in inv] == _as_scalars(_fraction_gauss_solve(a, e))
@@ -181,7 +183,7 @@ def test_solve_square_row_swap_complex_mixed_denominators():
 def test_invert_adjugate_form_with_row_swap():
     # zero leading entry forces a row swap; complex entries, a denominator per entry
     rng = random.Random(26)
-    complex_dets = 0
+    complex_mats = 0
     for _ in range(12):
         k = rng.randint(2, 6)
         while True:
@@ -189,21 +191,56 @@ def test_invert_adjugate_form_with_row_swap():
             a[0][0] = Scalar(0)
             if rank(a) == k:
                 break
-        x, det = invert(a)
-        assert det != (0, 0)
-        complex_dets += det[1] != 0
+        complex_mats += any(v.b for row in a for v in row)
+        f = invert(a)
+        det = f.det
+        assert isinstance(det, int) and det
+        x = [[(0, 0)] * k for _ in range(k)]
+        for j in range(k):
+            for i, xr, xi in f.column(j):
+                x[i][j] = (xr, xi)
         assert all(isinstance(v, int) for row in x for pair in row for v in pair)
-        # a X == det I, with X and det exact Gaussian integers
+        # a X == det I, with X exact Gaussian integers and det an integer
         xs = [[Scalar(xr, xi) for xr, xi in row] for row in x]
         ax = [[sum((a[i][t] * xs[t][j] for t in range(k)), Scalar(0)) for j in range(k)] for i in range(k)]
-        d = Scalar(*det)
+        d = Scalar(det)
         assert ax == [[d if i == j else Scalar(0) for j in range(k)] for i in range(k)]
         # the converted rows are the Fraction reference inverse
-        inv = to_scalars(x, det)
+        inv = f.inverse()
         for j in range(k):
             e = [Scalar(1) if i == j else Scalar(0) for i in range(k)]
             assert [row[j] for row in inv] == _as_scalars(_fraction_gauss_solve(a, e))
-    assert complex_dets
+    assert complex_mats
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_lazy_columns_match_fraction_reference(data):
+    # real and Gaussian matrices with a zero leading entry, so the first step swaps rows
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(2, 6))
+    complex_part = data.draw(st.booleans())
+    while True:
+        a = _mat(rng, k, k, complex_part=complex_part)
+        a[0][0] = Scalar(0)
+        if rank(a) == k:
+            break
+    f = invert(a)
+    assert f.columns == [None] * k
+    for j in data.draw(st.permutations(range(k))):
+        col = f.column(j)
+        assert f.columns[j] is col
+        x = [Scalar(0)] * k
+        for i, xr, xi in col:
+            assert xr or xi
+            x[i] = Scalar(Fraction(xr, f.det), Fraction(xi, f.det))
+        e = [Scalar(1) if i == j else Scalar(0) for i in range(k)]
+        assert x == _as_scalars(_fraction_gauss_solve(a, e))
+    # a planted dependent row makes the matrix singular
+    c = _rand_scalar(rng)
+    a[-1] = [c * v for v in a[0]]
+    with pytest.raises(SingularMatrix):
+        invert(a)
 
 
 def test_solve_square_gate_sized_slice():
