@@ -38,6 +38,11 @@ EXIT_VERIFY_FAILED = 4
 # -- JSON (de)serialization ---------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: `true` and `false` load as Python bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _scalar_from_json(obj) -> Scalar:
     if not isinstance(obj, dict):
         raise InputError(f"expected a scalar object, got {obj!r}")
@@ -46,7 +51,7 @@ def _scalar_from_json(obj) -> Scalar:
         if (
             not isinstance(p, (list, tuple))
             or len(p) != 2
-            or not all(isinstance(x, int) for x in p)
+            or not all(map(_is_int, p))
         ):
             raise InputError(f"{name} must be an integer [numerator, denominator] pair")
         if p[1] == 0:
@@ -72,7 +77,7 @@ def _poly_from_json(n: int, terms) -> SuperPoly:
         if (
             not isinstance(e, list)
             or len(e) != n
-            or not all(isinstance(x, int) and x >= 0 for x in e)
+            or not all(_is_int(x) and x >= 0 for x in e)
         ):
             raise InputError(f"exponent list {e!r} must hold {n} non-negative integers")
         out = out + SuperPoly.monomial(n, e, coeff=_scalar_from_json(t))
@@ -84,7 +89,7 @@ def _load_problem(path: str) -> dict:
     if not isinstance(data, dict) or "n" not in data:
         raise InputError("problem file must be an object with an 'n' field")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError("'n' must be a positive integer")
     problem = {"n": n, "raw": data}
     if "action" in data:
@@ -107,7 +112,7 @@ def _load_problem(path: str) -> dict:
         if not isinstance(raw_vertices, dict):
             raise InputError("'vertices' must be an object mapping degrees to polynomials")
         K = h.get("K")
-        if K is not None and (not isinstance(K, int) or isinstance(K, bool) or K < 0):
+        if K is not None and (not _is_int(K) or K < 0):
             raise InputError("'K' must be a non-negative integer")
         vertices = {}
         for key, terms in raw_vertices.items():

@@ -168,6 +168,10 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
     return SuperPoly(m.n, out)
 
 
+MAX_HBAR_ORDER_DEGREE = 48
+"""Budget on K * max(2, largest vertex degree) in hbar_reduce; a larger product is an InputError."""
+
+
 def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """The class of f modulo the truncated differential, as a Scalar series.
 
@@ -177,6 +181,10 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """
     if K < 0:
         raise InputError("truncation order must be non-negative")
+    # checked before anything of size K is allocated
+    vdeg = max(2, m.max_vertex_degree)
+    if K * vdeg > MAX_HBAR_ORDER_DEGREE:
+        raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
     if f.n != m.n:
         raise ValueError("variable count mismatch")
     if any(mask for _, mask in f.terms):
@@ -190,9 +198,7 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
         return SuperPoly(m.n, kept)
 
     work: dict[int, SuperPoly] = {0: prune(f, 0)}
-    max_degree = max((sum(e) for e, _ in f.terms), default=0) + 2 * K * max(
-        2, m.max_vertex_degree
-    )
+    max_degree = max((sum(e) for e, _ in f.terms), default=0) + 2 * K * vdeg
     guard = (2 * K + 2) * (max_degree + 2) + 4
     for _ in range(guard):
         if not any(not p.is_zero for p in work.values()):

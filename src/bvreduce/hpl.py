@@ -155,6 +155,14 @@ def slice_basis(n: int, d: int, h: int, w: int) -> list[Key]:
 MAX_SLICE_ROWS = 256
 """Budget on the rows of one (degree, weight) slice; a larger slice is an InputError."""
 
+MAX_OBSERVABLE_WEIGHT = 128
+"""Budget on the weight of an observable to reduce; a heavier one is an InputError.
+
+The transferred tau runs a Neumann series whose length grows with the weight,
+so an n = 1 observable can cost unbounded time without building a slice over
+MAX_SLICE_ROWS.
+"""
+
 
 class SliceSolver:
     """Applies (id - t)^{-1} for a degree-preserving, weight-non-increasing t.

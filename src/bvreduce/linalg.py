@@ -1,16 +1,16 @@
 """Exact dense linear algebra over Q(i) via fraction-free (Bareiss) elimination.
 
-Scalar matrices are cleared to Gaussian integers row by row, then eliminated
-with the one-step Bareiss recurrence, whose divisions are exact in any
+Scalar matrices are cleared to Gaussian integers row by row; a matrix with an
+imaginary part B + iC is then replaced by its real embedding [[B, -C], [C, B]],
+so one elimination on plain ints, `_forward_eliminate`, serves every matrix.
+It uses the one-step Bareiss recurrence, whose divisions are exact in any
 integral domain.  Everything stays in big integers until a single division at
 the end, which keeps intermediate entries at minor-determinant size instead of
 letting rational numerators blow up.
 
-A square matrix is factored once by `invert` into a fraction-free LU on plain
-ints (a complex matrix through its real embedding of twice the size), and the
-columns of its inverse are solved on first use.  `rank` and
-`particular_solution` eliminate rectangular matrices over Gaussian-integer
-pairs.
+A square matrix is factored once by `invert` into a fraction-free LU, and the
+columns of its inverse are solved on first use.  `rank` counts the pivots of
+the same elimination on a rectangular matrix, halved for a complex one.
 """
 from __future__ import annotations
 
@@ -24,42 +24,6 @@ from .scalars import ZERO, Scalar, gauss
 # A Gaussian integer is an (a, b) pair meaning a + b*i.
 GInt = tuple[int, int]
 
-_G0: GInt = (0, 0)
-_G1: GInt = (1, 0)
-
-
-def _gmul(x: GInt, y: GInt) -> GInt:
-    a, b = x
-    c, d = y
-    if b == 0:
-        if d == 0:
-            return (a * c, 0)
-        return (a * c, a * d)
-    if d == 0:
-        return (a * c, b * c)
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gsub(x: GInt, y: GInt) -> GInt:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gdiv_exact(x: GInt, y: GInt) -> GInt:
-    # x * conj(y) / |y|^2; the Bareiss recurrence and Cramer's rule guarantee exactness
-    a, b = x
-    c, d = y
-    if d:
-        n = c * c + d * d
-        qr, rr = divmod(a * c + b * d, n)
-        qi, ri = divmod(b * c - a * d, n)
-    else:
-        # a real divisor, as every pivot of a real matrix is
-        qr, rr = divmod(a, c)
-        qi, ri = divmod(b, c)
-    if rr or ri:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return (qr, qi)
-
 
 def clear_denominators(values: Iterable[Scalar]) -> tuple[list[GInt], int]:
     """Gaussian integers g and den, the lcm of all denominators, with values[j] == g[j] / den.
@@ -71,102 +35,99 @@ def clear_denominators(values: Iterable[Scalar]) -> tuple[list[GInt], int]:
     return [(s.a * (den // s.den), s.b * (den // s.den)) for s in vals], den
 
 
-def _forward_eliminate(m: list[list[GInt]], ncols: int | None = None):
-    """In-place fraction-free row echelon; returns the pivot (row, col) list.
+def _integer_rows(a: list[list[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """The rows of a cleared to plain ints, and each row's denominator.
 
-    Only the first `ncols` columns are searched for pivots; any further
-    columns ride along as an augmented block.
+    A real matrix gives its integer rows as they are; a matrix with an
+    imaginary part B + iC gives its real embedding [[B, -C], [C, B]], of
+    twice the size and twice the rank.
+    """
+    cleared = [clear_denominators(row) for row in a]
+    if any(b for g, _ in cleared for _, b in g):
+        m = [[x for x, _ in g] + [-y for _, y in g] for g, _ in cleared]
+        m += [[y for _, y in g] + [x for x, _ in g] for g, _ in cleared]
+    else:
+        m = [[x for x, _ in g] for g, _ in cleared]
+    return m, [den for _, den in cleared]
+
+
+def _forward_eliminate(m: list[list[int]]):
+    """In-place fraction-free (Bareiss) row echelon of a rectangular integer matrix.
+
+    Returns (steps, upper), one entry per pivot, so the rank is len(steps);
+    a column with no pivot is skipped.  A step updates only the rows with a
+    nonzero entry in its pivot column.  The others keep their entries: the
+    factors piv / prev of the steps a row skips telescope, so its next update
+    divides exactly by the pivot of its own last step, and a pivot row is
+    brought up to date first.  Sparse slices and the block-sparse complex
+    embedding cost only the rows touched.
+
+    steps[t] is (i, lc, prev, piv, ups): the original index i of the pivot
+    row, the pivot of the last step applied to it, the previous pivot, the
+    pivot, and the (row, multiplier, divisor) of each row the step updated.
+    upper[t] is (piv, tail), the pivot and the echelon row right of it.
     """
     rows = len(m)
     width = len(m[0]) if rows else 0
-    if ncols is None:
-        ncols = width
-    pivots: list[tuple[int, int]] = []
-    prev: GInt = _G1
+    ids = list(range(rows))  # ids[r]: the original index of the row now at position r
+    last = [1] * rows  # last[i]: the pivot of the last step applied to original row i
+    steps = []
+    upper = []
+    prev = 1
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if m[i][c] != _G0), None)
+    for c in range(width):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
+            ids[r], ids[pr] = ids[pr], ids[r]
+        row = m[r]
+        lc = last[ids[r]]
+        if lc != prev:
+            # bring the pivot row through the steps it skipped
+            row[c:] = [x * prev // lc for x in row[c:]]
+        piv = row[c]
+        tail = row[c + 1:]
+        ups = []
         for i in range(r + 1, rows):
-            mic = m[i][c]
             row_i = m[i]
-            row_r = m[r]
-            if mic == _G0:
-                if prev != _G1:
-                    for j in range(c + 1, width):
-                        row_i[j] = _gdiv_exact(_gmul(piv, row_i[j]), prev)
-                else:
-                    for j in range(c + 1, width):
-                        row_i[j] = _gmul(piv, row_i[j])
-            else:
-                for j in range(c + 1, width):
-                    row_i[j] = _gdiv_exact(
-                        _gsub(_gmul(piv, row_i[j]), _gmul(mic, row_r[j])), prev
-                    )
-            row_i[c] = _G0
-        pivots.append((r, c))
+            mic = row_i[c]
+            if mic:
+                o = ids[i]
+                d = last[o]
+                row_i[c + 1:] = [(piv * x - mic * y) // d for x, y in zip(row_i[c + 1:], tail)]
+                last[o] = piv
+                ups.append((o, mic, d))
+        steps.append((ids[r], lc, prev, piv, ups))
+        upper.append((piv, tail))
         prev = piv
         r += 1
-        if r == rows:
-            break
-    return pivots
+    return steps, upper
 
 
 def rank(rows: list[list[Scalar]]) -> int:
     """Exact rank of a rectangular Scalar matrix."""
     if not rows:
         return 0
-    m = [clear_denominators(row)[0] for row in rows]
-    return len(_forward_eliminate(m))
-
-
-def _back_substitute(m: list[list[GInt]], pivots, ncols: int) -> tuple[list[GInt], GInt]:
-    """Fraction-free back-substitution on a Bareiss echelon form.
-
-    Solves the pivot rows of `m` for the augmented column `ncols`, with free
-    variables set to zero, and returns (X, det).  The last pivot `det` is the
-    determinant of the pivot minor, so by Cramer's rule X = det*x is a
-    Gaussian-integer vector: each step X_c = (det*b_r - sum U_rj X_j) / U_rc
-    divides exactly.
-    """
-    det = m[pivots[-1][0]][pivots[-1][1]] if pivots else _G1
-    x = [_G0] * ncols
-    solved: list[tuple[int, GInt]] = []
-    for r, c in reversed(pivots):
-        row = m[r]
-        acc = _gmul(det, row[ncols])
-        for j, xj in solved:
-            urj = row[j]
-            if urj != _G0:
-                acc = _gsub(acc, _gmul(urj, xj))
-        xc = _gdiv_exact(acc, row[c])
-        if xc != _G0:
-            solved.append((c, xc))
-            x[c] = xc
-    return x, det
+    m, _ = _integer_rows(rows)
+    steps, _ = _forward_eliminate(m)
+    return len(steps) if len(m) == len(rows) else len(steps) // 2
 
 
 class Factor:
     """Fraction-free LU factor of a nonsingular square Scalar matrix A, from `invert`.
 
     The rows of A are cleared to Gaussian integers, row i by its own
-    denominator den_i, and eliminated on plain Python ints by the one-step
-    Bareiss recurrence.  A real A is factored as it is; a matrix with an
+    denominator den_i, and eliminated on plain Python ints by
+    `_forward_eliminate`.  A real A is factored as it is; a matrix with an
     imaginary part A' = B + iC is factored through its real embedding
     [[B, -C], [C, B]] of twice the size, whose inverse carries Re and Im of
     A'^{-1} in its upper and lower halves.  The factor keeps the pivot order,
     the echelon rows and each step's multipliers, and `det`, the last pivot:
     a nonzero integer with det * A^{-1} a Gaussian-integer matrix X.
-
-    A step updates only the rows with a nonzero entry in the pivot column.
-    The others keep their entries: the factors piv_c / piv_{c-1} of the
-    steps a row skips telescope, so its next update divides exactly by the
-    pivot of its own last step, and a pivot row is brought up to date first.
-    Sparse slices and the block-sparse embedding cost only the rows touched.
 
     `columns[j]` is column j of X as its nonzero entries (i, re, im), or None
     until `column(j)` solves it: `den_j e_j` is forward-substituted through
@@ -178,48 +139,13 @@ class Factor:
 
     def __init__(self, a: list[list[Scalar]]):
         k = len(a)
-        cleared = [clear_denominators(row) for row in a]
+        m, self._dens = _integer_rows(a)
+        steps, upper = _forward_eliminate(m)
+        if len(steps) < len(m):
+            rk = len(steps) if len(m) == k else len(steps) // 2
+            raise SingularMatrix(f"matrix of size {k} has rank {rk}")
         self.k = k
-        self._dens = [den for _, den in cleared]
-        if any(b for g, _ in cleared for _, b in g):
-            m = [[x for x, _ in g] + [-y for _, y in g] for g, _ in cleared]
-            m += [[y for _, y in g] + [x for x, _ in g] for g, _ in cleared]
-        else:
-            m = [[x for x, _ in g] for g, _ in cleared]
-        size = len(m)
-        ids = list(range(size))  # ids[r]: the original index of the row now at position r
-        last = [1] * size  # last[i]: the pivot of the last step applied to original row i
-        steps = []
-        upper = []
-        prev = 1
-        for c in range(size):
-            pr = next((r for r in range(c, size) if m[r][c]), None)
-            if pr is None:
-                raise SingularMatrix(f"matrix of size {k} has rank {rank(a)}")
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                ids[c], ids[pr] = ids[pr], ids[c]
-            row = m[c]
-            lc = last[ids[c]]
-            if lc != prev:
-                # bring the pivot row through the steps it skipped
-                row[c:] = [x * prev // lc for x in row[c:]]
-            piv = row[c]
-            tail = row[c + 1:]
-            ups = []
-            for r in range(c + 1, size):
-                row_r = m[r]
-                mic = row_r[c]
-                if mic:
-                    i = ids[r]
-                    d = last[i]
-                    row_r[c + 1:] = [(piv * x - mic * y) // d for x, y in zip(row_r[c + 1:], tail)]
-                    last[i] = piv
-                    ups.append((i, mic, d))
-            steps.append((ids[c], lc, prev, piv, ups))
-            upper.append((piv, tail))
-            prev = piv
-        self.det = prev
+        self.det = steps[-1][3] if steps else 1
         self._steps = steps
         self._upper = upper
         self.columns: list[list[tuple[int, int, int]] | None] = [None] * k
@@ -267,7 +193,7 @@ class Factor:
         """Column j of X as its nonzero entries (i, re, im), solved on first use."""
         col = self.columns[j]
         if col is None:
-            e = [_G1 if i == j else _G0 for i in range(self.k)]
+            e = [(1, 0) if i == j else (0, 0) for i in range(self.k)]
             col = [(i, xr, xi) for i, (xr, xi) in enumerate(self.solve(e)) if xr or xi]
             self.columns[j] = col
         return col
@@ -308,21 +234,3 @@ def invert(a: list[list[Scalar]]) -> Factor:
     factor.  Raises SingularMatrix when a is rank-deficient.
     """
     return Factor(a)
-
-
-def particular_solution(a: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
-    """Some exact solution of A x = rhs with free variables set to zero, or None."""
-    rows = len(a)
-    if rows == 0:
-        return []
-    k = len(a[0])
-    m = [clear_denominators(list(a[i]) + [rhs[i]])[0] for i in range(rows)]
-    pivots = _forward_eliminate(m, ncols=k)
-    piv_rows = {r for r, _ in pivots}
-    for i in range(rows):
-        if i not in piv_rows and m[i][k] != _G0:
-            return None
-    x, (dr, di) = _back_substitute(m, pivots, k)
-    # X / det = X * conj(det) / |det|^2
-    norm = dr * dr + di * di
-    return [ZERO if v == _G0 else gauss(v[0] * dr + v[1] * di, v[1] * dr - v[0] * di, norm) for v in x]

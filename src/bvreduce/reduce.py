@@ -1,7 +1,9 @@
 """Reduction of observables to exact homology classes over the Jacobian-ring basis.
 
-The pipeline starts from the explicit retraction of the diagonal complex and
-transfers it across up to three deformations: the mixed part of the top
+The pipeline starts from the explicit retraction of the diagonal complex:
+tau_diag projects onto the basis monomials and eta_diag is a closed-form
+homotopy on every homological degree, with no linear solve.  It is then
+transferred across up to three deformations: the mixed part of the top
 differential (exact per-weight solves), the lower-order part of the Koszul
 differential (terminating Neumann series), and finally the divergence
 (terminating Neumann series, weight drop d).  The resulting tau takes any
@@ -25,8 +27,8 @@ from math import comb, perm
 from . import bvdiff
 from .bvdiff import Action, d_diag, d_div, d_low, d_mix
 from .errors import InputError, NonDiagonalizableAction
-from .hpl import LinearOp, Retraction, perturb_retraction, slice_basis
-from .linalg import invert, particular_solution, rank
+from .hpl import MAX_OBSERVABLE_WEIGHT, LinearOp, Retraction, perturb_retraction
+from .linalg import invert, rank
 from .scalars import Scalar, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
@@ -137,12 +139,18 @@ def _check_diag(action: Action):
 
 
 def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
-    """Diagonal homotopy on homological degree 0.
+    """The diagonal homotopy, in closed form on every homological degree.
 
-    On a monomial with some exponent >= d-1 this is
-        -(1 / sum_i C(m_i, d-1)) * sum_i (xi_i / a_i) (d/dx_i)^{d-1} x^m
-    extended linearly; it vanishes on basis monomials.  The sign makes
-    d_diag o eta_diag = phi o tau_diag - id on degree 0.
+    With K = sum_i (xi_i / a_i) (d/dx_i)^{d-1}, xi_i multiplied on the left,
+    d_diag K + K d_diag multiplies each monomial x^m xi^S by
+
+        N(m, S) = sum_{i not in S} C(m_i, d-1) + sum_{i in S} C(m_i+d-1, d-1),
+
+    and eta_diag(x^m xi^S) = -K(x^m xi^S) / N(m, S), extended linearly.  N is
+    0 exactly on the basis monomials, where eta_diag vanishes.  N commutes
+    with d_diag and K, so d_diag o eta_diag + eta_diag o d_diag =
+    phi o tau_diag - id, and eta_diag o eta_diag = 0 because K o K = 0.  On
+    degree 0 this is -(1 / sum_i C(m_i, d-1)) * K(x^m).
     """
     units = action._neg_inv_diag
     if units is None:
@@ -153,91 +161,26 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     out: dict[Key, Scalar] = {}
     for (e, mask), c in v.terms.items():
         if mask:
-            raise InputError("eta_diag is defined on homological degree 0")
-        if max(e) < d1:
+            den = sum(comb(p + d1, d1) if mask >> i & 1 else comb(p, d1) for i, p in enumerate(e))
+        elif max(e) < d1:
             continue  # a basis monomial, on which every C(p, d-1) is 0
-        den = sum(comb(p, d1) for p in e)
+        else:
+            den = sum(comb(p, d1) for p in e)
         ca, cb, cd = c.a, c.b, c.den
         for i, p in enumerate(e):
-            if p < d1:
+            if p < d1 or mask >> i & 1:
                 continue
-            # (e, i) determines the output key, so no two contributions meet
             f = perm(p, d1)
             ua, ub, ud = units[i]
-            key = (e[:i] + (p - d1,) + e[i + 1:], 1 << i)
-            out[key] = gauss((ca * ua - cb * ub) * f, (ca * ub + cb * ua) * f, cd * ud * den)
+            key = (e[:i] + (p - d1,) + e[i + 1:], mask | 1 << i)
+            term = gauss((ca * ua - cb * ub) * f, (ca * ub + cb * ua) * f, cd * ud * den)
+            if not mask:
+                out[key] = term  # (e, i) determines the key, so no two contributions meet
+            elif (mask & ((1 << i) - 1)).bit_count() & 1:
+                add_term(out, key, -term)  # xi_i passes an odd number of xi_j, j < i, into place
+            else:
+                add_term(out, key, term)  # x^m xi^S and x^m' xi^S' can meet
     return SuperPoly(v.n, out)
-
-
-class _DiagEta:
-    """eta for the diagonal retraction on every homological degree.
-
-    Degree 0 uses the closed formula above.  Degree h >= 1 is extended
-    iteratively: on each (degree, weight) slice the value is the particular
-    solution u of d_diag(u) = -v - eta(d_diag(v)), which exists because the
-    diagonal complex is exact away from degree 0 and is solved exactly with
-    free variables pinned to zero (making the extension linear and
-    deterministic).  Only invariant tests exercise the higher degrees; the
-    reduction pipeline itself stays in degrees 0 and 1.
-    """
-
-    def __init__(self, action: Action):
-        self.action = action
-        self._mats: dict[tuple[int, int], tuple] = {}
-        self._lock = threading.Lock()
-
-    def _diag_matrix(self, h: int, w: int):
-        # matrix of d_diag from slice (h+1, w) to slice (h, w)
-        key = (h, w)
-        got = self._mats.get(key)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._mats.get(key)
-            if got is not None:
-                return got
-            a = self.action
-            dom = slice_basis(a.n, a.d, h + 1, w)
-            cod = slice_basis(a.n, a.d, h, w)
-            idx = {k: i for i, k in enumerate(cod)}
-            mat = [[Scalar(0)] * len(dom) for _ in range(len(cod))]
-            for j, kk in enumerate(dom):
-                img = d_diag(a, SuperPoly(a.n, {kk: Scalar(1)}))
-                for k2, c in img.terms.items():
-                    mat[idx[k2]][j] = c
-            entry = (dom, cod, idx, mat)
-            self._mats[key] = entry
-            return entry
-
-    def __call__(self, v: SuperPoly) -> SuperPoly:
-        if not any(m for _, m in v.terms):
-            # all the reduction pipeline sends: no split, no copy
-            return eta_diag(v, self.action)
-        out: dict[Key, Scalar] = {}
-        for h, p in sorted(v.degree_split().items()):
-            part = eta_diag(p, self.action) if h == 0 else self._higher(p, h)
-            for key, c in part.terms.items():
-                add_term(out, key, c)
-        return SuperPoly(v.n, out)
-
-    def _higher(self, v: SuperPoly, h: int) -> SuperPoly:
-        a = self.action
-        if h >= a.n:
-            # the target slice is empty; the retraction identity holds
-            # automatically here because d_diag is injective in top degree
-            return SuperPoly.zero(a.n)
-        rhs_poly = -v - self(d_diag(a, v))
-        out = SuperPoly.zero(a.n)
-        for w, chunk in rhs_poly.weight_split(a.d).items():
-            dom, cod, idx, mat = self._diag_matrix(h, w)
-            rhs = [Scalar(0)] * len(cod)
-            for kk, c in chunk.terms.items():
-                rhs[idx[kk]] = c
-            sol = particular_solution(mat, rhs)
-            if sol is None:
-                raise AssertionError("diagonal complex failed to be exact; this is a bug")
-            out = out + SuperPoly(a.n, {dom[j]: c for j, c in enumerate(sol) if c})
-        return out
 
 
 def diag_retraction(action: Action, phi_correction=None) -> Retraction:
@@ -277,7 +220,8 @@ def diag_retraction(action: Action, phi_correction=None) -> Retraction:
                 out = out + extra.scale(c)
         return out
 
-    base_eta = _DiagEta(action)
+    def base_eta(v: SuperPoly) -> SuperPoly:
+        return eta_diag(v, action)
 
     if correction:
         def eta_fn(v: SuperPoly) -> SuperPoly:
@@ -335,6 +279,9 @@ class ReduceSession:
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:
             raise ValueError("variable count mismatch")
+        w = f.max_weight(self.action.d)
+        if w > MAX_OBSERVABLE_WEIGHT:
+            raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
         return self.retraction.tau(f)
 
     def phi(self, h: JacClass) -> SuperPoly:

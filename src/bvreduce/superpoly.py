@@ -299,13 +299,6 @@ class SuperPoly:
             out.setdefault(w, SuperPoly(self.n)).terms[(e, m)] = c
         return out
 
-    def degree_split(self) -> dict[int, "SuperPoly"]:
-        """Split by homological degree (xi count)."""
-        out: dict[int, SuperPoly] = {}
-        for (e, m), c in self.terms.items():
-            out.setdefault(m.bit_count(), SuperPoly(self.n)).terms[(e, m)] = c
-        return out
-
     def xdeg_split(self) -> dict[int, "SuperPoly"]:
         """Split by total x-degree, ignoring xi content."""
         out: dict[int, SuperPoly] = {}

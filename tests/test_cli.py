@@ -267,10 +267,15 @@ def _contour(**fields):
         (["oracle", "{p}", "--tol", "inf"], CUBIC_PROBLEM, {}),
         (["oracle", "{p}", "--tol", "0"], CUBIC_PROBLEM, {}),
         (["oracle", "{p}", "--tol", "-1"], CUBIC_PROBLEM, {}),
+        # JSON booleans load as Python bools, which are ints too
+        (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, n=True), {}),
+        (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, observable=[{"exp": [True], "re": [1, 1]}]), {}),
+        (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, observable=[{"exp": [3], "re": [True, 3]}]), {}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
          "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
-         "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+         "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
+         "n-true", "exp-true", "re-true"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:
@@ -351,3 +356,31 @@ def test_slice_over_budget_exit_3_before_assembly(tmp_path, capsys):
     assert "861 rows, over the budget" in capsys.readouterr().err
     # 153 rows at weight 16 are within the budget
     assert main(["reduce", write(tmp_path / "q.json", _cubic3(16)), "-o", str(tmp_path / "q.out")]) == EXIT_OK
+
+
+def test_observable_over_weight_budget_exit_3(tmp_path, capsys):
+    # x^3000 on n = 1 builds no slice over MAX_SLICE_ROWS, but its Neumann series ran for minutes
+    problem = {"n": 1, "action": [term((3,), (1, 3)), term((1,), (-1, 1))], "observable": [term((3000,), (1, 1))]}
+    t0 = time.perf_counter()
+    assert main(["reduce", write(tmp_path / "p.json", problem)]) == EXIT_INVALID
+    assert time.perf_counter() - t0 < 5
+    assert "weight 3000, over the budget" in capsys.readouterr().err
+
+
+def test_hbar_over_order_budget_exit_3(tmp_path, capsys):
+    # K = 400 with a quartic vertex ran for minutes; K = 4 is within the budget
+    problem = {
+        "n": 2,
+        "observable": [term((2, 0), (1, 1))],
+        "hbar": {
+            "K": 400,
+            "a": [[{"re": [1, 1]}, {"re": [0, 1]}], [{"re": [0, 1]}, {"re": [1, 1]}]],
+            "vertices": {"4": [term((4, 0), (1, 24)), term((2, 2), (1, 24)), term((0, 4), (1, 24))]},
+        },
+    }
+    inp = write(tmp_path / "p.json", problem)
+    t0 = time.perf_counter()
+    assert main(["hbar", inp]) == EXIT_INVALID
+    assert time.perf_counter() - t0 < 5
+    assert "over the budget" in capsys.readouterr().err
+    assert main(["hbar", inp, "-K", "4", "-o", str(tmp_path / "h.out")]) == EXIT_OK

@@ -119,6 +119,32 @@ def test_convention_after_perturbation():
         done += 1
 
 
+def _random_of_degree(rng, n, d, h, max_weight=10):
+    """A random element of homological degree h and weight at most max_weight."""
+    masks = [m for m in range(1 << n) if m.bit_count() == h]
+    p = SuperPoly.zero(n)
+    for _ in range(5):
+        e = [0] * n
+        for _ in range(rng.randint(0, max_weight - (d - 1) * h)):
+            e[rng.randrange(n)] += 1
+        p = p + SuperPoly(n, {(tuple(e), rng.choice(masks)): random_rational(rng, nonzero=True)})
+    return p
+
+
+def test_diag_retraction_identities_on_every_degree():
+    """phi tau - id = D eta + eta D, eta eta = 0 and tau eta = 0 for the diagonal retraction, degrees 0..n."""
+    rng = random.Random(54)
+    for _ in range(30):
+        n, d = rng.randint(1, 3), rng.randint(2, 4)
+        r = diag_retraction(random_action(rng, n, d))
+        for h in range(n + 1):
+            v = _random_of_degree(rng, n, d, h)
+            e = r.eta(v)
+            assert r.phi(r.tau(v)) - v == r.diff(e) + r.eta(r.diff(v))
+            assert r.eta(e).is_zero
+            assert r.tau(e).is_zero
+
+
 def test_two_perturbations_equal_combined():
     """Successive small deformations agree with their sum, on random inputs."""
     rng = random.Random(52)

@@ -53,17 +53,18 @@ def d_div_ref(v: SuperPoly) -> SuperPoly:
 
 
 def eta_diag_ref(v: SuperPoly, action) -> SuperPoly:
+    """-K(x^m xi^S) / N(m, S) term by term, with K = sum_i (xi_i / a_i) (d/dx_i)^{d-1}."""
     d = action.d
     out = SuperPoly.zero(v.n)
-    for (e, _), c in v.terms.items():
-        den = sum(comb(p, d - 1) for p in e)
-        for i, p in enumerate(e):
-            if p >= d - 1:
-                falling = prod(range(p - d + 2, p + 1))
-                coeff = -(c * falling) / (action.diag_coeffs[i] * den)
-                exps = list(e)
-                exps[i] -= d - 1
-                out = out + SuperPoly.monomial(v.n, exps, (i,), coeff)
+    for (e, mask), c in v.terms.items():
+        den = sum(comb(p + d - 1, d - 1) if mask >> i & 1 else comb(p, d - 1) for i, p in enumerate(e))
+        if not den:
+            continue
+        for i in range(v.n):
+            g = SuperPoly(v.n, {(e, mask): c})
+            for _ in range(d - 1):
+                g = g.dx(i)
+            out = out + SuperPoly.xi(v.n, i) * g.scale(Scalar(Fraction(-1, den)) / action.diag_coeffs[i])
     return out
 
 
@@ -112,7 +113,7 @@ def test_eta_diag_term_by_term(data):
     if n > 1:
         s = s + SuperPoly.monomial(n, (1, d - 1) + (0,) * (n - 2), coeff=data.draw(scalars))
     action = action_build(s)
-    v = data.draw(polys(n, xi=False, max_exp=6))
+    v = data.draw(polys(n, xi=True, max_exp=6))
     got = eta_diag(v, action)
     assert got == eta_diag_ref(v, action)
     assert_no_zero_coefficient(got)
@@ -156,6 +157,12 @@ def _xi(i):
             lambda v: hbar_eta(v, HbarModel(2, [[2, -1], [-1, 1]])),
             _x(0) ** 2 - 2 * (_x(0) * _x(1)),
             _x(0) * _xi(1) + _x(1) * _xi(0) + _x(1) * _xi(1),
+        ),
+        # s = (x0^2 + x1^2) / 2: x0 xi1 and x1 xi0 both reach xi0 xi1, with opposite signs
+        (
+            lambda v: eta_diag(v, action_build((_x(0) ** 2 + _x(1) ** 2).scale(Scalar(Fraction(1, 2))))),
+            _x(0) * _xi(1) + _x(1) * _xi(0),
+            SuperPoly.zero(2),
         ),
     ],
 )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import _gdiv_exact, invert, particular_solution, rank, solve_square
+from bvreduce.linalg import invert, rank, solve_square
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -129,31 +129,6 @@ def test_singular_detected():
         solve_square(a, [[Scalar(1), Scalar(0)]])
 
 
-def test_particular_solution_underdetermined():
-    # x + y = 3 has the pivot solution x = 3, y = 0
-    a = [[Scalar(1), Scalar(1)]]
-    sol = particular_solution(a, [Scalar(3)])
-    assert sol == [Scalar(3), Scalar(0)]
-
-
-def test_particular_solution_inconsistent():
-    a = [[Scalar(1), Scalar(1)], [Scalar(2), Scalar(2)]]
-    assert particular_solution(a, [Scalar(1), Scalar(3)]) is None
-
-
-def test_particular_solution_is_linear_in_rhs():
-    # fixed pivots make the pseudo-solve linear, which the homotopy extension relies on
-    rng = random.Random(24)
-    a = _mat(rng, 3, 5)
-    b1 = [sum((a[i][j] * _rand_scalar(rng) for j in range(5)), Scalar(0)) for i in range(3)]
-    b2 = [sum((a[i][j] * _rand_scalar(rng) for j in range(5)), Scalar(0)) for i in range(3)]
-    s1 = particular_solution(a, b1)
-    s2 = particular_solution(a, b2)
-    s12 = particular_solution(a, [u + v for u, v in zip(b1, b2)])
-    assert s1 is not None and s2 is not None and s12 is not None
-    assert s12 == [u + v for u, v in zip(s1, s2)]
-
-
 def _frac_scalar(re, im=0):
     re, im = Fraction(re), Fraction(im)
     return Scalar(q(re.numerator, re.denominator), q(im.numerator, im.denominator))
@@ -258,7 +233,7 @@ def test_solve_square_gate_sized_slice():
         assert x == _as_scalars(_fraction_gauss_solve(a, b))
 
 
-def test_particular_solution_free_variable_between_pivots():
+def test_rank_skips_a_column_without_pivot():
     # column 1 is (1 + i/2) times column 0, so the pivots are columns 0, 2, 3
     c0 = [_frac_scalar(Fraction(1, 2)), _frac_scalar(0, 1), _frac_scalar(Fraction(-2, 3), Fraction(1, 3))]
     a = [
@@ -266,31 +241,17 @@ def test_particular_solution_free_variable_between_pivots():
         [c0[1], c0[1] * _frac_scalar(1, Fraction(1, 2)), _frac_scalar(Fraction(-1, 2), 2), _frac_scalar(0)],
         [c0[2], c0[2] * _frac_scalar(1, Fraction(1, 2)), _frac_scalar(1), _frac_scalar(Fraction(5, 3), -1)],
     ]
-    b = [_frac_scalar(Fraction(7, 2)), _frac_scalar(-1, Fraction(1, 3)), _frac_scalar(Fraction(2, 5), 1)]
-    x = particular_solution(a, b)
-    assert x is not None
-    assert x[1] == Scalar(0)
-    assert all(v for v in (x[0], x[2], x[3]))
-    assert [sum((a[i][j] * x[j] for j in range(4)), Scalar(0)) for i in range(3)] == b
-    # on the pivot columns the solution is the unique one of the pivot minor
-    minor = [[row[j] for j in (0, 2, 3)] for row in a]
-    assert [x[0], x[2], x[3]] == _as_scalars(_fraction_gauss_solve(minor, b))
+    assert rank(a) == 3 == _fraction_gauss_rank(a)
+    assert rank([[row[j] for j in (0, 1)] for row in a]) == 1
+    assert rank([row + [row[0] + row[2]] for row in a]) == 3
 
 
-@pytest.mark.parametrize(
-    "x, y, quotient",
-    [
-        ((4, -6), (-2, 0), (-2, 3)),
-        ((0, 9), (3, 0), (0, 3)),
-        ((5, 5), (1, 2), (3, -1)),
-        ((3, 4), (2, 0), None),
-        ((4, 3), (2, 0), None),
-        ((5, 5), (2, 4), None),
-    ],
-)
-def test_gdiv_exact_real_and_complex_divisors(x, y, quotient):
-    if quotient is None:
-        with pytest.raises(ArithmeticError):
-            _gdiv_exact(x, y)
-    else:
-        assert _gdiv_exact(x, y) == quotient
+def test_singular_message_reports_complex_rank():
+    # row 2 is (1 - i) row 0 + i/3 row 1: the real embedding has rank 4, the matrix rank 2
+    r0 = [_frac_scalar(1), _frac_scalar(0, 2), _frac_scalar(Fraction(1, 2), -1)]
+    r1 = [_frac_scalar(3, 1), _frac_scalar(Fraction(-1, 4)), _frac_scalar(0, Fraction(5, 3))]
+    r2 = [u * _frac_scalar(1, -1) + v * _frac_scalar(0, Fraction(1, 3)) for u, v in zip(r0, r1)]
+    a = [r0, r1, r2]
+    assert rank(a) == 2 == _fraction_gauss_rank(a)
+    with pytest.raises(SingularMatrix, match="matrix of size 3 has rank 2"):
+        invert(a)
