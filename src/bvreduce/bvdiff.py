@@ -11,8 +11,8 @@ from math import factorial
 from operator import add
 
 from .errors import InputError
-from .scalars import Scalar, gauss
-from .superpoly import Key, SuperPoly, add_term
+from .scalars import Scalar, clear_denominators
+from .superpoly import SuperPoly, sum_pairs
 
 
 class Action:
@@ -112,9 +112,11 @@ def action_build(s: SuperPoly, n: int | None = None) -> Action:
     return Action(s)
 
 
-def contraction_terms(grads) -> tuple[list[tuple], ...]:
-    """Each xi-free gradient as the (e, a, b, den) rows of its terms, the form `_contract` reads."""
-    return tuple([(e, g.a, g.b, g.den) for (e, _), g in gi.terms.items()] for gi in grads)
+def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
+    """The xi-free gradients as (rows, G) for `_contract`: rows[i] has (e, a, b) per term (a + b*i)/G x^e."""
+    pairs, den = clear_denominators([c for gi in grads for c in gi.terms.values()])
+    flat = iter(pairs)
+    return tuple([(e, *next(flat)) for e, _ in gi.terms] for gi in grads), den
 
 
 def _contract(gterms, v: SuperPoly) -> SuperPoly:
@@ -122,26 +124,27 @@ def _contract(gterms, v: SuperPoly) -> SuperPoly:
 
     gterms is `contraction_terms(grads)`, which an Action and an HbarModel
     build once.  Every gradient must be xi-free, as theirs are, so each
-    product carries the sign of dxi alone.  One pass over the terms of v,
-    with no intermediate SuperPoly.
+    product carries the sign of dxi alone.  v is cleared to Gaussian
+    integers over one L, so every product lies over L * G.
     """
-    out: dict[Key, Scalar] = {}
-    for (e, m), c in v.terms.items():
-        rest = m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            gt = gterms[bit.bit_length() - 1]
-            if not gt:
-                continue
-            ca, cb, cd = c.a, c.b, c.den
-            if (m & (bit - 1)).bit_count() & 1:
-                ca, cb = -ca, -cb
-            mask = m ^ bit
-            for ge, ga, gb, gd in gt:
-                c_g = gauss(ga * ca - gb * cb, ga * cb + gb * ca, gd * cd)
-                add_term(out, (tuple(map(add, e, ge)), mask), c_g)
-    return SuperPoly(v.n, out)
+    rows, gden = gterms
+    pairs, den = clear_denominators(v.terms.values())
+
+    def contributions():
+        for (e, m), (ca, cb) in zip(v.terms, pairs):
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                gt = rows[bit.bit_length() - 1]
+                if not gt:
+                    continue
+                sa, sb = (-ca, -cb) if (m & (bit - 1)).bit_count() & 1 else (ca, cb)
+                mask = m ^ bit
+                for ge, ga, gb in gt:
+                    yield (tuple(map(add, e, ge)), mask), ga * sa - gb * sb, ga * sb + gb * sa
+
+    return sum_pairs(v.n, contributions(), den * gden)
 
 
 def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
@@ -153,21 +156,23 @@ def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
 
 def d_div(v: SuperPoly) -> SuperPoly:
     """Divergence sum_i d^2/(dx_i dxi_i); lowers weight by exactly d on xi terms."""
-    out: dict[Key, Scalar] = {}
-    for (e, m), c in v.terms.items():
-        rest = m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            i = bit.bit_length() - 1
-            p = e[i]
-            if not p:
-                continue
-            key = (e[:i] + (p - 1,) + e[i + 1:], m ^ bit)
-            if (m & (bit - 1)).bit_count() & 1:
-                p = -p
-            add_term(out, key, gauss(c.a * p, c.b * p, c.den))
-    return SuperPoly(v.n, out)
+    pairs, den = clear_denominators(v.terms.values())
+
+    def contributions():
+        for (e, m), (ca, cb) in zip(v.terms, pairs):
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                p = e[i]
+                if not p:
+                    continue
+                if (m & (bit - 1)).bit_count() & 1:
+                    p = -p
+                yield (e[:i] + (e[i] - 1,) + e[i + 1:], m ^ bit), ca * p, cb * p
+
+    return sum_pairs(v.n, contributions(), den)
 
 
 def d_bv(a: Action, v: SuperPoly) -> SuperPoly:

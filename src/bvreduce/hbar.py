@@ -21,13 +21,13 @@ steps keep it and lower the second), so the rewriting halts.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .bvdiff import _contract, contraction_terms, d_div
 from .errors import InputError
 from .linalg import invert
-from .scalars import Scalar, gauss, q
-from .superpoly import Key, SuperPoly, add_term
+from .scalars import Scalar, clear_denominators, q
+from .superpoly import SuperPoly, sum_pairs
 
 
 class HbarModel:
@@ -44,6 +44,10 @@ class HbarModel:
                     raise InputError("pairing matrix must be symmetric")
         self.a = rows
         self.ainv = invert(rows).inverse()  # SingularMatrix propagates
+        # a^{-1} as (cols, A) for hbar_eta: cols[j] has (i, a, b) per nonzero entry (a + b*i)/A
+        pairs, aden = clear_denominators([t for row in self.ainv for t in row])
+        cols = [[(i, *pairs[i * n + j]) for i in range(n) if pairs[i * n + j] != (0, 0)] for j in range(n)]
+        self.cainv = tuple(cols), aden
         verts: dict[int, SuperPoly] = {}
         for deg, p in (vertices or {}).items():
             deg = int(deg)
@@ -146,26 +150,30 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
     Satisfies L o hbar_eta = -id on xi-free polynomials of positive degree and
     kills constants.
     """
-    ainv = m.ainv
-    out: dict[Key, Scalar] = {}
-    for (e, mask), c in v.terms.items():
-        if mask:
-            raise InputError("hbar_eta expects homological degree 0")
-        ell = sum(e)
-        if not ell:
-            continue
-        ca, cb, cd = c.a, c.b, c.den
-        for j, p in enumerate(e):
-            if not p:
+    if any(mask for _, mask in v.terms):
+        raise InputError("hbar_eta expects homological degree 0")
+    cols, aden = m.cainv
+    pairs, den = clear_denominators(v.terms.values())
+    ells = [sum(e) for e, _ in v.terms]
+    # 1/ell for every degree ell over one common multiple
+    lell = lcm(*[ell for ell in ells if ell])
+
+    def contributions():
+        for (e, _), (ca, cb), ell in zip(v.terms, pairs, ells):
+            if not ell:
                 continue
-            ej = e[:j] + (p - 1,) + e[j + 1:]
-            for i in range(m.n):
-                t = ainv[i][j]
-                if t:
-                    # -(p / ell) * ainv[i][j] * c
-                    c_ij = gauss(-p * (t.a * ca - t.b * cb), -p * (t.a * cb + t.b * ca), t.den * cd * ell)
-                    add_term(out, (ej, 1 << i), c_ij)
-    return SuperPoly(m.n, out)
+            scale = lell // ell
+            for j, p in enumerate(e):
+                if not p:
+                    continue
+                # -(p / ell) * ainv[i][j] * c
+                f = -p * scale
+                fa, fb = f * ca, f * cb
+                ej = e[:j] + (p - 1,) + e[j + 1:]
+                for i, ta, tb in cols[j]:
+                    yield (ej, 1 << i), ta * fa - tb * fb, ta * fb + tb * fa
+
+    return sum_pairs(m.n, contributions(), den * aden * lell)
 
 
 MAX_HBAR_ORDER_DEGREE = 48
@@ -213,12 +221,12 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
                 p = p - SuperPoly.const(m.n, c0)
             if p.is_zero:
                 continue
-            e = hbar_eta(p, m)
-            vert = prune(-_contract(m.cgrad_u, e), k)
+            e = -hbar_eta(p, m)
+            vert = prune(_contract(m.cgrad_u, e), k)
             if not vert.is_zero:
                 nxt[k] = nxt.get(k, SuperPoly.zero(m.n)) + vert
             if k + 1 <= K:
-                fuse = prune(-d_div(e), k + 1)
+                fuse = prune(d_div(e), k + 1)
                 if not fuse.is_zero:
                     nxt[k + 1] = nxt.get(k + 1, SuperPoly.zero(m.n)) + fuse
         work = nxt

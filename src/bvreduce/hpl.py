@@ -40,8 +40,8 @@ from math import comb
 from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
-from .linalg import clear_denominators, invert
-from .scalars import ONE, ZERO, Scalar, gauss
+from .linalg import invert
+from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 # When true, every LinearOp call re-checks its declared degree shift and
@@ -86,7 +86,8 @@ class LinearOp:
 
 def compose(outer: LinearOp, inner: LinearOp) -> LinearOp:
     return LinearOp(
-        fn=lambda v: outer.fn(inner.fn(v)),
+        # a linear outer map sends the zero it is handed to zero
+        fn=lambda v: w if (w := inner.fn(v)).is_zero else outer.fn(w),
         degree_shift=outer.degree_shift + inner.degree_shift,
         weight_change=outer.weight_change + inner.weight_change,
         d=outer.d,

@@ -14,25 +14,10 @@ the same elimination on a rectangular matrix, halved for a complex one.
 """
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
-from typing import Iterable
 
 from .errors import SingularMatrix
-from .scalars import ZERO, Scalar, gauss
-
-# A Gaussian integer is an (a, b) pair meaning a + b*i.
-GInt = tuple[int, int]
-
-
-def clear_denominators(values: Iterable[Scalar]) -> tuple[list[GInt], int]:
-    """Gaussian integers g and den, the lcm of all denominators, with values[j] == g[j] / den.
-
-    Scaling a matrix row this way leaves rank and kernels unchanged.
-    """
-    vals = list(values)
-    den = lcm(*(s.den for s in vals))
-    return [(s.a * (den // s.den), s.b * (den // s.den)) for s in vals], den
+from .scalars import ZERO, GInt, Scalar, clear_denominators, gauss
 
 
 def _integer_rows(a: list[list[Scalar]]) -> tuple[list[list[int]], list[int]]:

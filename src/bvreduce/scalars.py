@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
+from typing import Collection
+
+# A Gaussian integer is an (a, b) pair meaning a + b*i.
+GInt = tuple[int, int]
 
 
 def q(num: int, den: int = 1) -> Q:
@@ -146,6 +150,17 @@ def gauss(a: int, b: int, den: int) -> Scalar:
     if g != 1:
         a, b, den = a // g, b // g, den // g
     return _make(a, b, den)
+
+
+def clear_denominators(values: Collection[Scalar]) -> tuple[list[GInt], int]:
+    """Gaussian integers g and den, the lcm of all denominators, with values[j] == g[j] / den.
+
+    Scaling a matrix row this way leaves rank and kernels unchanged, and a
+    term-map kernel that clears its input once adds plain ints.
+    """
+    # a list, not a generator: lcm(*<genexpr>) in a hot loop grows the process's memory
+    den = lcm(*[s.den for s in values])
+    return [(s.a, s.b) if s.den == den else (s.a * (den // s.den), s.b * (den // s.den)) for s in values], den
 
 
 ZERO = Scalar(0)

@@ -11,9 +11,10 @@ shared freely between threads.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import Scalar
+from .scalars import Scalar, clear_denominators, gauss
 
 Key = tuple[tuple[int, ...], int]
 
@@ -60,6 +61,27 @@ def add_term(terms: dict, key, c: Scalar) -> None:
         terms[key] = s
     else:
         del terms[key]
+
+
+def sum_pairs(n: int, contributions: Iterable[tuple[Key, int, int]], den: int) -> "SuperPoly":
+    """The SuperPoly of the contributions (key, a, b), each meaning (a + b*i)/den with den > 0.
+
+    The plain ints are added per key, and each sum that survives is reduced
+    once by `gauss`: one gcd per output key and none per collision.
+    """
+    acc: dict[Key, list[int]] = {}
+    for key, a, b in contributions:
+        s = acc.get(key)
+        if s is None:
+            acc[key] = [a, b]
+        else:
+            s[0] += a
+            s[1] += b
+    out = SuperPoly(n)
+    for key, (a, b) in acc.items():
+        if a or b:
+            out.terms[key] = gauss(a, b, den)
+    return out
 
 
 class SuperPoly:
@@ -189,21 +211,21 @@ class SuperPoly:
         return self._mul_terms(a, b, flip=False)
 
     def _mul_terms(self, a, b, flip: bool) -> "SuperPoly":
-        out: dict[Key, Scalar] = {}
-        for (e1, m1), c1 in a.items():
-            for (e2, m2), c2 in b.items():
-                if flip:
-                    sign, mask = merge_masks(m2, m1)
-                else:
-                    sign, mask = merge_masks(m1, m2)
-                if sign == 0:
-                    continue
-                key = (tuple(u + v for u, v in zip(e1, e2)), mask)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                add_term(out, key, c)
-        return SuperPoly(self.n, out)
+        pa, da = clear_denominators(a.values())
+        pb, db = clear_denominators(b.values())
+        inner = list(zip(b, pb))
+
+        def contributions():
+            for (e1, m1), (a1, b1) in zip(a, pa):
+                for (e2, m2), (a2, b2) in inner:
+                    sign, mask = merge_masks(m2, m1) if flip else merge_masks(m1, m2)
+                    if sign:
+                        re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                        if sign < 0:
+                            re, im = -re, -im
+                        yield (tuple(map(add, e1, e2)), mask), re, im
+
+        return sum_pairs(self.n, contributions(), da * db)
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -384,3 +385,71 @@ def test_hbar_over_order_budget_exit_3(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5
     assert "over the budget" in capsys.readouterr().err
     assert main(["hbar", inp, "-K", "4", "-o", str(tmp_path / "h.out")]) == EXIT_OK
+
+
+# Two problems whose exact output is pinned byte for byte, timing aside: a
+# complex n = 2 cubic with a mixed part and lower terms, and an n = 2 hbar
+# model with cubic and quartic vertices over a complex pairing.
+GOLDEN_REDUCE = {
+    "n": 2,
+    "action": [
+        term((3, 0), (1, 3)),
+        term((0, 3), (1, 3), (1, 6)),
+        term((1, 2), (1, 2)),
+        term((2, 1), (0, 1), (-1, 4)),
+        term((1, 1), (2, 5)),
+        term((1, 0), (-1, 1)),
+        term((0, 1), (0, 1), (1, 3)),
+    ],
+    "observable": [
+        term((3, 2), (1, 1)),
+        term((0, 4), (2, 1), (-1, 3)),
+        term((2, 0), (0, 1), (5, 7)),
+        term((1, 1), (-3, 2)),
+    ],
+}
+
+GOLDEN_HBAR = {
+    "n": 2,
+    "observable": [term((2, 0), (1, 1)), term((1, 1), (-1, 2), (1, 3)), term((0, 4), (1, 5))],
+    "hbar": {
+        "K": 3,
+        "a": [
+            [{"re": [2, 1]}, {"re": [1, 2], "im": [1, 4]}],
+            [{"re": [1, 2], "im": [1, 4]}, {"re": [3, 1]}],
+        ],
+        "vertices": {
+            "3": [term((3, 0), (1, 6)), term((1, 2), (-1, 2), (1, 3))],
+            "4": [term((4, 0), (-1, 24)), term((2, 2), (1, 4)), term((0, 4), (0, 1), (1, 12))],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, problem, expected",
+    [
+        (
+            "reduce",
+            GOLDEN_REDUCE,
+            '{"basis":[[0,0],[0,1],[1,0],[1,1]],"coefficients":['
+            '{"im":[455311550867893316,1089077421163265625],"re":[-5247473381625401608,9801696790469390625]},'
+            '{"im":[63057576042388,82977327326725],"re":[-34548835376891686,14521032282176875]},'
+            '{"im":[-739163133208644728,1256627793649921875],"re":[285338835112923832,418875931216640625]},'
+            '{"im":[806782558912976528,1089077421163265625],"re":[-1294372097711873567,2178154842326531250]}],'
+            '"d":3,"diagnostics":{"genericity":"ok","weights_solved":[0,1,2,3,4,5]},"n":2}\n',
+        ),
+        (
+            "hbar",
+            GOLDEN_HBAR,
+            '{"K":3,"n":2,"series":[{"im":[0,1],"re":[0,1]},{"im":[454,25995],"re":[14888,25995]},'
+            '{"im":[16594988906336,2029442583942225],"re":[246555183044992,2029442583942225]},'
+            '{"im":[-38418922796864513886123776,2376593884315115386856398125],'
+            '"re":[85303509701374171436864768,2376593884315115386856398125]}]}\n',
+        ),
+    ],
+)
+def test_golden_stdout(tmp_path, capsys, command, problem, expected):
+    assert main([command, write(tmp_path / "p.json", problem)]) == EXIT_OK
+    out = re.sub(r',"seconds":[0-9.e+-]+', "", capsys.readouterr().out)
+    assert out == expected

@@ -4,10 +4,11 @@ The single-pass kernels of the HPL loop are checked against their
 compositional definitions, written with public SuperPoly operations only.
 The SuperPoly ring operations, JacClass addition and SliceSolver.apply are
 checked against a plain reference on dicts of Fraction pairs, on inputs with
-planted cancellations.  Every output must hold no zero coefficient.
+planted cancellations.  Every output must be canonical: each coefficient
+reduced over a positive denominator, and none zero.
 """
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import add
 
 import pytest
@@ -40,8 +41,30 @@ def polys(n: int, xi: bool, max_exp: int = 4):
     return terms.map(lambda t: SuperPoly(n, {k: c for k, c in t.items() if c}))
 
 
-def assert_no_zero_coefficient(p: SuperPoly):
-    assert all(p.terms.values())
+# distinct primes from 29 to 97: the lcm of any four passes 10^6
+WIDE_PRIMES = [29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+def wide_polys(n: int, xi: bool, max_exp: int = 4):
+    """SuperPolys of four to eight terms, each over its own prime denominator, with imaginary parts."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    masks = st.integers(0, (1 << n) - 1) if xi else st.just(0)
+    keys = st.lists(st.tuples(exps, masks), min_size=4, max_size=8, unique=True)
+    # numerators below 29 leave every prime denominator unreduced
+    nums = st.lists(st.tuples(st.integers(-28, 28).filter(bool), st.integers(-28, 28)), min_size=8, max_size=8)
+    return st.builds(
+        lambda ks, dens, cs: SuperPoly(
+            n, {k: Scalar(Fraction(a, p), Fraction(b, p)) for k, p, (a, b) in zip(ks, dens, cs)}
+        ),
+        keys,
+        st.permutations(WIDE_PRIMES),
+        nums,
+    )
+
+
+def assert_canonical(p: SuperPoly):
+    for c in p.terms.values():
+        assert c and c.den > 0 and gcd(c.a, c.b, c.den) == 1
 
 
 def contract_ref(grads, v: SuperPoly) -> SuperPoly:
@@ -89,7 +112,7 @@ def test_contract_is_sum_of_gradient_times_dxi(data):
     v = data.draw(polys(n, xi=True))
     got = _contract(contraction_terms(grads), v)
     assert got == contract_ref(grads, v)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 @SETTINGS
@@ -99,7 +122,7 @@ def test_d_div_is_sum_of_dx_dxi(data):
     v = data.draw(polys(n, xi=True))
     got = d_div(v)
     assert got == d_div_ref(v)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 @SETTINGS
@@ -116,7 +139,7 @@ def test_eta_diag_term_by_term(data):
     v = data.draw(polys(n, xi=True, max_exp=6))
     got = eta_diag(v, action)
     assert got == eta_diag_ref(v, action)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 @SETTINGS
@@ -134,7 +157,39 @@ def test_hbar_eta_is_scaled_sum_over_degree_parts(data):
     v = data.draw(polys(n, xi=False))
     got = hbar_eta(v, m)
     assert got == hbar_eta_ref(v, m)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_kernels_match_references_over_wide_denominators(data):
+    n = data.draw(st.integers(1, 3))
+    v = data.draw(wide_polys(n, xi=True))
+    f = data.draw(wide_polys(n, xi=False))
+    grads = [data.draw(wide_polys(n, xi=False, max_exp=3)) for _ in range(n)]
+    d = data.draw(st.integers(2, 4))
+    s = SuperPoly.zero(n)
+    for i in range(n):
+        s = s + SuperPoly.x(n, i, d) * data.draw(nonzero_scalars)
+    action = action_build(s)
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = data.draw(scalars)
+    try:
+        m = HbarModel(n, a)
+    except SingularMatrix:
+        assume(False)
+    for got, want in [
+        (_contract(contraction_terms(grads), v), contract_ref(grads, v)),
+        (d_div(v), d_div_ref(v)),
+        (eta_diag(v, action), eta_diag_ref(v, action)),
+        (hbar_eta(f, m), hbar_eta_ref(f, m)),
+        (v * f, from_ref(n, ref_mul(ref(v), ref(f)))),
+        (f * v, from_ref(n, ref_mul(ref(f), ref(v)))),
+    ]:
+        assert got == want
+        assert_canonical(got)
 
 
 def _x(i):
@@ -169,7 +224,7 @@ def _xi(i):
 def test_cancelled_contributions_leave_no_term(kernel, v, expected):
     got = kernel(v)
     assert got == expected
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 # -- a plain reference: term maps as dicts of (re, im) Fraction pairs ---------------
@@ -271,10 +326,10 @@ def test_add_sub_match_reference_and_drop_cancelled_terms(data):
     q = planted(data, ref(p), r)
     got = p + from_ref(n, q)
     assert ref(got) == ref_sum([*ref(p).items(), *q.items()])
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
     got = p - from_ref(n, ref_neg(q))
     assert ref(got) == ref_sum([*ref(p).items(), *q.items()])
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 @SETTINGS
@@ -287,7 +342,7 @@ def test_mul_matches_reference_and_drops_cancelled_terms(data):
     a, b = p + q, p - q
     got = a * b
     assert ref(got) == ref_mul(ref(a), ref(b))
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
     # an odd element squares to zero: every contribution meets its negative
     odd = SuperPoly(n, {k: c for k, c in p.terms.items() if k[1].bit_count() % 2})
     assert (odd * odd).is_zero
@@ -302,7 +357,7 @@ def test_dx_dxi_match_reference(data):
     for i in range(n):
         for got, want in ((p.dx(i), ref_dx(ref(p), i)), (p.dxi(i), ref_dxi(ref(p), i))):
             assert ref(got) == want
-            assert_no_zero_coefficient(got)
+            assert_canonical(got)
 
 
 @SETTINGS
@@ -316,7 +371,7 @@ def test_shift_matches_reference_and_undoes_its_inverse(data):
     f = ref_shift(ref(g), [(-re, -im) for re, im in pairs])
     got = from_ref(n, f).shift(cs)
     assert ref(got) == ref_shift(f, pairs) == ref(g)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
 
 
 @SETTINGS
@@ -364,4 +419,4 @@ def test_slice_solver_apply_matches_reference(data):
     v = ref_sum([*ref(y).items(), *ref_neg(t_ref(ref(y))).items()])
     got = SliceSolver(2, 3, t).apply(from_ref(2, v))
     assert ref(got) == ref(y)
-    assert_no_zero_coefficient(got)
+    assert_canonical(got)
