@@ -7,7 +7,7 @@ hbar expansion engine and a floating-point contour oracle that validates the
 algebra against real integrals.
 """
 
-from .bvdiff import Action, action_build, d_bv, d_cl, d_diag, d_div, d_low, d_mix, d_top
+from .bvdiff import Action, action_build, d_bv, d_cl, d_diag, d_div
 from .errors import (
     EngineError,
     InputError,
@@ -64,9 +64,6 @@ __all__ = [
     "d_cl",
     "d_diag",
     "d_div",
-    "d_low",
-    "d_mix",
-    "d_top",
     "default_contours",
     "eta_diag",
     "hbar_eta",

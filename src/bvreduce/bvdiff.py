@@ -26,8 +26,10 @@ class Action:
       diag, mix     top = diag + mix; diag = sum_i a_i x_i^d / d!, every mix
                     monomial involves at least two variables
       diag_coeffs   the sequence a_1..a_n (d! times the x_i^d coefficient)
-      grad*         gradients of s, top, diag, mix and of the lower part s - top
-      cgrad*        the same gradients as `contraction_terms`, for _contract
+      low           the lower part s - top
+      cgrad         the gradients of s as `contraction_terms`, for d_cl
+      cgrad_diag    the same for diag, for d_diag
+      cgrad_rest    the same for s - diag, the contraction in d_bv - d_diag
       quad          for d = 2 only: (s2 matrix, s1 vector, s0 constant) with
                     s = 1/2 x^T s2 x + s1 . x + s0
     """
@@ -59,19 +61,11 @@ class Action:
             for i in range(s.n)
         )
 
-        self.grad = tuple(s.dx(i) for i in range(s.n))
-        self.grad_top = tuple(self.top.dx(i) for i in range(s.n))
-        self.grad_diag = tuple(diag.dx(i) for i in range(s.n))
-        self.grad_mix = tuple(mix.dx(i) for i in range(s.n))
-        low = s - self.top
-        self.low = low
-        self.grad_low = tuple(low.dx(i) for i in range(s.n))
+        self.low = s - self.top
         # the gradients as the rows _contract reads, built once per action
-        self.cgrad = contraction_terms(self.grad)
-        self.cgrad_top = contraction_terms(self.grad_top)
-        self.cgrad_diag = contraction_terms(self.grad_diag)
-        self.cgrad_mix = contraction_terms(self.grad_mix)
-        self.cgrad_low = contraction_terms(self.grad_low)
+        self.cgrad, self.cgrad_diag, self.cgrad_rest = (
+            contraction_terms([p.dx(i) for i in range(s.n)]) for p in (s, diag, s - diag)
+        )
 
         self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
@@ -180,19 +174,5 @@ def d_bv(a: Action, v: SuperPoly) -> SuperPoly:
     return d_cl(a, v) + d_div(v)
 
 
-def d_top(a: Action, v: SuperPoly) -> SuperPoly:
-    """Contraction with the top part only; preserves weight."""
-    return _contract(a.cgrad_top, v)
-
-
 def d_diag(a: Action, v: SuperPoly) -> SuperPoly:
     return _contract(a.cgrad_diag, v)
-
-
-def d_mix(a: Action, v: SuperPoly) -> SuperPoly:
-    return _contract(a.cgrad_mix, v)
-
-
-def d_low(a: Action, v: SuperPoly) -> SuperPoly:
-    """Contraction with s - s^(d); strictly lowers weight when present."""
-    return _contract(a.cgrad_low, v)

@@ -15,22 +15,20 @@ the deformed differential.  Deforming D by a small delta produces
                            so delta o phi = 0 and the transferred phi and
                            the transferred differential on H are unchanged)
 
-Smallness of delta is certified from the declared weight changes, in one of
-two ways:
-
-  * delta o eta strictly drops the weight grading, so the Neumann series
-    terminates; a cap of weight(v) + 1 applications guards against a wrong
-    declaration.
-  * delta o eta is weight-non-increasing; on each finite
-    (homological degree, weight) slice the operator id - delta o eta is
-    assembled in the monomial basis and factored once by fraction-free
-    Gaussian elimination, with the columns of its inverse solved on first
-    use.  Each slice is memoized as that factor: an integer det and the
-    solved columns of the Gaussian-integer matrix X with
-    (id - delta o eta) X = det id, so applying it is an integer matvec and
-    one exact division per output entry.  Strictly weight-lowering leakage
-    between slices is handled by block back-substitution from the top
-    weight down.
+Transferring across delta1 and then delta2 gives the same tau as one
+transfer across delta1 + delta2, so a caller perturbs once by the whole
+deformation.  Smallness of delta is certified from the declared weight
+change of t = delta o eta, which must not be positive.  A SliceSolver
+applies (id - t)^{-1} by one sweep from the top weight down,
+`neumann_apply`.  When t declares weight change 0, id - t is assembled in
+the monomial basis of each finite (homological degree, weight) slice the
+sweep reaches and factored once by fraction-free Gaussian elimination, with
+the columns of its inverse solved on first use, and t's strictly
+weight-lowering part feeds the lower slices.  When t declares a strict
+drop, no slice is built and the sweep is the Neumann series grouped by
+weight, t applied once per weight level.  An image of t that its
+declaration does not allow is a NonTerminating error, never a silent
+truncation.
 """
 from __future__ import annotations
 
@@ -105,27 +103,51 @@ def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
     )
 
 
-def neumann_apply(t: LinearOp, v: SuperPoly, d: int) -> SuperPoly:
-    """(id - t)^{-1} v as the finite sum of t^k v for strictly weight-dropping t.
+def neumann_apply(t: LinearOp, v: SuperPoly, d: int, solve=None) -> SuperPoly:
+    """(id - t)^{-1} v for a degree-preserving, weight-non-increasing t, swept from the top weight down.
 
-    Weight is a non-negative integer, so at most weight(v) + 1 applications can
-    produce anything; exceeding the cap means the declaration was wrong and is
-    a hard error, never a silent truncation.
+    Write t = t0 + t1, with t0 the part of t that stays in its (homological
+    degree, weight) slice and t1 the strictly weight-lowering rest.  Then
+    (id - t)^{-1} = sum_k (S t1)^k S with S = (id - t0)^{-1}, a Neumann series
+    in t1 that ends because weight is a non-negative integer.  The sweep
+    groups it by weight: at weight w it sets y = S(bucket w), adds y to the
+    output and hands t(y) below w on to the lower buckets, so t runs once per
+    weight level.  solve(h, w, terms) applies S to a bucket; a t that declares
+    a strict weight drop has t0 = 0 and needs none.  An image of t that the
+    declaration does not allow (at or above its source weight without solve,
+    above it with solve) is a NonTerminating error, never a silent truncation.
     """
     if v.is_zero:
         return v
-    cap = v.max_weight(d) + 1
-    total = v
-    g = v
-    for _ in range(cap):
-        g = t.fn(g)
-        if g.is_zero:
-            return total
-        total = total + g
-    raise NonTerminating(
-        f"operator {t.name!r} declared weight change {t.weight_change} "
-        f"but did not vanish after {cap} applications"
-    )
+    n = v.n
+    out: dict[Key, Scalar] = {}
+    # group the input by degree, then sweep each degree top weight down
+    by_h: dict[int, dict[int, dict[Key, Scalar]]] = {}
+    for key, c in v.terms.items():
+        by_h.setdefault(key[1].bit_count(), {}).setdefault(term_weight(key, d), {})[key] = c
+    for h, pending in by_h.items():
+        while pending:
+            w = max(pending)
+            y_terms = pending.pop(w)
+            if solve is not None:
+                y_terms = solve(h, w, y_terms)
+            for key, c in y_terms.items():
+                add_term(out, key, c)
+            # t(y) at weight w is what S has accounted for; below w it feeds the lower buckets
+            for key, c in t.fn(SuperPoly(n, y_terms)).terms.items():
+                ww = term_weight(key, d)
+                if ww >= w:
+                    if ww == w and solve is not None:
+                        continue
+                    raise NonTerminating(
+                        f"operator {t.name!r} declared weight change {t.weight_change} "
+                        f"but sent weight {w} to weight {ww}"
+                    )
+                bucket = pending.setdefault(ww, {})
+                add_term(bucket, key, c)
+                if not bucket:
+                    pending.pop(ww, None)
+    return SuperPoly(n, out)
 
 
 def _xi_masks(n: int, h: int) -> list[int]:
@@ -159,8 +181,10 @@ MAX_SLICE_ROWS = 256
 MAX_OBSERVABLE_WEIGHT = 128
 """Budget on the weight of an observable to reduce; a heavier one is an InputError.
 
-The transferred tau runs a Neumann series whose length grows with the weight,
-so an n = 1 observable can cost unbounded time without building a slice over
+The transferred tau sweeps every weight level from the observable's weight
+down (`neumann_apply`), applying t at each and solving a slice at each when t
+keeps weight, so the cost grows with the weight, and steeply with n: an n = 2
+reduction near this budget takes minutes without building a slice over
 MAX_SLICE_ROWS.
 """
 
@@ -168,12 +192,17 @@ MAX_SLICE_ROWS.
 class SliceSolver:
     """Applies (id - t)^{-1} for a degree-preserving, weight-non-increasing t.
 
-    Per (degree, weight) slice the matrix of id - t is factored once by
-    `linalg.invert` and memoized as its `Factor`: a fraction-free LU, an
-    integer det and the columns of X = det (id - t)^{-1}, each solved on
-    first use.  `apply` clears a slice's right-hand side r to Gaussian
-    integers over one common denominator L, accumulates X r in integers over
-    the columns r touches and divides once per nonzero output entry, by
+    `apply` is the `neumann_apply` sweep from the top weight down, which
+    solves each weight's bucket against its slice.  When t declares a strict
+    weight drop it has no in-slice part, so no slice is built and the sweep
+    is the plain Neumann series, with t applied once per weight level.
+
+    When t declares weight change 0, the matrix of id - t on each (degree,
+    weight) slice is factored once by `linalg.invert` and memoized as its
+    `Factor`: a fraction-free LU, an integer det and the columns of
+    X = det (id - t)^{-1}, each solved on first use.  A slice's right-hand side r is cleared to Gaussian integers
+    over one common denominator L, X r is accumulated in integers over the
+    columns r touches and each nonzero output entry is divided once, by
     L * det.  Concurrent readers see a consistent cache thanks to
     single-flight population of slices and columns under a lock.
     """
@@ -233,44 +262,13 @@ class SliceSolver:
             return entry
 
     def apply(self, v: SuperPoly) -> SuperPoly:
-        if v.is_zero:
-            return v
-        n = self.n
-        out: dict[Key, Scalar] = {}
-        # group the input by degree, then sweep each degree top weight down
-        by_h: dict[int, dict[int, dict[Key, Scalar]]] = {}
-        for key, c in v.terms.items():
-            h = key[1].bit_count()
-            w = term_weight(key, self.d)
-            by_h.setdefault(h, {}).setdefault(w, {})[key] = c
-        for h, pending in by_h.items():
-            while pending:
-                w = max(pending)
-                vec_terms = pending.pop(w)
-                basis, index, factor = self._slice(h, w)
-                if factor is None:
-                    y_terms = vec_terms
-                else:
-                    y_terms = self._apply_inverse(factor, basis, index, vec_terms)
-                for key, c in y_terms.items():
-                    add_term(out, key, c)
-                # strictly lower-weight leakage of t feeds the lower slices
-                if y_terms:
-                    spill = self.t.fn(SuperPoly(n, y_terms))
-                    for key, c in spill.terms.items():
-                        ww = term_weight(key, self.d)
-                        if ww == w:
-                            continue
-                        bucket = pending.setdefault(ww, {})
-                        add_term(bucket, key, c)
-                        if not bucket:
-                            pending.pop(ww, None)
-        return SuperPoly(n, out)
+        return neumann_apply(self.t, v, self.d, self._solve if self.t.weight_change == 0 else None)
 
-    def _apply_inverse(
-        self, factor, basis: list[Key], index: dict[Key, int], vec_terms: dict[Key, Scalar]
-    ) -> dict[Key, Scalar]:
-        """X r / det for a slice factor and the slice terms r; a column of X is solved when r first needs it."""
+    def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
+        """X r / det for the (h, w) slice and its terms r; a column of X is solved when r first needs it."""
+        basis, index, factor = self._slice(h, w)
+        if factor is None:
+            return vec_terms
         cols = factor.columns
         rhs, den = clear_denominators(vec_terms.values())
         k = len(basis)
@@ -328,18 +326,11 @@ def perturb_retraction(r: Retraction, delta: LinearOp) -> Retraction:
     The caller guarantees (diff + delta)^2 = 0.  When H is concentrated in
     degree 0 and V in non-negative degrees, delta o phi lands in degree -1 and
     vanishes, so phi and the zero differential on H carry over unchanged.
-    (id - delta o eta)^{-1} is the Neumann series when the declared weight
-    change of delta o eta is negative, and a SliceSolver otherwise.
+    (id - delta o eta)^{-1} is one SliceSolver, which builds slices only when
+    the declared weight change of delta o eta is 0.
     """
-    t = compose(delta, r.eta)
-    solvers = r.solvers
-    if t.weight_change < 0:
-        def apply_inv(v: SuperPoly) -> SuperPoly:
-            return neumann_apply(t, v, r.d)
-    else:
-        solver = SliceSolver(r.n, r.d, t)
-        apply_inv = solver.apply
-        solvers += (solver,)
+    solver = SliceSolver(r.n, r.d, compose(delta, r.eta))
+    apply_inv = solver.apply
     tau0, eta0 = r.tau, r.eta
 
     new_eta = LinearOp(
@@ -356,5 +347,5 @@ def perturb_retraction(r: Retraction, delta: LinearOp) -> Retraction:
         phi=r.phi,
         eta=new_eta,
         diff=op_sum(r.diff, delta),
-        solvers=solvers,
+        solvers=r.solvers + (solver,),
     )

@@ -3,12 +3,14 @@
 The pipeline starts from the explicit retraction of the diagonal complex:
 tau_diag projects onto the basis monomials and eta_diag is a closed-form
 homotopy on every homological degree, with no linear solve.  It is then
-transferred across up to three deformations: the mixed part of the top
-differential (exact per-weight solves), the lower-order part of the Koszul
-differential (terminating Neumann series), and finally the divergence
-(terminating Neumann series, weight drop d).  The resulting tau takes any
-polynomial to its class over the (d-1)^n monomials with all exponents at most
-d-2.
+transferred once across the whole deformation d_bv - d_diag: the contraction
+with the gradients of s - diag (its mixed top part and its lower-order part)
+plus the divergence.  One sweep from the observable's weight down applies the
+transferred tau; it solves a (degree, weight) slice exactly only when the
+action has a mixed part, the one piece that preserves weight, and is
+otherwise the terminating Neumann series grouped by weight.  The resulting
+tau takes any polynomial to its class over the (d-1)^n monomials with all
+exponents at most d-2.
 
 Sign convention: with the retraction identity phi o tau - id = D eta + eta D,
 the diagonal homotopy must satisfy d_diag(eta(x^m)) = -x^m on monomials
@@ -25,7 +27,7 @@ from functools import lru_cache
 from math import comb, perm
 
 from . import bvdiff
-from .bvdiff import Action, d_diag, d_div, d_low, d_mix
+from .bvdiff import Action, _contract, d_diag, d_div
 from .errors import InputError, NonDiagonalizableAction
 from .hpl import MAX_OBSERVABLE_WEIGHT, LinearOp, Retraction, perturb_retraction
 from .linalg import invert, rank
@@ -247,7 +249,7 @@ def diag_retraction(action: Action, phi_correction=None) -> Retraction:
 
 
 class ReduceSession:
-    """Action plus the fully transferred retraction and its memoized solves.
+    """Action plus the retraction transferred across d_bv - d_diag and its memoized solves.
 
     Construction is single-threaded; afterwards reduce() may be called
     concurrently (the per-weight caches populate under a lock).
@@ -257,24 +259,17 @@ class ReduceSession:
         self.action = action
         self.basis = jac_basis(action.n, action.d)
         d = action.d
-        r = diag_retraction(action, phi_correction)
-
         if action.has_mix():
-            delta = LinearOp(
-                lambda v: d_mix(action, v), degree_shift=-1, weight_change=0, d=d, name="d_mix"
-            )
-            r = perturb_retraction(r, delta)
-
-        if any(not g.is_zero for g in action.grad_low):
+            drop = 0  # the mixed top part preserves weight
+        elif action.has_lower():
             drop = action.low.max_xdeg() - d  # every lower part loses at least this much weight
-            delta = LinearOp(
-                lambda v: d_low(action, v), degree_shift=-1, weight_change=drop, d=d, name="d_low"
-            )
-            r = perturb_retraction(r, delta)
-
-        delta = LinearOp(d_div, degree_shift=-1, weight_change=-d, d=d, name="div")
-        r = perturb_retraction(r, delta)
-        self.retraction = r
+        else:
+            drop = -d  # the divergence alone
+        delta = LinearOp(
+            lambda v: _contract(action.cgrad_rest, v) + d_div(v),
+            degree_shift=-1, weight_change=drop, d=d, name="d_bv-d_diag",
+        )
+        self.retraction = perturb_retraction(diag_retraction(action, phi_correction), delta)
 
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:

@@ -11,11 +11,9 @@ from bvreduce import (
     d_cl,
     d_diag,
     d_div,
-    d_low,
-    d_mix,
-    d_top,
     q,
 )
+from bvreduce.bvdiff import _contract, contraction_terms
 from bvreduce.verify import random_action, random_degree1
 
 
@@ -97,21 +95,38 @@ def test_d_bv_example_and_constants():
     assert d_bv(a, SuperPoly.const(1, 7)).is_zero
 
 
+def _contraction(p):
+    """v -> sum_i dp/dx_i * dxi(v, i), the contraction with the gradient of a xi-free p."""
+    gterms = contraction_terms([p.dx(i) for i in range(p.n)])
+    return lambda v: _contract(gterms, v)
+
+
 def test_d_diag_d_mix_split():
     n = 2
     x, y = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
     a = action_build(x**3 + 2 * (x**2 * y) + y**3)
+    d_mix, d_top = _contraction(a.mix), _contraction(a.top)
     xi0 = SuperPoly.xi(n, 0)
     assert d_diag(a, xi0) == 3 * x**2
-    assert d_mix(a, xi0) == 4 * (x * y)
+    assert d_mix(xi0) == 4 * (x * y)
     v = xi0 * (x * y)
-    assert d_diag(a, v) + d_mix(a, v) == d_top(a, v)
+    assert d_diag(a, v) + d_mix(v) == d_top(v)
 
 
 def test_d_mix_zero_when_no_mix():
     x = SuperPoly.x(1, 0)
     a = action_build(x**4)
-    assert d_mix(a, SuperPoly.xi(1, 0)).is_zero
+    assert _contraction(a.mix)(SuperPoly.xi(1, 0)).is_zero
+
+
+def test_rest_contraction_is_d_bv_minus_d_diag():
+    rng = random.Random(33)
+    for _ in range(15):
+        n, d = rng.randint(1, 3), rng.randint(2, 4)
+        a = random_action(rng, n, d, homogeneous=rng.random() < 0.3)
+        v = _random_element(rng, n)
+        assert _contract(a.cgrad_rest, v) + d_div(v) == d_bv(a, v) - d_diag(a, v)
+        assert _contract(a.cgrad_rest, v) == _contraction(a.mix)(v) + _contraction(a.low)(v)
 
 
 def test_weight_behavior():
@@ -119,14 +134,15 @@ def test_weight_behavior():
     for _ in range(15):
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         a = random_action(rng, n, d)
+        d_top, d_low = _contraction(a.top), _contraction(a.low)
         v = random_degree1(rng, n, d, 7)
         w = v.max_weight(d)
-        t = d_top(a, v)
+        t = d_top(v)
         if not t.is_zero:
             assert t.max_weight(d) <= w
             # the top contraction is weight-preserving on each graded piece
             for ww, part in v.weight_split(d).items():
-                tp = d_top(a, part)
+                tp = d_top(part)
                 if not tp.is_zero:
                     assert set(tp.weight_split(d)) == {ww}
         dv = d_div(v)
@@ -135,7 +151,7 @@ def test_weight_behavior():
                 dp = d_div(part)
                 if not dp.is_zero:
                     assert set(dp.weight_split(d)) == {ww - d}
-        lo = d_low(a, v)
+        lo = d_low(v)
         if not lo.is_zero:
             assert lo.max_weight(d) < w
 

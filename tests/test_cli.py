@@ -43,6 +43,22 @@ def test_reduce_cubic(tmp_path, capsys):
     assert data["diagnostics"]["genericity"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "action", [[term((3,), (1, 1))], [term((3,), (1, 3)), term((2,), (1, 2)), term((1,), (-1, 1))]]
+)
+def test_reduce_without_mix_solves_no_slice(tmp_path, monkeypatch, action):
+    # with no mixed top part the one perturbation strictly drops weight: the sweep factors nothing
+    import bvreduce.hpl as hpl
+
+    calls = []
+    monkeypatch.setattr(hpl, "invert", lambda mat: calls.append(mat))
+    out = tmp_path / "r.json"
+    problem = {"n": 1, "action": action, "observable": [term((7,), (1, 1)), term((4,), (2, 3))]}
+    assert main(["reduce", write(tmp_path / "p.json", problem), "-o", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["diagnostics"]["weights_solved"] == []
+    assert calls == []
+
+
 def test_reduce_round_trip_byte_stable(tmp_path):
     inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -360,7 +376,7 @@ def test_slice_over_budget_exit_3_before_assembly(tmp_path, capsys):
 
 
 def test_observable_over_weight_budget_exit_3(tmp_path, capsys):
-    # x^3000 on n = 1 builds no slice over MAX_SLICE_ROWS, but its Neumann series ran for minutes
+    # weight 3000 is far over MAX_OBSERVABLE_WEIGHT, so the budget refuses it before the sweep starts
     problem = {"n": 1, "action": [term((3,), (1, 3)), term((1,), (-1, 1))], "observable": [term((3000,), (1, 1))]}
     t0 = time.perf_counter()
     assert main(["reduce", write(tmp_path / "p.json", problem)]) == EXIT_INVALID

@@ -12,8 +12,8 @@ from bvreduce import (
     perturb_retraction,
     q,
 )
-from bvreduce.bvdiff import d_div, d_mix
-from bvreduce.hpl import LinearOp, SliceSolver, compose, neumann_apply
+from bvreduce.bvdiff import _contract, contraction_terms, d_div
+from bvreduce.hpl import LinearOp, SliceSolver, compose
 from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
 from bvreduce.verify import random_action, random_degree1, random_rational
 
@@ -22,12 +22,32 @@ def _zero_op(d):
     return LinearOp(lambda v: SuperPoly.zero(v.n), -1, -1, d, "0")
 
 
+def _contraction(grads, name, d, weight_change):
+    """The degree -1 LinearOp contracting with the given xi-free gradients."""
+    gterms = contraction_terms(grads)
+    return LinearOp(lambda v: _contract(gterms, v), -1, weight_change, d, name)
+
+
+def _parts(a):
+    """d_bv - d_diag of an action as its three pieces: mixed top, lower-order and divergence."""
+    n, d = a.n, a.d
+    mix = _contraction([a.mix.dx(i) for i in range(n)], "d_mix", d, 0)
+    low = _contraction([a.low.dx(i) for i in range(n)], "d_low", d, a.low.max_xdeg() - d)
+    return mix, low, LinearOp(d_div, -1, -d, d, "div")
+
+
+def _dropping_solver_builds_nothing(solver):
+    return solver.t.weight_change < 0 and solver.solved_weights() == []
+
+
 def test_neumann_zero_delta_identity():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
     r = diag_retraction(a)
     v = x**5 + 2 * x - 3
-    assert neumann_apply(compose(_zero_op(3), r.eta), v, 3) == v
+    solver = SliceSolver(1, 3, compose(_zero_op(3), r.eta))
+    assert solver.apply(v) == v
+    assert _dropping_solver_builds_nothing(solver)
 
 
 def test_neumann_one_term_series():
@@ -36,8 +56,9 @@ def test_neumann_one_term_series():
     a = action_build(x**3)
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
-    got = neumann_apply(compose(delta, r.eta), x**3, 3)
-    assert got == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
+    solver = SliceSolver(1, 3, compose(delta, r.eta))
+    assert solver.apply(x**3) == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
+    assert _dropping_solver_builds_nothing(solver)
     # div(eta(x^3)) computed by hand is -1/3
     assert d_div(r.eta(x**3)) == SuperPoly.const(1, Scalar(q(-1, 3)))
 
@@ -47,18 +68,22 @@ def test_weight_solve_failure_quartic():
     x, y = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
     a = action_build(x**4 + 2 * (x**3 * y) + 2 * (x * y**3) + y**4)
     r = diag_retraction(a)
-    delta = LinearOp(lambda v: d_mix(a, v), -1, 0, 4, "d_mix")
+    delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
         SliceSolver(n, 4, compose(delta, r.eta)).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
 def test_nonterminating_guard():
-    # declare a weight drop the operator does not deliver
     x = SuperPoly.x(1, 0)
+    # declares a weight drop, but its image stays at the weight it came from
     lying = LinearOp(lambda v: v, 0, -1, 3, "id-disguised")
     with pytest.raises(NonTerminating):
-        hpl.neumann_apply(lying, x**2, 3)
+        SliceSolver(1, 3, lying).apply(x**2)
+    # declares no weight increase, but its image climbs one weight
+    climbing = LinearOp(lambda v: v * x, 0, 0, 3, "x-disguised")
+    with pytest.raises(NonTerminating):
+        SliceSolver(1, 3, climbing).apply(x**2)
 
 
 def test_perturb_zero_delta_keeps_tau():
@@ -76,10 +101,12 @@ def test_perturb_diagonal_by_div_matches_known_class():
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
     rb = perturb_retraction(r, delta)
-    assert rb.solvers == ()  # div o eta drops weight: a Neumann series, no slice solver
     got = rb.tau(x**3)
     basis = jac_basis(1, 3)
     assert got == JacClass(basis, {(0,): Scalar(q(-1, 3))})
+    # one solver; div o eta drops weight, so it sweeps without building a slice
+    (solver,) = rb.solvers
+    assert _dropping_solver_builds_nothing(solver)
 
 
 def _random_degree0(rng, n, cap=7):
@@ -146,26 +173,43 @@ def test_diag_retraction_identities_on_every_degree():
 
 
 def test_two_perturbations_equal_combined():
-    """Successive small deformations agree with their sum, on random inputs."""
+    """Successive small deformations agree with their sum, on random inputs.
+
+    Staged: mix, then low, then div, one solver each; only the mix stage
+    preserves weight, so only it builds slices.  Combined: one solver, for
+    d_bv - d_diag, whose ReduceSession must give the same classes.
+    """
     rng = random.Random(52)
-    done = 0
-    while done < 6:
+    done = three = 0
+    while done < 8:
         n, d = rng.randint(2, 3), rng.randint(3, 4)
-        a = random_action(rng, n, d, homogeneous=True)
+        a = random_action(rng, n, d, homogeneous=done % 2 == 0)
         r0 = diag_retraction(a)
-        dmix = LinearOp(lambda v, a=a: d_mix(a, v), -1, 0, d, "d_mix")
-        ddiv = LinearOp(d_div, -1, -d, d, "div")
-        both = LinearOp(lambda v, a=a: d_mix(a, v) + d_div(v), -1, 0, d, "d_mix+div")
+        stages = [op for op, present in zip(_parts(a), (a.has_mix(), a.has_lower(), True)) if present]
+        both = stages[0]
+        for op in stages[1:]:
+            both = hpl.op_sum(both, op)
         try:
-            r_staged = perturb_retraction(perturb_retraction(r0, dmix), ddiv)
+            r_staged = r0
+            for op in stages:
+                r_staged = perturb_retraction(r_staged, op)
             r_combined = perturb_retraction(r0, both)
-            assert len(r_staged.solvers) == len(r_combined.solvers) == 1
+            session = ReduceSession(a)
+            assert len(r_staged.solvers) == len(stages)
+            assert len(r_combined.solvers) == len(session.retraction.solvers) == 1
             for _ in range(3):
                 f = _random_degree0(rng, n)
-                assert r_staged.tau(f) == r_combined.tau(f)
+                assert r_staged.tau(f) == r_combined.tau(f) == session.reduce(f)
+            assert all(_dropping_solver_builds_nothing(s) for s in r_staged.solvers[1:])
+            # the one stage visits the slices the staged mix solver built, no more
+            assert session.solved_weights() == r_combined.solved_weights() == r_staged.solved_weights()
+            if not a.has_mix():
+                assert _dropping_solver_builds_nothing(session.retraction.solvers[0])
         except NotGenericAtWeight:
             continue
         done += 1
+        three += len(stages) == 3
+    assert three
 
 
 def test_declared_gradings_hold_at_runtime():
