@@ -7,6 +7,7 @@ mutate shared state.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 from operator import add
 
@@ -27,9 +28,11 @@ class Action:
                     monomial involves at least two variables
       diag_coeffs   the sequence a_1..a_n (d! times the x_i^d coefficient)
       low           the lower part s - top
-      cgrad         the gradients of s as `contraction_terms`, for d_cl
-      cgrad_diag    the same for diag, for d_diag
-      cgrad_rest    the same for s - diag, the contraction in d_bv - d_diag
+      cgrad_mix     the gradients of mix as `contraction_terms`, the
+                    weight-keeping contraction in d_bv - d_diag
+      cgrad_low     the same for low, its weight-dropping contraction
+      cgrad         the same for s, for d_cl, built on first use
+      cgrad_diag    the same for diag, for d_diag, built on first use
       quad          for d = 2 only: (s2 matrix, s1 vector, s0 constant) with
                     s = 1/2 x^T s2 x + s1 . x + s0
     """
@@ -62,10 +65,9 @@ class Action:
         )
 
         self.low = s - self.top
-        # the gradients as the rows _contract reads, built once per action
-        self.cgrad, self.cgrad_diag, self.cgrad_rest = (
-            contraction_terms([p.dx(i) for i in range(s.n)]) for p in (s, diag, s - diag)
-        )
+        # the gradients the reduction reads, as the rows _contract reads, built once per action
+        self.cgrad_mix = _gradients(mix)
+        self.cgrad_low = _gradients(self.low)
 
         self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
@@ -89,6 +91,14 @@ class Action:
         s0 = self.parts.get(0, SuperPoly.zero(n)).coeff((0,) * n)
         return s2, s1, s0
 
+    @cached_property
+    def cgrad(self):
+        return _gradients(self.s)
+
+    @cached_property
+    def cgrad_diag(self):
+        return _gradients(self.diag)
+
     def has_mix(self) -> bool:
         return not self.mix.is_zero
 
@@ -111,6 +121,10 @@ def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
     pairs, den = clear_denominators([c for gi in grads for c in gi.terms.values()])
     flat = iter(pairs)
     return tuple([(e, *next(flat)) for e, _ in gi.terms] for gi in grads), den
+
+
+def _gradients(p: SuperPoly):
+    return contraction_terms([p.dx(i) for i in range(p.n)])
 
 
 def _contract(gterms, v: SuperPoly) -> SuperPoly:

@@ -203,7 +203,7 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     def prune(p: SuperPoly, k: int) -> SuperPoly:
         cut = 2 * (K - k)
         kept = {key: c for key, c in p.terms.items() if sum(key[0]) <= cut}
-        return SuperPoly(m.n, kept)
+        return SuperPoly._wrap(m.n, kept)
 
     work: dict[int, SuperPoly] = {0: prune(f, 0)}
     max_degree = max((sum(e) for e, _ in f.terms), default=0) + 2 * K * vdeg

@@ -17,17 +17,17 @@ the deformed differential.  Deforming D by a small delta produces
 
 Transferring across delta1 and then delta2 gives the same tau as one
 transfer across delta1 + delta2, so a caller perturbs once by the whole
-deformation.  Smallness of delta is certified from the declared weight
-change of t = delta o eta, which must not be positive.  A SliceSolver
-applies (id - t)^{-1} by one sweep from the top weight down,
-`neumann_apply`.  When t declares weight change 0, id - t is assembled in
-the monomial basis of each finite (homological degree, weight) slice the
-sweep reaches and factored once by fraction-free Gaussian elimination, with
-the columns of its inverse solved on first use, and t's strictly
-weight-lowering part feeds the lower slices.  When t declares a strict
-drop, no slice is built and the sweep is the Neumann series grouped by
-weight, t applied once per weight level.  An image of t that its
-declaration does not allow is a NonTerminating error, never a silent
+deformation, handed over as two parts: keep, which preserves weight exactly,
+and drop, which strictly lowers it.  A SliceSolver applies (id - delta o
+eta)^{-1} by one sweep from the top weight down, `neumann_apply`.  Only
+keep o eta needs an exact inverse: when keep is given, id - keep o eta is
+assembled in integers on the monomial basis of each finite (homological
+degree, weight) slice the sweep reaches and factored once by fraction-free
+Gaussian elimination, with the columns of its inverse solved on first use.
+drop o eta, and keep on whatever part of eta's image leaves the weight it
+came from, feed the lower slices: a Neumann series that ends because weight
+is a non-negative integer.  Without keep no slice is built.  An image that
+the split does not allow is a NonTerminating error, never a silent
 truncation.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import invert
-from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss
+from .scalars import ONE, Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 # When true, every LinearOp call re-checks its declared degree shift and
@@ -82,17 +82,6 @@ class LinearOp:
         return out
 
 
-def compose(outer: LinearOp, inner: LinearOp) -> LinearOp:
-    return LinearOp(
-        # a linear outer map sends the zero it is handed to zero
-        fn=lambda v: w if (w := inner.fn(v)).is_zero else outer.fn(w),
-        degree_shift=outer.degree_shift + inner.degree_shift,
-        weight_change=outer.weight_change + inner.weight_change,
-        d=outer.d,
-        name=f"{outer.name}*{inner.name}",
-    )
-
-
 def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
     return LinearOp(
         fn=lambda v: a.fn(v) + b.fn(v),
@@ -103,23 +92,29 @@ def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
     )
 
 
-def neumann_apply(t: LinearOp, v: SuperPoly, d: int, solve=None) -> SuperPoly:
-    """(id - t)^{-1} v for a degree-preserving, weight-non-increasing t, swept from the top weight down.
+def neumann_apply(
+    v: SuperPoly, d: int, eta: LinearOp, keep: LinearOp | None, drop: LinearOp | None, solve=None
+) -> SuperPoly:
+    """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
-    Write t = t0 + t1, with t0 the part of t that stays in its (homological
-    degree, weight) slice and t1 the strictly weight-lowering rest.  Then
-    (id - t)^{-1} = sum_k (S t1)^k S with S = (id - t0)^{-1}, a Neumann series
-    in t1 that ends because weight is a non-negative integer.  The sweep
-    groups it by weight: at weight w it sets y = S(bucket w), adds y to the
-    output and hands t(y) below w on to the lower buckets, so t runs once per
-    weight level.  solve(h, w, terms) applies S to a bucket; a t that declares
-    a strict weight drop has t0 = 0 and needs none.  An image of t that the
-    declaration does not allow (at or above its source weight without solve,
-    above it with solve) is a NonTerminating error, never a silent truncation.
+    keep preserves weight exactly and drop strictly lowers it, so t = delta
+    o eta splits as t0 = keep o (the part of eta(y) at y's weight), which
+    stays in its (homological degree, weight) slice, plus the strictly
+    weight-lowering rest t1.  Then (id - t)^{-1} = sum_k (S t1)^k S with S =
+    (id - t0)^{-1}, a Neumann series in t1 that ends because weight is a
+    non-negative integer.  The sweep groups it by weight: at weight w it
+    sets y = S(bucket w), adds y to the output and hands t1(y) = drop(eta(y))
+    + keep(the part of eta(y) off weight w) on to the lower buckets.
+    solve(h, w, terms) applies S to a bucket; without keep, t0 = 0 and no
+    solve is needed, unless eta raises weight far enough for drop o eta to
+    reach back into the slice it came from: then solve has accounted for
+    drop's images at w.  Any other image at or above w is a NonTerminating
+    error, never a silent truncation.
     """
     if v.is_zero:
         return v
     n = v.n
+    reentry = solve is not None and keep is None
     out: dict[Key, Scalar] = {}
     # group the input by degree, then sweep each degree top weight down
     by_h: dict[int, dict[int, dict[Key, Scalar]]] = {}
@@ -133,21 +128,31 @@ def neumann_apply(t: LinearOp, v: SuperPoly, d: int, solve=None) -> SuperPoly:
                 y_terms = solve(h, w, y_terms)
             for key, c in y_terms.items():
                 add_term(out, key, c)
-            # t(y) at weight w is what S has accounted for; below w it feeds the lower buckets
-            for key, c in t.fn(SuperPoly(n, y_terms)).terms.items():
-                ww = term_weight(key, d)
-                if ww >= w:
-                    if ww == w and solve is not None:
-                        continue
-                    raise NonTerminating(
-                        f"operator {t.name!r} declared weight change {t.weight_change} "
-                        f"but sent weight {w} to weight {ww}"
-                    )
-                bucket = pending.setdefault(ww, {})
-                add_term(bucket, key, c)
-                if not bucket:
-                    pending.pop(ww, None)
-    return SuperPoly(n, out)
+            e = eta.fn(SuperPoly._wrap(n, y_terms))
+            if e.is_zero:
+                continue
+            images = []
+            if drop is not None:
+                images.append((drop, drop.fn(e)))
+            if keep is not None:
+                off = {key: c for key, c in e.terms.items() if term_weight(key, d) != w}
+                if off:
+                    images.append((keep, keep.fn(SuperPoly._wrap(n, off))))
+            for op, img in images:
+                for key, c in img.terms.items():
+                    ww = term_weight(key, d)
+                    if ww >= w:
+                        if ww == w and reentry:
+                            continue
+                        raise NonTerminating(
+                            f"operator {op.name!r} declared weight change {op.weight_change} "
+                            f"but sent weight {w} to weight {ww}"
+                        )
+                    bucket = pending.setdefault(ww, {})
+                    add_term(bucket, key, c)
+                    if not bucket:
+                        pending.pop(ww, None)
+    return SuperPoly._wrap(n, out)
 
 
 def _xi_masks(n: int, h: int) -> list[int]:
@@ -182,44 +187,78 @@ MAX_OBSERVABLE_WEIGHT = 128
 """Budget on the weight of an observable to reduce; a heavier one is an InputError.
 
 The transferred tau sweeps every weight level from the observable's weight
-down (`neumann_apply`), applying t at each and solving a slice at each when t
-keeps weight, so the cost grows with the weight, and steeply with n: an n = 2
-reduction near this budget takes minutes without building a slice over
-MAX_SLICE_ROWS.
+down (`neumann_apply`), applying the perturbation at each and solving a
+slice at each when it has a weight-keeping part, so the cost grows with the
+weight, and steeply with n: an n = 2 reduction near this budget takes
+minutes without building a slice over MAX_SLICE_ROWS.
 """
 
 
 class SliceSolver:
-    """Applies (id - t)^{-1} for a degree-preserving, weight-non-increasing t.
+    """Applies (id - delta o eta)^{-1} for a perturbation delta = keep + drop.
 
-    `apply` is the `neumann_apply` sweep from the top weight down, which
-    solves each weight's bucket against its slice.  When t declares a strict
-    weight drop it has no in-slice part, so no slice is built and the sweep
-    is the plain Neumann series, with t applied once per weight level.
+    keep preserves weight exactly and drop strictly lowers it; both undo the
+    homological degree that eta adds.  `apply` is the `neumann_apply` sweep
+    from the top weight down.  Without keep the sweep is the plain Neumann
+    series: no slice is built and drop o eta runs once per weight level.
 
-    When t declares weight change 0, the matrix of id - t on each (degree,
-    weight) slice is factored once by `linalg.invert` and memoized as its
-    `Factor`: a fraction-free LU, an integer det and the columns of
-    X = det (id - t)^{-1}, each solved on first use.  A slice's right-hand side r is cleared to Gaussian integers
+    With keep, each (degree, weight) slice the sweep reaches is solved
+    against id - keep o eta, assembled by `_slice` straight into Gaussian
+    integers, each column over its own denominator, and factored once by
+    `linalg.invert`.  The slice is memoized as its `Factor`: a fraction-free
+    LU, an integer det and the columns of X = det (id - keep o eta)^{-1},
+    each solved on first use.  A bucket r is cleared to Gaussian integers
     over one common denominator L, X r is accumulated in integers over the
-    columns r touches and each nonzero output entry is divided once, by
-    L * det.  Concurrent readers see a consistent cache thanks to
-    single-flight population of slices and columns under a lock.
+    columns r touches and each nonzero output entry is divided once, by L *
+    det.  Concurrent readers see a consistent cache thanks to single-flight
+    population of slices and columns under a lock.
+
+    An eta that raises weight (a section corrected by higher-degree terms)
+    can bring drop o eta back to the weight it came from; drop then declares
+    that by a weight change that eta's gain cancels, and its in-slice images
+    are solved in place of keep's.
     """
 
-    def __init__(self, n: int, d: int, t: LinearOp):
-        if t.degree_shift != 0:
-            raise ValueError("slice solving needs a degree-preserving operator")
-        if t.weight_change > 0:
-            raise ValueError("slice solving needs a weight-non-increasing operator")
+    def __init__(self, n: int, d: int, eta: LinearOp, keep: LinearOp | None, drop: LinearOp | None):
+        for op in (keep, drop):
+            if op is not None and op.degree_shift + eta.degree_shift != 0:
+                raise ValueError("slice solving needs a perturbation that undoes eta's degree shift")
+            if op is not None and op.weight_change + eta.weight_change > 0:
+                raise ValueError("slice solving needs a weight-non-increasing perturbation")
+        if keep is not None and keep.weight_change != 0:
+            raise ValueError("the weight-keeping part must declare weight change 0")
+        if drop is not None and drop.weight_change >= 0:
+            raise ValueError("the weight-dropping part must declare a strict drop")
         self.n = n
         self.d = d
-        self.t = t
+        self.eta = eta
+        self.keep = keep
+        self.drop = drop
+        reentry = drop is not None and drop.weight_change + eta.weight_change == 0
+        self.solves = keep is not None or reentry
         self._cache: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
 
     def solved_weights(self) -> list[int]:
         return sorted({w for (_, w) in self._cache})
+
+    def _in_slice(self, key: Key, w: int, index: dict[Key, int]) -> dict[Key, Scalar]:
+        """The image of the basis monomial key under the in-slice part of delta o eta."""
+        n, d = self.n, self.d
+        e = self.eta.fn(SuperPoly._wrap(n, {key: ONE}))
+        if self.keep is None:
+            return {kk: c for kk, c in self.drop.fn(e).terms.items() if kk in index}
+        at = {kk: c for kk, c in e.terms.items() if term_weight(kk, d) == w}
+        if not at:
+            return at
+        img = self.keep.fn(SuperPoly._wrap(n, at)).terms
+        for kk in img:
+            if kk not in index:
+                raise NonTerminating(
+                    f"operator {self.keep.name!r} declared weight change 0 "
+                    f"but sent weight {w} to weight {term_weight(kk, d)}"
+                )
+        return img
 
     def _slice(self, h: int, w: int):
         got = self._cache.get((h, w))
@@ -229,32 +268,39 @@ class SliceSolver:
             got = self._cache.get((h, w))
             if got is not None:
                 return got
-            n = self.n
             # the size of slice_basis(n, d, h, w), counted before anything is built
             xdeg = w - (self.d - 1) * h
-            k = comb(n, h) * comb(xdeg + n - 1, n - 1) if xdeg >= 0 else 0
+            k = comb(self.n, h) * comb(xdeg + self.n - 1, self.n - 1) if xdeg >= 0 else 0
             if k > MAX_SLICE_ROWS:
                 raise InputError(
                     f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"
                 )
-            basis = slice_basis(n, self.d, h, w)
+            basis = slice_basis(self.n, self.d, h, w)
             index = {key: i for i, key in enumerate(basis)}
-            # id - t, with t's images written into the identity rows
-            mat = [[ZERO] * k for _ in range(k)]
-            for i in range(k):
-                mat[i][i] = ONE
+            # id - keep o eta in Gaussian integers: column j is (den_j e_j - image_j) / den_j
+            re = [[0] * k for _ in range(k)]
+            im = None
+            dens = [1] * k
             nontrivial = False
             for j, key in enumerate(basis):
-                img = self.t.fn(SuperPoly(n, {key: ONE}))
-                for kk, c in img.terms.items():
-                    i = index.get(kk)
-                    if i is not None:
-                        mat[i][j] = mat[i][j] - c
-                        nontrivial = True
+                img = self._in_slice(key, w, index)
+                if not img:
+                    re[j][j] = 1
+                    continue
+                nontrivial = True
+                pairs, den = clear_denominators(img.values())
+                dens[j] = re[j][j] = den
+                for kk, (a, b) in zip(img, pairs):
+                    i = index[kk]
+                    re[i][j] -= a
+                    if b:
+                        if im is None:
+                            im = [[0] * k for _ in range(k)]
+                        im[i][j] -= b
             factor = None
             if nontrivial:
                 try:
-                    factor = invert(mat)
+                    factor = invert(re, im, dens)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
             entry = (basis, index, factor)
@@ -262,7 +308,7 @@ class SliceSolver:
             return entry
 
     def apply(self, v: SuperPoly) -> SuperPoly:
-        return neumann_apply(self.t, v, self.d, self._solve if self.t.weight_change == 0 else None)
+        return neumann_apply(v, self.d, self.eta, self.keep, self.drop, self._solve if self.solves else None)
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
         """X r / det for the (h, w) slice and its terms r; a column of X is solved when r first needs it."""
@@ -320,25 +366,32 @@ class Retraction:
         return sorted(ws)
 
 
-def perturb_retraction(r: Retraction, delta: LinearOp) -> Retraction:
-    """Transfer the retraction across the small deformation delta of its differential.
+def perturb_retraction(r: Retraction, keep: LinearOp | None, drop: LinearOp | None) -> Retraction:
+    """Transfer the retraction across the small deformation delta = keep + drop of its differential.
 
-    The caller guarantees (diff + delta)^2 = 0.  When H is concentrated in
-    degree 0 and V in non-negative degrees, delta o phi lands in degree -1 and
+    keep is the part of delta that preserves weight exactly and drop the
+    part that strictly lowers it; either may be None.  The caller
+    guarantees (diff + delta)^2 = 0.  When H is concentrated in degree 0
+    and V in non-negative degrees, delta o phi lands in degree -1 and
     vanishes, so phi and the zero differential on H carry over unchanged.
-    (id - delta o eta)^{-1} is one SliceSolver, which builds slices only when
-    the declared weight change of delta o eta is 0.
+    (id - delta o eta)^{-1} is one SliceSolver, which builds slices only
+    when keep is given.
     """
-    solver = SliceSolver(r.n, r.d, compose(delta, r.eta))
+    solver = SliceSolver(r.n, r.d, r.eta, keep, drop)
     apply_inv = solver.apply
     tau0, eta0 = r.tau, r.eta
+    diff = r.diff
+    for op in (keep, drop):
+        if op is not None:
+            diff = op_sum(diff, op)
+    name = "+".join(op.name for op in (keep, drop) if op is not None)
 
     new_eta = LinearOp(
         fn=lambda v: eta0.fn(apply_inv(v)),
         degree_shift=1,
         weight_change=eta0.weight_change,
         d=r.d,
-        name=f"eta[{delta.name}]",
+        name=f"eta[{name}]",
     )
     return Retraction(
         n=r.n,
@@ -346,6 +399,6 @@ def perturb_retraction(r: Retraction, delta: LinearOp) -> Retraction:
         tau=lambda v: tau0(apply_inv(v)),
         phi=r.phi,
         eta=new_eta,
-        diff=op_sum(r.diff, delta),
+        diff=diff,
         solvers=r.solvers + (solver,),
     )

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Q(i) via fraction-free (Bareiss) elimination.
 
-Scalar matrices are cleared to Gaussian integers row by row; a matrix with an
+Matrices are cleared to Gaussian integers column by column; a matrix with an
 imaginary part B + iC is then replaced by its real embedding [[B, -C], [C, B]],
 so one elimination on plain ints, `_forward_eliminate`, serves every matrix.
 It uses the one-step Bareiss recurrence, whose divisions are exact in any
@@ -20,20 +20,24 @@ from .errors import SingularMatrix
 from .scalars import ZERO, GInt, Scalar, clear_denominators, gauss
 
 
-def _integer_rows(a: list[list[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """The rows of a cleared to plain ints, and each row's denominator.
+def _gaussian_columns(a: list[list[Scalar]]):
+    """a cleared to Gaussian integers column by column, as (re, im, dens).
 
-    A real matrix gives its integer rows as they are; a matrix with an
-    imaginary part B + iC gives its real embedding [[B, -C], [C, B]], of
-    twice the size and twice the rank.
+    a[i][j] = (re[i][j] + i*im[i][j]) / dens[j], and im is None for a real a.
     """
-    cleared = [clear_denominators(row) for row in a]
-    if any(b for g, _ in cleared for _, b in g):
-        m = [[x for x, _ in g] + [-y for _, y in g] for g, _ in cleared]
-        m += [[y for _, y in g] + [x for x, _ in g] for g, _ in cleared]
-    else:
-        m = [[x for x, _ in g] for g, _ in cleared]
-    return m, [den for _, den in cleared]
+    cols = [clear_denominators(col) for col in zip(*a)]
+    re = [list(row) for row in zip(*[[x for x, _ in g] for g, _ in cols])]
+    im = None
+    if any(y for g, _ in cols for _, y in g):
+        im = [list(row) for row in zip(*[[y for _, y in g] for g, _ in cols])]
+    return re, im, [den for _, den in cols]
+
+
+def _realify(re: list[list[int]], im: list[list[int]] | None) -> list[list[int]]:
+    """The real embedding [[B, -C], [C, B]] of B + iC, of twice the size and rank; B itself when C is None."""
+    if im is None:
+        return re
+    return [b + [-x for x in c] for b, c in zip(re, im)] + [c + b for b, c in zip(re, im)]
 
 
 def _forward_eliminate(m: list[list[int]]):
@@ -97,40 +101,43 @@ def rank(rows: list[list[Scalar]]) -> int:
     """Exact rank of a rectangular Scalar matrix."""
     if not rows:
         return 0
-    m, _ = _integer_rows(rows)
-    steps, _ = _forward_eliminate(m)
-    return len(steps) if len(m) == len(rows) else len(steps) // 2
+    re, im, _ = _gaussian_columns(rows)
+    steps, _ = _forward_eliminate(_realify(re, im))
+    return len(steps) if im is None else len(steps) // 2
 
 
 class Factor:
-    """Fraction-free LU factor of a nonsingular square Scalar matrix A, from `invert`.
+    """Fraction-free LU factor of a nonsingular square matrix A over Q(i), from `invert`.
 
-    The rows of A are cleared to Gaussian integers, row i by its own
-    denominator den_i, and eliminated on plain Python ints by
-    `_forward_eliminate`.  A real A is factored as it is; a matrix with an
-    imaginary part A' = B + iC is factored through its real embedding
+    A is given cleared to Gaussian integers column by column, A = M D^{-1}
+    with M = B + iC and D the diagonal of the column denominators `dens`,
+    and M is eliminated on plain Python ints by `_forward_eliminate`.  A real
+    M is factored as it is; a complex one through its real embedding
     [[B, -C], [C, B]] of twice the size, whose inverse carries Re and Im of
-    A'^{-1} in its upper and lower halves.  The factor keeps the pivot order,
+    M^{-1} in its upper and lower halves.  The factor keeps the pivot order,
     the echelon rows and each step's multipliers, and `det`, the last pivot:
-    a nonzero integer with det * A^{-1} a Gaussian-integer matrix X.
+    a nonzero integer with det * M^{-1} a Gaussian-integer matrix, and so
+    X = det * A^{-1} = D (det * M^{-1}) as well.
 
     `columns[j]` is column j of X as its nonzero entries (i, re, im), or None
-    until `column(j)` solves it: `den_j e_j` is forward-substituted through
-    the recorded steps and back-substituted on the echelon rows.  Solved
-    columns are memoized; `column` itself takes no lock.
+    until `column(j)` solves it: e_j is forward-substituted through the
+    recorded steps, back-substituted on the echelon rows and its entry i
+    scaled by dens[i].  Solved columns are memoized; `column` itself takes
+    no lock.
     """
 
     __slots__ = ("k", "det", "columns", "_dens", "_steps", "_upper")
 
-    def __init__(self, a: list[list[Scalar]]):
-        k = len(a)
-        m, self._dens = _integer_rows(a)
+    def __init__(self, re: list[list[int]], im: list[list[int]] | None, dens: list[int]):
+        k = len(re)
+        m = _realify(re, im)
         steps, upper = _forward_eliminate(m)
         if len(steps) < len(m):
-            rk = len(steps) if len(m) == k else len(steps) // 2
+            rk = len(steps) if im is None else len(steps) // 2
             raise SingularMatrix(f"matrix of size {k} has rank {rk}")
         self.k = k
         self.det = steps[-1][3] if steps else 1
+        self._dens = dens
         self._steps = steps
         self._upper = upper
         self.columns: list[list[tuple[int, int, int]] | None] = [None] * k
@@ -164,15 +171,17 @@ class Factor:
         return x
 
     def solve(self, rhs: list[GInt]) -> list[GInt]:
-        """X = det * A^{-1} rhs for a Gaussian-integer vector rhs, as Gaussian integers."""
+        """X rhs = det * A^{-1} rhs for a Gaussian-integer vector rhs, as Gaussian integers."""
         k = self.k
-        b = [(x * den, y * den) for (x, y), den in zip(rhs, self._dens)]
+        br = [x for x, _ in rhs]
+        bi = [y for _, y in rhs]
         if len(self._upper) > k:
-            x = self._solve_int([v for v, _ in b] + [v for _, v in b])
-            return list(zip(x[:k], x[k:]))
-        re = self._solve_int([v for v, _ in b])
-        im = self._solve_int([v for _, v in b]) if any(v for _, v in b) else [0] * k
-        return list(zip(re, im))
+            x = self._solve_int(br + bi)
+            re, im = x[:k], x[k:]
+        else:
+            re = self._solve_int(br)
+            im = self._solve_int(bi) if any(bi) else [0] * k
+        return [(x * den, y * den) for x, y, den in zip(re, im, self._dens)]
 
     def column(self, j: int) -> list[tuple[int, int, int]]:
         """Column j of X as its nonzero entries (i, re, im), solved on first use."""
@@ -209,13 +218,20 @@ def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[li
     return sols
 
 
-def invert(a: list[list[Scalar]]) -> Factor:
-    """The fraction-free LU `Factor` of a square Scalar matrix.
+def invert(a: list[list], im: list[list[int]] | None = None, dens: list[int] | None = None) -> Factor:
+    """The fraction-free LU `Factor` of a square matrix over Q(i).
+
+    a is a square Scalar matrix, cleared here column by column.  A caller
+    that builds the matrix in integers passes its rows of real parts as a,
+    the rows of imaginary parts as im (None for a real matrix) and each
+    column's denominator as dens: entry (i, j) is (a[i][j] + i*im[i][j]) / dens[j].
 
     The factor is computed once; columns of det * a^{-1} are solved on
     first use, and `inverse()` gives the whole inverse as Scalar rows.  det
-    is the last Bareiss pivot of the row-cleared (and, for a complex
-    matrix, realified) matrix, so it can differ from det(a) by a rational
-    factor.  Raises SingularMatrix when a is rank-deficient.
+    is the last Bareiss pivot of the cleared (and, for a complex matrix,
+    realified) matrix, so it can differ from det(a) by a rational factor.
+    Raises SingularMatrix when a is rank-deficient.
     """
-    return Factor(a)
+    if dens is None:
+        a, im, dens = _gaussian_columns(a)
+    return Factor(a, im, dens)

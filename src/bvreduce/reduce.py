@@ -3,14 +3,15 @@
 The pipeline starts from the explicit retraction of the diagonal complex:
 tau_diag projects onto the basis monomials and eta_diag is a closed-form
 homotopy on every homological degree, with no linear solve.  It is then
-transferred once across the whole deformation d_bv - d_diag: the contraction
-with the gradients of s - diag (its mixed top part and its lower-order part)
-plus the divergence.  One sweep from the observable's weight down applies the
-transferred tau; it solves a (degree, weight) slice exactly only when the
-action has a mixed part, the one piece that preserves weight, and is
-otherwise the terminating Neumann series grouped by weight.  The resulting
-tau takes any polynomial to its class over the (d-1)^n monomials with all
-exponents at most d-2.
+transferred once across the whole deformation d_bv - d_diag, split by weight:
+the contraction with the mixed top gradients keeps weight, and the
+contraction with the lower-order gradients plus the divergence drops it.  One
+sweep from the observable's weight down applies the transferred tau; it
+solves a (degree, weight) slice exactly, against the weight-keeping part
+alone, only when the action has a mixed part, and is otherwise the
+terminating Neumann series grouped by weight.  The resulting tau takes any
+polynomial to its class over the (d-1)^n monomials with all exponents at
+most d-2.
 
 Sign convention: with the retraction identity phi o tau - id = D eta + eta D,
 the diagonal homotopy must satisfy d_diag(eta(x^m)) = -x^m on monomials
@@ -182,7 +183,7 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
                 add_term(out, key, -term)  # xi_i passes an odd number of xi_j, j < i, into place
             else:
                 add_term(out, key, term)  # x^m xi^S and x^m' xi^S' can meet
-    return SuperPoly(v.n, out)
+    return SuperPoly._wrap(v.n, out)
 
 
 def diag_retraction(action: Action, phi_correction=None) -> Retraction:
@@ -259,17 +260,20 @@ class ReduceSession:
         self.action = action
         self.basis = jac_basis(action.n, action.d)
         d = action.d
+        keep = None
         if action.has_mix():
-            drop = 0  # the mixed top part preserves weight
-        elif action.has_lower():
-            drop = action.low.max_xdeg() - d  # every lower part loses at least this much weight
+            keep = LinearOp(
+                lambda v: _contract(action.cgrad_mix, v), degree_shift=-1, weight_change=0, d=d, name="d_mix"
+            )
+        if action.has_lower():
+            # every lower part loses at least d minus its degree in weight, the divergence d
+            drop = LinearOp(
+                lambda v: _contract(action.cgrad_low, v) + d_div(v),
+                degree_shift=-1, weight_change=action.low.max_xdeg() - d, d=d, name="d_low+div",
+            )
         else:
-            drop = -d  # the divergence alone
-        delta = LinearOp(
-            lambda v: _contract(action.cgrad_rest, v) + d_div(v),
-            degree_shift=-1, weight_change=drop, d=d, name="d_bv-d_diag",
-        )
-        self.retraction = perturb_retraction(diag_retraction(action, phi_correction), delta)
+            drop = LinearOp(d_div, degree_shift=-1, weight_change=-d, d=d, name="div")
+        self.retraction = perturb_retraction(diag_retraction(action, phi_correction), keep, drop)
 
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:

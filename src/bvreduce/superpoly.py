@@ -77,11 +77,7 @@ def sum_pairs(n: int, contributions: Iterable[tuple[Key, int, int]], den: int) -
         else:
             s[0] += a
             s[1] += b
-    out = SuperPoly(n)
-    for key, (a, b) in acc.items():
-        if a or b:
-            out.terms[key] = gauss(a, b, den)
-    return out
+    return SuperPoly._wrap(n, {key: gauss(a, b, den) for key, (a, b) in acc.items() if a or b})
 
 
 class SuperPoly:
@@ -92,6 +88,14 @@ class SuperPoly:
     def __init__(self, n: int, terms: Mapping[Key, Scalar] | None = None):
         self.n = n
         self.terms: dict[Key, Scalar] = dict(terms) if terms else {}
+
+    @staticmethod
+    def _wrap(n: int, terms: dict[Key, Scalar]) -> "SuperPoly":
+        """The SuperPoly over terms itself, not a copy: for a kernel's fresh map that no one else keeps."""
+        p = object.__new__(SuperPoly)
+        p.n = n
+        p.terms = terms
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -185,12 +189,12 @@ class SuperPoly:
         out = dict(self.terms)
         for k, v in other.terms.items():
             add_term(out, k, v)
-        return SuperPoly(self.n, out)
+        return SuperPoly._wrap(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.n, {k: -v for k, v in self.terms.items()})
+        return SuperPoly._wrap(self.n, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperPoly):
@@ -234,7 +238,7 @@ class SuperPoly:
         c = Scalar.of(c)
         if not c:
             return SuperPoly(self.n)
-        return SuperPoly(self.n, {k: v * c for k, v in self.terms.items()})
+        return SuperPoly._wrap(self.n, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -255,7 +259,7 @@ class SuperPoly:
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range for n={self.n}")
         # (e, m) -> (e - 1_i, m) is injective, and c * p with p >= 1 is nonzero
-        return SuperPoly(self.n, {
+        return SuperPoly._wrap(self.n, {
             (e[:i] + (e[i] - 1,) + e[i + 1:], m): c * e[i]
             for (e, m), c in self.terms.items()
             if e[i]
@@ -271,7 +275,7 @@ class SuperPoly:
             raise IndexError(f"variable index {i} out of range for n={self.n}")
         bit = 1 << i
         # (e, m) -> (e, m ^ bit) is injective on the terms that hold xi_i
-        return SuperPoly(self.n, {
+        return SuperPoly._wrap(self.n, {
             (e, m ^ bit): -c if (m & (bit - 1)).bit_count() & 1 else c
             for (e, m), c in self.terms.items()
             if m & bit
@@ -307,7 +311,7 @@ class SuperPoly:
                 }
             for k, v in partial.items():
                 add_term(acc, (k, m), v)
-        return SuperPoly(self.n, acc)
+        return SuperPoly._wrap(self.n, acc)
 
     # -- gradings ------------------------------------------------------------------
 

@@ -125,8 +125,10 @@ def test_rest_contraction_is_d_bv_minus_d_diag():
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         a = random_action(rng, n, d, homogeneous=rng.random() < 0.3)
         v = _random_element(rng, n)
-        assert _contract(a.cgrad_rest, v) + d_div(v) == d_bv(a, v) - d_diag(a, v)
-        assert _contract(a.cgrad_rest, v) == _contraction(a.mix)(v) + _contraction(a.low)(v)
+        mix, low = _contract(a.cgrad_mix, v), _contract(a.cgrad_low, v)
+        assert mix + low + d_div(v) == d_bv(a, v) - d_diag(a, v)
+        assert mix == _contraction(a.mix)(v)
+        assert low == _contraction(a.low)(v)
 
 
 def test_weight_behavior():

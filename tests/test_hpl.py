@@ -13,13 +13,18 @@ from bvreduce import (
     q,
 )
 from bvreduce.bvdiff import _contract, contraction_terms, d_div
-from bvreduce.hpl import LinearOp, SliceSolver, compose
+from bvreduce.hpl import LinearOp, SliceSolver
 from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
 from bvreduce.verify import random_action, random_degree1, random_rational
 
 
 def _zero_op(d):
     return LinearOp(lambda v: SuperPoly.zero(v.n), -1, -1, d, "0")
+
+
+def _id_op(d):
+    """A degree-0 eta, so that degree-0 keep and drop parts are the whole t."""
+    return LinearOp(lambda v: v, 0, 0, d, "id")
 
 
 def _contraction(grads, name, d, weight_change):
@@ -37,7 +42,7 @@ def _parts(a):
 
 
 def _dropping_solver_builds_nothing(solver):
-    return solver.t.weight_change < 0 and solver.solved_weights() == []
+    return not solver.solves and solver.solved_weights() == []
 
 
 def test_neumann_zero_delta_identity():
@@ -45,7 +50,7 @@ def test_neumann_zero_delta_identity():
     a = action_build(x**3)
     r = diag_retraction(a)
     v = x**5 + 2 * x - 3
-    solver = SliceSolver(1, 3, compose(_zero_op(3), r.eta))
+    solver = SliceSolver(1, 3, r.eta, None, _zero_op(3))
     assert solver.apply(v) == v
     assert _dropping_solver_builds_nothing(solver)
 
@@ -56,7 +61,7 @@ def test_neumann_one_term_series():
     a = action_build(x**3)
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
-    solver = SliceSolver(1, 3, compose(delta, r.eta))
+    solver = SliceSolver(1, 3, r.eta, None, delta)
     assert solver.apply(x**3) == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
     assert _dropping_solver_builds_nothing(solver)
     # div(eta(x^3)) computed by hand is -1/3
@@ -70,27 +75,35 @@ def test_weight_solve_failure_quartic():
     r = diag_retraction(a)
     delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
-        SliceSolver(n, 4, compose(delta, r.eta)).apply(x**2 * y**2)
+        SliceSolver(n, 4, r.eta, delta, None).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
 def test_nonterminating_guard():
     x = SuperPoly.x(1, 0)
-    # declares a weight drop, but its image stays at the weight it came from
+    eta = _id_op(3)
+    # a drop that declares a weight drop, but its image stays at the weight it came from
     lying = LinearOp(lambda v: v, 0, -1, 3, "id-disguised")
     with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, lying).apply(x**2)
-    # declares no weight increase, but its image climbs one weight
+        SliceSolver(1, 3, eta, None, lying).apply(x**2)
+    # ... or climbs one weight
+    with pytest.raises(NonTerminating):
+        SliceSolver(1, 3, eta, None, LinearOp(lambda v: v * x, 0, -1, 3, "x-disguised")).apply(x**2)
+    # a keep that declares weight change 0, but its image leaves its slice upward
     climbing = LinearOp(lambda v: v * x, 0, 0, 3, "x-disguised")
     with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, climbing).apply(x**2)
+        SliceSolver(1, 3, eta, climbing, None).apply(x**2)
+    # ... or downward
+    sinking = LinearOp(lambda v: v.dx(0), 0, 0, 3, "d/dx-disguised")
+    with pytest.raises(NonTerminating):
+        SliceSolver(1, 3, eta, sinking, None).apply(x**2)
 
 
 def test_perturb_zero_delta_keeps_tau():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
     r = diag_retraction(a)
-    r2 = perturb_retraction(r, _zero_op(3))
+    r2 = perturb_retraction(r, None, _zero_op(3))
     for f in [x**3, x**5 + x, SuperPoly.one(1)]:
         assert r2.tau(f) == r.tau(f)
 
@@ -100,7 +113,7 @@ def test_perturb_diagonal_by_div_matches_known_class():
     a = action_build(x**3)
     r = diag_retraction(a)
     delta = LinearOp(d_div, -1, -3, 3, "div")
-    rb = perturb_retraction(r, delta)
+    rb = perturb_retraction(r, None, delta)
     got = rb.tau(x**3)
     basis = jac_basis(1, 3)
     assert got == JacClass(basis, {(0,): Scalar(q(-1, 3))})
@@ -175,9 +188,10 @@ def test_diag_retraction_identities_on_every_degree():
 def test_two_perturbations_equal_combined():
     """Successive small deformations agree with their sum, on random inputs.
 
-    Staged: mix, then low, then div, one solver each; only the mix stage
-    preserves weight, so only it builds slices.  Combined: one solver, for
-    d_bv - d_diag, whose ReduceSession must give the same classes.
+    Staged: mix as the weight-keeping part, then low, then div as
+    weight-dropping parts, one solver each; only the mix stage builds
+    slices.  Combined: one solver, for d_bv - d_diag split into mix and
+    low + div, whose ReduceSession must give the same classes.
     """
     rng = random.Random(52)
     done = three = 0
@@ -185,22 +199,22 @@ def test_two_perturbations_equal_combined():
         n, d = rng.randint(2, 3), rng.randint(3, 4)
         a = random_action(rng, n, d, homogeneous=done % 2 == 0)
         r0 = diag_retraction(a)
-        stages = [op for op, present in zip(_parts(a), (a.has_mix(), a.has_lower(), True)) if present]
-        both = stages[0]
-        for op in stages[1:]:
-            both = hpl.op_sum(both, op)
+        mix, low, div = _parts(a)
+        keep = mix if a.has_mix() else None
+        drops = [low, div] if a.has_lower() else [div]
+        stages = ([(keep, None)] if keep else []) + [(None, op) for op in drops]
         try:
             r_staged = r0
-            for op in stages:
-                r_staged = perturb_retraction(r_staged, op)
-            r_combined = perturb_retraction(r0, both)
+            for k, dr in stages:
+                r_staged = perturb_retraction(r_staged, k, dr)
+            r_combined = perturb_retraction(r0, keep, drops[0] if len(drops) == 1 else hpl.op_sum(*drops))
             session = ReduceSession(a)
             assert len(r_staged.solvers) == len(stages)
             assert len(r_combined.solvers) == len(session.retraction.solvers) == 1
             for _ in range(3):
                 f = _random_degree0(rng, n)
                 assert r_staged.tau(f) == r_combined.tau(f) == session.reduce(f)
-            assert all(_dropping_solver_builds_nothing(s) for s in r_staged.solvers[1:])
+            assert all(_dropping_solver_builds_nothing(s) for s in r_staged.solvers[1 if keep else 0:])
             # the one stage visits the slices the staged mix solver built, no more
             assert session.solved_weights() == r_combined.solved_weights() == r_staged.solved_weights()
             if not a.has_mix():
@@ -229,24 +243,30 @@ def test_declared_gradings_hold_at_runtime():
 
 
 def _degree0_op(images, name, n=2, d=3):
-    """The degree-0 LinearOp sending x^a y^b (a + b > 0) to sum c x^e over images(a, b) = [(e, c)].
+    """The degree-0 map sending x^a y^b (a + b > 0) to sum c x^e over images(a, b) = [(e, c)], as (keep, drop).
 
-    Weight 0 is its kernel, so that slice has no inverse."""
+    keep is the part of weight a + b and drop the part below it.  Weight 0
+    is the kernel, so that slice has no inverse."""
 
-    def fn(v):
-        out = {}
-        for ((a, b), _), c in v.terms.items():
-            if a + b == 0:
-                continue
-            for e, f in images(a, b):
-                s = out.get((e, 0), Scalar(0)) + c * f
-                if s:
-                    out[(e, 0)] = s
-                else:
-                    out.pop((e, 0), None)
-        return SuperPoly(n, out)
+    def part(same_weight, label, weight_change):
+        def fn(v):
+            out = {}
+            for ((a, b), _), c in v.terms.items():
+                if a + b == 0:
+                    continue
+                for e, f in images(a, b):
+                    if (sum(e) == a + b) != same_weight:
+                        continue
+                    s = out.get((e, 0), Scalar(0)) + c * f
+                    if s:
+                        out[(e, 0)] = s
+                    else:
+                        out.pop((e, 0), None)
+            return SuperPoly(n, out)
 
-    return LinearOp(fn, degree_shift=0, weight_change=0, d=d, name=name)
+        return LinearOp(fn, degree_shift=0, weight_change=weight_change, d=d, name=f"{name}-{label}")
+
+    return part(True, "keep", 0), part(False, "drop", -1)
 
 
 def _mixing_images(a, b):
@@ -273,14 +293,14 @@ def _triangular_images(a, b):
 @pytest.mark.parametrize("images", [_mixing_images, _triangular_images])
 def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     n = 2
-    t = _degree0_op(images, images.__name__)
-    solver = SliceSolver(n, 3, t)
+    keep, drop = _degree0_op(images, images.__name__)
+    solver = SliceSolver(n, 3, _id_op(3), keep, drop)
     builds = []
     hpl_invert = hpl.invert
 
-    def counting_invert(mat):
+    def counting_invert(mat, *args):
         builds.append(len(mat))
-        return hpl_invert(mat)
+        return hpl_invert(mat, *args)
 
     monkeypatch.setattr(hpl, "invert", counting_invert)
     v = SuperPoly(n, {
@@ -291,13 +311,13 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
         ((0, 0), 0): Scalar(q(4, 15)),
     })
     y = solver.apply(v)
-    assert y - t(y) == v
+    assert y - keep(y) - drop(y) == v
     assert builds and max(builds) == 5  # the weight-4 slice: x^4 ... y^4
     assert solver.solved_weights() == [0, 1, 2, 3, 4]
     n_builds = len(builds)
     assert solver.apply(v) == y
     assert len(builds) == n_builds  # every slice came from the cache
-    # weight 0 is t's kernel: no inverse is kept and its input passes through
+    # weight 0 is the kernel: no inverse is kept and its input passes through
     assert solver._slice(0, 0)[2] is None
     one = SuperPoly.const(n, Scalar(q(-2, 7), q(1, 3)))
     assert solver.apply(one) == one
@@ -305,16 +325,102 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
 
 def test_slice_solver_solves_only_the_columns_apply_reaches():
     n = 2
-    t = _degree0_op(_mixing_images, "mixing")
-    solver = SliceSolver(n, 3, t)
+    keep, drop = _degree0_op(_mixing_images, "mixing")
+    solver = SliceSolver(n, 3, _id_op(3), keep, drop)
     v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
     y = solver.apply(v)
-    assert y - t(y) == v
+    assert y - keep(y) - drop(y) == v
     basis, index, factor = solver._slice(0, 4)
     solved = [j for j, col in enumerate(factor.columns) if col is not None]
     assert solved == sorted(index[key] for key in v.terms) and len(solved) < len(basis)
-    # the top slice of y is the whole inverse of id - t applied to v
+    # the top slice of y is the whole inverse of id - keep applied to v
     inv = factor.inverse()
     top = {key: sum((inv[i][index[kv]] * c for kv, c in v.terms.items()), Scalar(0)) for i, key in enumerate(basis)}
     assert {key: c for key, c in y.terms.items() if key in index} == {key: c for key, c in top.items() if c}
     assert solver.apply(v) == y
+
+
+def _delta_eta_block(a, eta, basis):
+    """The in-slice block of (d_bv - d_diag) o eta on a slice basis, from SuperPoly products alone."""
+    n, k = a.n, len(basis)
+    grads = [(a.s - a.diag).dx(i) for i in range(n)]
+    index = {key: i for i, key in enumerate(basis)}
+    block = [[Scalar(0)] * k for _ in range(k)]
+    for j, key in enumerate(basis):
+        e = eta(SuperPoly(n, {key: Scalar(1)}))
+        img = SuperPoly.zero(n)
+        for i in range(n):
+            di = e.dxi(i)
+            img = img + grads[i] * di + di.dx(i)
+        for kk, c in img.terms.items():
+            if kk in index:
+                block[index[kk]][j] = c
+    return block
+
+
+def _factored_slices_invert_their_blocks(session, eta):
+    """Every slice the session factored inverts id - its block of (d_bv - d_diag) o eta; returns how many."""
+    (solver,) = session.retraction.solvers
+    factored = 0
+    for basis, _, factor in solver._cache.values():
+        block = _delta_eta_block(session.action, eta, basis)
+        if factor is None:
+            assert not any(c for row in block for c in row)
+            continue
+        k = len(basis)
+        det = Scalar(factor.det)
+        for j in range(k):
+            x = [Scalar(0)] * k
+            for i, xr, xi in factor.column(j):
+                x[i] = Scalar(xr, xi)
+            for i in range(k):
+                got = x[i] - sum((block[i][t] * x[t] for t in range(k)), Scalar(0))
+                assert got == (det if i == j else Scalar(0))
+        factored += 1
+    return factored
+
+
+def _complexified(rng, a):
+    """The action a with every coefficient c turned into c (1 + r i) for a random rational r."""
+    terms = {key: c * (Scalar(1) + Scalar(0, 1) * random_rational(rng)) for key, c in a.s.terms.items()}
+    return action_build(SuperPoly(a.n, terms))
+
+
+def test_every_factored_slice_inverts_the_whole_in_slice_block():
+    """Slices built from the weight-keeping part alone are exact for the whole perturbation.
+
+    The in-slice block of (d_bv - d_diag) o eta is computed here with Scalar
+    arithmetic from the definition, for real and complex actions, mixed and
+    inhomogeneous, and for a session whose section has a lower-degree
+    correction, so that eta also lowers weight.
+    """
+    rng = random.Random(55)
+    cases = []
+    while len(cases) < 8:
+        n, d = rng.randint(2, 3), rng.randint(3, 4)
+        a = random_action(rng, n, d, homogeneous=len(cases) % 3 == 0)
+        if not a.has_mix():
+            continue
+        if len(cases) % 2:
+            a = _complexified(rng, a)
+        cases.append((a, None))
+    x0 = SuperPoly.x(2, 0)
+    while True:
+        a = random_action(rng, 2, 4)
+        if a.has_mix():
+            cases.append((a, {(2, 2): x0**3 * Scalar(q(1, 2))}))  # degree 3 < 4, killed by tau_diag
+            break
+    factored = complex_factored = 0
+    for a, corr in cases:
+        session = ReduceSession(a, phi_correction=corr)
+        try:
+            for _ in range(2):
+                session.reduce(_random_degree0(rng, a.n, cap=6))
+            session.reduce(random_degree1(rng, a.n, a.d, 6))
+        except NotGenericAtWeight:
+            continue
+        got = _factored_slices_invert_their_blocks(session, diag_retraction(a, corr).eta)
+        factored += got
+        complex_factored += got if any(c.b for c in a.s.terms.values()) else 0
+        assert got or corr is None
+    assert factored and complex_factored

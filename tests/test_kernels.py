@@ -391,12 +391,11 @@ def test_jac_class_add_matches_reference(data):
     assert all(got.coeffs.values())
 
 
-def t_ref(p: dict) -> dict:
-    """A degree-0, weight-non-increasing map on two variables with (id - t) invertible per slice.
+def keep_ref(p: dict) -> dict:
+    """The weight-keeping part of a degree-0 map t on two variables with (id - t) invertible per slice.
 
     Within a weight it is lower triangular in the y exponent, with (id - t)
-    diagonal i*(a+1)/(b+2); it leaks one weight down through y-lowering, and
-    kills the constants.
+    diagonal i*(a+1)/(b+2), and it kills the constants.
     """
     contributions = []
     for ((a, b), m), c in p.items():
@@ -405,18 +404,25 @@ def t_ref(p: dict) -> dict:
         contributions.append((((a, b), m), cmul(c, (1, Fraction(-(a + 1), b + 2)))))
         if a:
             contributions.append((((a - 1, b + 1), m), cmul(c, (Fraction(1, 2), 0))))
-        if b:
-            contributions.append((((a, b - 1), m), cmul(c, (Fraction(-2, 3), Fraction(1, 5)))))
     return ref_sum(contributions)
+
+
+def drop_ref(p: dict) -> dict:
+    """The weight-dropping part of the same t: it leaks one weight down through y-lowering."""
+    return ref_sum([
+        (((a, b - 1), m), cmul(c, (Fraction(-2, 3), Fraction(1, 5)))) for ((a, b), m), c in p.items() if b
+    ])
 
 
 @SETTINGS
 @given(st.data())
 def test_slice_solver_apply_matches_reference(data):
-    t = LinearOp(lambda v: from_ref(2, t_ref(ref(v))), degree_shift=0, weight_change=0, d=3, name="t")
+    eta = LinearOp(lambda v: v, degree_shift=0, weight_change=0, d=3, name="id")
+    keep = LinearOp(lambda v: from_ref(2, keep_ref(ref(v))), degree_shift=0, weight_change=0, d=3, name="keep")
+    drop = LinearOp(lambda v: from_ref(2, drop_ref(ref(v))), degree_shift=0, weight_change=-1, d=3, name="drop")
     y = data.draw(polys(2, xi=True))
     # v = y - t(y): the leak of each solved slice cancels the matching terms of v
-    v = ref_sum([*ref(y).items(), *ref_neg(t_ref(ref(y))).items()])
-    got = SliceSolver(2, 3, t).apply(from_ref(2, v))
+    v = ref_sum([*ref(y).items(), *ref_neg(keep_ref(ref(y))).items(), *ref_neg(drop_ref(ref(y))).items()])
+    got = SliceSolver(2, 3, eta, keep, drop).apply(from_ref(2, v))
     assert ref(got) == ref(y)
     assert_canonical(got)

@@ -366,6 +366,25 @@ def test_custom_splitting_change_of_basis_identity():
         done += 1
 
 
+def test_higher_degree_splitting_solves_the_slices_its_drop_reaches():
+    """A section corrected by a higher-degree term lets eta raise weight, so the
+    weight-dropping perturbation can come back to the weight it left; those slices
+    are solved, and the change of basis to the standard session stays exact."""
+    x = SuperPoly.x(1, 0)
+    a = action_build(x**3 * Scalar(0, 1) + x**2)
+    std = ReduceSession(a)
+    alt = ReduceSession(a, phi_correction={(1,): x**2 * Scalar(q(1, 2))})
+    basis = jac_basis(1, 3)
+    for p in (2, 3, 4, 6):
+        f = x**p
+        rhs = JacClass(basis)
+        for m, c in alt.reduce(f).coeffs.items():
+            rhs = rhs + std.reduce(alt.phi(JacClass(basis, {m: 1}))).scale(c)
+        assert std.reduce(f) == rhs
+    assert std.solved_weights() == []
+    assert alt.solved_weights() == [0, 1, 2, 3, 4, 5, 6]
+
+
 def test_custom_splitting_rejects_basis_overlap():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
