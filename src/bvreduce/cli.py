@@ -146,8 +146,11 @@ def _write_json(path: str | None, obj) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def result_to_json(action: Action, jc: JacClass, diagnostics: dict) -> dict:

@@ -20,7 +20,7 @@ class NonDiagonalizableAction(EngineError):
 
 
 class NotGenericAtWeight(EngineError):
-    """A per-weight slice matrix of (id - delta*eta) is singular: the action is not generic.
+    """A per-weight slice matrix of id - keep o eta is singular: the action is not generic.
 
     The offending weight is reported so the failure is reproducible; no change
     of variables is attempted.
@@ -32,7 +32,7 @@ class NotGenericAtWeight(EngineError):
 
 
 class NonTerminating(EngineError):
-    """A map declared strictly weight-decreasing failed to reach zero within its iteration cap."""
+    """An operator sent a term to a weight its declaration rules out, so the weight sweep would not end."""
 
 
 class SingularMatrix(EngineError):
@@ -48,11 +48,12 @@ class ToleranceNotReached(EngineError):
 
 
 def read_json(path: str):
-    """The parsed contents of a JSON file; an unreadable or malformed file is an InputError."""
+    """The parsed contents of a JSON file; an unreadable, non-UTF-8 or malformed file is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, bytes that are not UTF-8, an integer over Python's digit limit, or nesting too deep
         raise InputError(f"malformed JSON in {path}: {exc}") from exc

@@ -24,11 +24,11 @@ keep o eta needs an exact inverse: when keep is given, id - keep o eta is
 assembled in integers on the monomial basis of each finite (homological
 degree, weight) slice the sweep reaches and factored once by fraction-free
 Gaussian elimination, with the columns of its inverse solved on first use.
-drop o eta, and keep on whatever part of eta's image leaves the weight it
-came from, feed the lower slices: a Neumann series that ends because weight
-is a non-negative integer.  Without keep no slice is built.  An image that
-the split does not allow is a NonTerminating error, never a silent
-truncation.
+That needs an eta that keeps weight exactly, which slice assembly checks.
+drop o eta feeds the lower slices: a Neumann series that ends because
+weight is a non-negative integer.  Without keep no slice is built.  An
+image that the split does not allow is a NonTerminating error, never a
+silent truncation.
 """
 from __future__ import annotations
 
@@ -41,12 +41,6 @@ from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatr
 from .linalg import invert
 from .scalars import ONE, Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
-
-# When true, every LinearOp call re-checks its declared degree shift and
-# weight change on the actual output.  Meant for the invariant test suite;
-# too slow to leave on in production pipelines.
-CHECK_DECLARED = False
-
 
 @dataclass(frozen=True)
 class LinearOp:
@@ -65,21 +59,7 @@ class LinearOp:
     name: str = ""
 
     def __call__(self, v: SuperPoly) -> SuperPoly:
-        out = self.fn(v)
-        if CHECK_DECLARED and not v.is_zero and not out.is_zero:
-            for key in out.terms:
-                h = key[1].bit_count()
-                w = term_weight(key, self.d)
-                ok = any(
-                    k[1].bit_count() + self.degree_shift == h
-                    and term_weight(k, self.d) + self.weight_change >= w
-                    for k in v.terms
-                )
-                if not ok:
-                    raise AssertionError(
-                        f"operator {self.name or self.fn} violated its declaration on {key}"
-                    )
-        return out
+        return self.fn(v)
 
 
 def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
@@ -92,29 +72,22 @@ def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
     )
 
 
-def neumann_apply(
-    v: SuperPoly, d: int, eta: LinearOp, keep: LinearOp | None, drop: LinearOp | None, solve=None
-) -> SuperPoly:
+def neumann_apply(v: SuperPoly, d: int, eta: LinearOp, drop: LinearOp | None, solve=None) -> SuperPoly:
     """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
-    keep preserves weight exactly and drop strictly lowers it, so t = delta
-    o eta splits as t0 = keep o (the part of eta(y) at y's weight), which
-    stays in its (homological degree, weight) slice, plus the strictly
-    weight-lowering rest t1.  Then (id - t)^{-1} = sum_k (S t1)^k S with S =
-    (id - t0)^{-1}, a Neumann series in t1 that ends because weight is a
-    non-negative integer.  The sweep groups it by weight: at weight w it
-    sets y = S(bucket w), adds y to the output and hands t1(y) = drop(eta(y))
-    + keep(the part of eta(y) off weight w) on to the lower buckets.
-    solve(h, w, terms) applies S to a bucket; without keep, t0 = 0 and no
-    solve is needed, unless eta raises weight far enough for drop o eta to
-    reach back into the slice it came from: then solve has accounted for
-    drop's images at w.  Any other image at or above w is a NonTerminating
-    error, never a silent truncation.
+    keep preserves weight exactly, and so does eta wherever a slice is
+    solved, so keep o eta stays in its (homological degree, weight) slice
+    and drop o eta strictly lowers weight.  Then (id - delta o eta)^{-1} =
+    sum_k (S drop eta)^k S with S = (id - keep o eta)^{-1}, a Neumann series
+    that ends because weight is a non-negative integer.  The sweep groups it
+    by weight: at weight w it sets y = S(bucket w) by solve(h, w, terms),
+    adds y to the output and hands drop(eta(y)) on to the lower buckets.
+    Without keep, S = id and no solve is given.  An image at or above w is a
+    NonTerminating error, never a silent truncation.
     """
     if v.is_zero:
         return v
     n = v.n
-    reentry = solve is not None and keep is None
     out: dict[Key, Scalar] = {}
     # group the input by degree, then sweep each degree top weight down
     by_h: dict[int, dict[int, dict[Key, Scalar]]] = {}
@@ -128,30 +101,22 @@ def neumann_apply(
                 y_terms = solve(h, w, y_terms)
             for key, c in y_terms.items():
                 add_term(out, key, c)
+            if drop is None:
+                continue
             e = eta.fn(SuperPoly._wrap(n, y_terms))
             if e.is_zero:
                 continue
-            images = []
-            if drop is not None:
-                images.append((drop, drop.fn(e)))
-            if keep is not None:
-                off = {key: c for key, c in e.terms.items() if term_weight(key, d) != w}
-                if off:
-                    images.append((keep, keep.fn(SuperPoly._wrap(n, off))))
-            for op, img in images:
-                for key, c in img.terms.items():
-                    ww = term_weight(key, d)
-                    if ww >= w:
-                        if ww == w and reentry:
-                            continue
-                        raise NonTerminating(
-                            f"operator {op.name!r} declared weight change {op.weight_change} "
-                            f"but sent weight {w} to weight {ww}"
-                        )
-                    bucket = pending.setdefault(ww, {})
-                    add_term(bucket, key, c)
-                    if not bucket:
-                        pending.pop(ww, None)
+            for key, c in drop.fn(e).terms.items():
+                ww = term_weight(key, d)
+                if ww >= w:
+                    raise NonTerminating(
+                        f"operator {drop.name!r} declared weight change {drop.weight_change} "
+                        f"but sent weight {w} to weight {ww}"
+                    )
+                bucket = pending.setdefault(ww, {})
+                add_term(bucket, key, c)
+                if not bucket:
+                    pending.pop(ww, None)
     return SuperPoly._wrap(n, out)
 
 
@@ -205,18 +170,15 @@ class SliceSolver:
     With keep, each (degree, weight) slice the sweep reaches is solved
     against id - keep o eta, assembled by `_slice` straight into Gaussian
     integers, each column over its own denominator, and factored once by
-    `linalg.invert`.  The slice is memoized as its `Factor`: a fraction-free
-    LU, an integer det and the columns of X = det (id - keep o eta)^{-1},
-    each solved on first use.  A bucket r is cleared to Gaussian integers
-    over one common denominator L, X r is accumulated in integers over the
-    columns r touches and each nonzero output entry is divided once, by L *
-    det.  Concurrent readers see a consistent cache thanks to single-flight
-    population of slices and columns under a lock.
-
-    An eta that raises weight (a section corrected by higher-degree terms)
-    can bring drop o eta back to the weight it came from; drop then declares
-    that by a weight change that eta's gain cancels, and its in-slice images
-    are solved in place of keep's.
+    `linalg.invert`.  Assembly also checks, once per slice, that eta keeps
+    the weight of every basis monomial, so that drop o eta is all the sweep
+    has left to apply.  The slice is memoized as its `Factor`: a
+    fraction-free LU, an integer det and the columns of X = det (id - keep o
+    eta)^{-1}, each solved on first use.  A bucket r is cleared to Gaussian
+    integers over one common denominator L, X r is accumulated in integers
+    over the columns r touches and each nonzero output entry is divided
+    once, by L * det.  Concurrent readers see a consistent cache thanks to
+    single-flight population of slices and columns under a lock.
     """
 
     def __init__(self, n: int, d: int, eta: LinearOp, keep: LinearOp | None, drop: LinearOp | None):
@@ -234,8 +196,7 @@ class SliceSolver:
         self.eta = eta
         self.keep = keep
         self.drop = drop
-        reentry = drop is not None and drop.weight_change + eta.weight_change == 0
-        self.solves = keep is not None or reentry
+        self.solves = keep is not None
         self._cache: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
 
@@ -243,15 +204,15 @@ class SliceSolver:
         return sorted({w for (_, w) in self._cache})
 
     def _in_slice(self, key: Key, w: int, index: dict[Key, int]) -> dict[Key, Scalar]:
-        """The image of the basis monomial key under the in-slice part of delta o eta."""
+        """The image of the basis monomial key under keep o eta, which must stay in its slice."""
         n, d = self.n, self.d
         e = self.eta.fn(SuperPoly._wrap(n, {key: ONE}))
-        if self.keep is None:
-            return {kk: c for kk, c in self.drop.fn(e).terms.items() if kk in index}
-        at = {kk: c for kk, c in e.terms.items() if term_weight(kk, d) == w}
-        if not at:
-            return at
-        img = self.keep.fn(SuperPoly._wrap(n, at)).terms
+        for kk in e.terms:
+            if term_weight(kk, d) != w:
+                raise NonTerminating(f"operator {self.eta.name!r} sent weight {w} to weight {term_weight(kk, d)}")
+        if e.is_zero:
+            return {}
+        img = self.keep.fn(e).terms
         for kk in img:
             if kk not in index:
                 raise NonTerminating(
@@ -308,7 +269,7 @@ class SliceSolver:
             return entry
 
     def apply(self, v: SuperPoly) -> SuperPoly:
-        return neumann_apply(v, self.d, self.eta, self.keep, self.drop, self._solve if self.solves else None)
+        return neumann_apply(v, self.d, self.eta, self.drop, self._solve if self.solves else None)
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
         """X r / det for the (h, w) slice and its terms r; a column of X is solved when r first needs it."""

@@ -29,10 +29,10 @@ from math import comb, perm
 
 from . import bvdiff
 from .bvdiff import Action, _contract, d_diag, d_div
-from .errors import InputError, NonDiagonalizableAction
+from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import MAX_OBSERVABLE_WEIGHT, LinearOp, Retraction, perturb_retraction
 from .linalg import invert, rank
-from .scalars import Scalar, gauss, q
+from .scalars import Scalar, clear_denominators, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -186,22 +186,40 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     return SuperPoly._wrap(v.n, out)
 
 
-def diag_retraction(action: Action, phi_correction=None) -> Retraction:
-    """The explicit retraction of the diagonal complex onto the basis span.
-
-    phi_correction optionally perturbs the monomial-inclusion section: a map
-    from basis monomials to polynomials killed by tau_diag.  The homotopy is
-    corrected to eta - eta o correction o tau so the retraction identity
-    survives, and the returned tau then expresses classes over the perturbed
-    representatives phi(m) = x^m + correction[m].
-    """
+def diag_retraction(action: Action) -> Retraction:
+    """The explicit retraction of the diagonal complex onto the basis span, by monomial inclusion."""
     _check_diag(action)
-    n, d = action.n, action.d
-    basis = jac_basis(n, d)
-    correction: dict[tuple[int, ...], SuperPoly] = {}
-    corr_gain = 0
-    if phi_correction:
-        for m, c in phi_correction.items():
+    d = action.d
+    return Retraction(
+        n=action.n,
+        d=d,
+        tau=lambda v: tau_diag(v, d),
+        phi=JacClass.to_superpoly,
+        eta=LinearOp(lambda v: eta_diag(v, action), degree_shift=1, weight_change=0, d=d, name="eta_diag"),
+        diff=LinearOp(lambda v: d_diag(action, v), degree_shift=-1, weight_change=0, d=d, name="d_diag"),
+    )
+
+
+class ReduceSession:
+    """Action plus the retraction transferred across d_bv - d_diag and its memoized solves.
+
+    phi_correction optionally replaces the monomial-inclusion section by
+    phi(x^m) = x^m + c_m, for a map from basis monomials m to xi-free
+    polynomials c_m killed by tau_diag.  Another section only changes the
+    basis of H: with tau the transferred projection and M the matrix whose
+    columns are e_m + tau(c_m), the classes over the new representatives
+    are M^{-1} tau, and M is factored once here.
+
+    Construction is single-threaded; afterwards reduce() may be called
+    concurrently (the per-weight caches populate under a lock).
+    """
+
+    def __init__(self, action: Action, phi_correction=None):
+        self.action = action
+        self.basis = basis = jac_basis(action.n, action.d)
+        n, d = action.n, action.d
+        correction: dict[tuple[int, ...], SuperPoly] = {}
+        for m, c in (phi_correction or {}).items():
             m = tuple(m)
             if m not in basis.monomials:
                 raise InputError(f"{m} is not a basis monomial")
@@ -213,53 +231,6 @@ def diag_retraction(action: Action, phi_correction=None) -> Retraction:
                 raise InputError("corrections must vanish under tau_diag")
             if not c.is_zero:
                 correction[m] = c
-                corr_gain = max(corr_gain, c.max_xdeg() - sum(m))
-
-    def phi(h: JacClass) -> SuperPoly:
-        out = h.to_superpoly()
-        for m, c in h.coeffs.items():
-            extra = correction.get(m)
-            if extra is not None:
-                out = out + extra.scale(c)
-        return out
-
-    def base_eta(v: SuperPoly) -> SuperPoly:
-        return eta_diag(v, action)
-
-    if correction:
-        def eta_fn(v: SuperPoly) -> SuperPoly:
-            corr = SuperPoly.zero(n)
-            for m, c in tau_diag(v, d).coeffs.items():
-                extra = correction.get(m)
-                if extra is not None:
-                    corr = corr + extra.scale(c)
-            return base_eta(v) - base_eta(corr)
-    else:
-        eta_fn = base_eta
-
-    eta = LinearOp(eta_fn, degree_shift=1, weight_change=corr_gain, d=d, name="eta_diag")
-    diff = LinearOp(lambda v: d_diag(action, v), degree_shift=-1, weight_change=0, d=d, name="d_diag")
-    return Retraction(
-        n=n,
-        d=d,
-        tau=lambda v: tau_diag(v, d),
-        phi=phi,
-        eta=eta,
-        diff=diff,
-    )
-
-
-class ReduceSession:
-    """Action plus the retraction transferred across d_bv - d_diag and its memoized solves.
-
-    Construction is single-threaded; afterwards reduce() may be called
-    concurrently (the per-weight caches populate under a lock).
-    """
-
-    def __init__(self, action: Action, phi_correction=None):
-        self.action = action
-        self.basis = jac_basis(action.n, action.d)
-        d = action.d
         keep = None
         if action.has_mix():
             keep = LinearOp(
@@ -273,7 +244,20 @@ class ReduceSession:
             )
         else:
             drop = LinearOp(d_div, degree_shift=-1, weight_change=-d, d=d, name="div")
-        self.retraction = perturb_retraction(diag_retraction(action, phi_correction), keep, drop)
+        self.retraction = perturb_retraction(diag_retraction(action), keep, drop)
+        self._correction = correction
+        self._change = None
+        if correction:
+            # column m of M is the class of x^m + c_m over the monomial-inclusion section
+            index = {m: i for i, m in enumerate(basis.monomials)}
+            mat = [[Scalar(int(i == j)) for j in range(len(index))] for i in range(len(index))]
+            for m, c in correction.items():
+                for mm, v in self.retraction.tau(c).coeffs.items():
+                    mat[index[mm]][index[m]] += v
+            try:
+                self._change = invert(mat)
+            except SingularMatrix:
+                raise InputError("the corrected representatives are not a basis of the homology") from None
 
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:
@@ -281,10 +265,23 @@ class ReduceSession:
         w = f.max_weight(self.action.d)
         if w > MAX_OBSERVABLE_WEIGHT:
             raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
-        return self.retraction.tau(f)
+        h = self.retraction.tau(f)
+        if self._change is None:
+            return h
+        rhs, den = clear_denominators(h.vector())
+        scale = self._change.det * den
+        out = JacClass(self.basis)
+        sol = self._change.solve(rhs)
+        out.coeffs = {m: gauss(a, b, scale) for m, (a, b) in zip(self.basis.monomials, sol) if a or b}
+        return out
 
     def phi(self, h: JacClass) -> SuperPoly:
-        return self.retraction.phi(h)
+        out = h.to_superpoly()
+        for m, c in h.coeffs.items():
+            extra = self._correction.get(m)
+            if extra is not None:
+                out = out + extra.scale(c)
+        return out
 
     def solved_weights(self) -> list[int]:
         return self.retraction.solved_weights()

@@ -288,20 +288,33 @@ def _contour(**fields):
         (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, n=True), {}),
         (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, observable=[{"exp": [True], "re": [1, 1]}]), {}),
         (["reduce", "{p}"], _with(CUBIC_PROBLEM, None, observable=[{"exp": [3], "re": [True, 3]}]), {}),
+        # bytes that are not UTF-8, an integer past Python's 4300-digit limit, nesting past the recursion limit
+        (["reduce", "{dir}/r.json"], None, {"r.json": b'{"n": 1, "action": "\xff"}'}),
+        (["reduce", "{dir}/r.json"], None, {"r.json": '{"n": 1' + "0" * 5000 + "}"}),
+        (["reduce", "{dir}/r.json"], None, {"r.json": "[" * 100_000}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
          "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
          "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
-         "n-true", "exp-true", "re-true"],
+         "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:
         write(tmp_path / "p.json", problem)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     argv = [a.format(p=tmp_path / "p.json", dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: invalid input:")
+
+
+def test_unwritable_output_exit_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["basis", "--n", "1", "--d", "3", "-o", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: invalid input: cannot write {out}:")
 
 
 @pytest.mark.parametrize(

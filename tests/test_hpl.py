@@ -15,6 +15,7 @@ from bvreduce import (
 from bvreduce.bvdiff import _contract, contraction_terms, d_div
 from bvreduce.hpl import LinearOp, SliceSolver
 from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
+from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
 
 
@@ -97,6 +98,13 @@ def test_nonterminating_guard():
     sinking = LinearOp(lambda v: v.dx(0), 0, 0, 3, "d/dx-disguised")
     with pytest.raises(NonTerminating):
         SliceSolver(1, 3, eta, sinking, None).apply(x**2)
+    # an eta that lowers weight cannot have its slice solved: slice assembly refuses it
+    lowering = SliceSolver(1, 3, LinearOp(lambda v: v.dx(0), 0, -1, 3, "d/dx"), eta, None)
+    with pytest.raises(NonTerminating):
+        lowering._slice(0, 2)
+    with pytest.raises(NonTerminating):
+        lowering.apply(x**2)
+    assert lowering.solved_weights() == []
 
 
 def test_perturb_zero_delta_keeps_tau():
@@ -226,20 +234,40 @@ def test_two_perturbations_equal_combined():
     assert three
 
 
+def _assert_grading(op, v, d, exact):
+    """op sends each monomial of v to degree + op.degree_shift, and to weight + op.weight_change
+    exactly when exact, else to at most that weight."""
+    for key, c in v.terms.items():
+        h, w = key[1].bit_count(), term_weight(key, d)
+        for kk in op(SuperPoly(v.n, {key: c})).terms:
+            assert kk[1].bit_count() == h + op.degree_shift, (op.name, key, kk)
+            ww = term_weight(kk, d)
+            assert ww == w + op.weight_change if exact else ww <= w + op.weight_change, (op.name, key, kk)
+
+
 def test_declared_gradings_hold_at_runtime():
+    """The sweep trusts the session's declarations: eta raises degree by 1 and keeps weight,
+    keep lowers degree by 1 and keeps weight, drop lowers degree by 1 and weight by at least
+    -drop.weight_change.  Checked on random inputs of every homological degree."""
     rng = random.Random(53)
-    hpl.CHECK_DECLARED = True
-    try:
-        for _ in range(5):
-            n, d = rng.randint(1, 2), rng.randint(2, 3)
-            a = random_action(rng, n, d)
-            try:
-                sess = ReduceSession(a)
-                sess.reduce(_random_degree0(rng, n, cap=6))
-            except NotGenericAtWeight:
-                continue
-    finally:
-        hpl.CHECK_DECLARED = False
+    kinds = set()
+    for t in range(12):
+        n, d = rng.randint(1, 3), rng.randint(2, 4)
+        a = random_action(rng, n, d, homogeneous=t % 3 == 0)
+        (solver,) = ReduceSession(a).retraction.solvers
+        assert solver.eta.degree_shift == 1 and solver.eta.weight_change == 0
+        assert solver.drop.degree_shift == -1 and solver.drop.weight_change < 0
+        if solver.keep is not None:
+            assert solver.keep.degree_shift == -1 and solver.keep.weight_change == 0
+        kinds.add((solver.keep is not None, a.has_lower()))
+        for h in range(n + 1):
+            for _ in range(2):
+                v = _random_of_degree(rng, n, d, h, max_weight=12)
+                _assert_grading(solver.eta, v, d, exact=True)
+                _assert_grading(solver.drop, v, d, exact=False)
+                if solver.keep is not None:
+                    _assert_grading(solver.keep, v, d, exact=True)
+    assert len(kinds) == 4
 
 
 def _degree0_op(images, name, n=2, d=3):
@@ -391,8 +419,7 @@ def test_every_factored_slice_inverts_the_whole_in_slice_block():
 
     The in-slice block of (d_bv - d_diag) o eta is computed here with Scalar
     arithmetic from the definition, for real and complex actions, mixed and
-    inhomogeneous, and for a session whose section has a lower-degree
-    correction, so that eta also lowers weight.
+    inhomogeneous.
     """
     rng = random.Random(55)
     cases = []
@@ -403,24 +430,17 @@ def test_every_factored_slice_inverts_the_whole_in_slice_block():
             continue
         if len(cases) % 2:
             a = _complexified(rng, a)
-        cases.append((a, None))
-    x0 = SuperPoly.x(2, 0)
-    while True:
-        a = random_action(rng, 2, 4)
-        if a.has_mix():
-            cases.append((a, {(2, 2): x0**3 * Scalar(q(1, 2))}))  # degree 3 < 4, killed by tau_diag
-            break
+        cases.append(a)
     factored = complex_factored = 0
-    for a, corr in cases:
-        session = ReduceSession(a, phi_correction=corr)
+    for a in cases:
+        session = ReduceSession(a)
         try:
             for _ in range(2):
                 session.reduce(_random_degree0(rng, a.n, cap=6))
             session.reduce(random_degree1(rng, a.n, a.d, 6))
         except NotGenericAtWeight:
             continue
-        got = _factored_slices_invert_their_blocks(session, diag_retraction(a, corr).eta)
+        got = _factored_slices_invert_their_blocks(session, diag_retraction(a).eta)
         factored += got
         complex_factored += got if any(c.b for c in a.s.terms.values()) else 0
-        assert got or corr is None
     assert factored and complex_factored
