@@ -19,7 +19,6 @@ from .errors import (
     ToleranceNotReached,
 )
 from .hbar import HbarModel, HbarSeries, hbar_eta, hbar_oracle, hbar_reduce, isserlis_moment
-from .hpl import LinearOp, Retraction, perturb_retraction
 from .oracle import ComplexEstimate, ContourSpec, contour_integrate, default_contours, verify_reduction
 from .reduce import (
     JacBasis,
@@ -47,13 +46,11 @@ __all__ = [
     "InputError",
     "JacBasis",
     "JacClass",
-    "LinearOp",
     "NonDiagonalizableAction",
     "NonTerminating",
     "NotAllowable",
     "NotGenericAtWeight",
     "ReduceSession",
-    "Retraction",
     "Scalar",
     "SingularMatrix",
     "SuperPoly",
@@ -72,7 +69,6 @@ __all__ = [
     "isserlis_moment",
     "jac_basis",
     "jac_rank_check",
-    "perturb_retraction",
     "q",
     "reduce_full",
     "tau_diag",

@@ -262,6 +262,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1 or args.d < 2:
+        raise InputError(f"verify needs --n >= 1 and --d >= 2, got n={args.n}, d={args.d}")
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
+    if args.maxdeg < args.d - 1:
+        # the lightest degree-1 element, xi_i, already has weight d - 1
+        raise InputError(f"--maxdeg must be at least d - 1 = {args.d - 1}, got {args.maxdeg}")
     print(f"verify: trials={args.trials} seed={args.seed} n<={args.n} d<={args.d} maxdeg={args.maxdeg}")
     if args.trials == 0:
         print("verify: 0 checks run (trials=0)")

@@ -32,7 +32,12 @@ class NotGenericAtWeight(EngineError):
 
 
 class NonTerminating(EngineError):
-    """An operator sent a term to a weight its declaration rules out, so the weight sweep would not end."""
+    """eta or a part of the perturbation sent a term to a weight the keep/drop split rules out.
+
+    The weight sweep of (id - delta o eta)^{-1} ends only because drop o eta
+    strictly lowers weight and keep o eta stays in its slice; an image that
+    breaks either would make it run on or truncate silently.
+    """
 
 
 class SingularMatrix(EngineError):

@@ -1,13 +1,11 @@
-"""Generic homological perturbation engine.
+"""Homological perturbation: one solver for the transferred projection.
 
-A retraction (tau, phi, eta) exhibits a complex of SuperPoly values as
-homotopy equivalent to its degree-0 homology H.  The convention used
-throughout the engine is
+The diagonal retraction (tau, phi, eta) exhibits a complex of SuperPoly
+values as homotopy equivalent to its degree-0 homology H, with
 
-    tau o phi = id_H,        phi o tau - id_V = D o eta + eta o D,
+    tau o phi = id_H,        phi o tau - id_V = D o eta + eta o D.
 
-and every transferred map below re-establishes exactly this convention for
-the deformed differential.  Deforming D by a small delta produces
+Deforming D by a small delta re-establishes exactly this convention with
 
     tau' = tau o (id - delta o eta)^{-1}
     eta' = eta o (id - delta o eta)^{-1}
@@ -16,24 +14,24 @@ the deformed differential.  Deforming D by a small delta produces
                            the transferred differential on H are unchanged)
 
 Transferring across delta1 and then delta2 gives the same tau as one
-transfer across delta1 + delta2, so a caller perturbs once by the whole
-deformation, handed over as two parts: keep, which preserves weight exactly,
-and drop, which strictly lowers it.  A SliceSolver applies (id - delta o
-eta)^{-1} by one sweep from the top weight down, `neumann_apply`.  Only
-keep o eta needs an exact inverse: when keep is given, id - keep o eta is
-assembled in integers on the monomial basis of each finite (homological
-degree, weight) slice the sweep reaches and factored once by fraction-free
-Gaussian elimination, with the columns of its inverse solved on first use.
-That needs an eta that keeps weight exactly, which slice assembly checks.
-drop o eta feeds the lower slices: a Neumann series that ends because
-weight is a non-negative integer.  Without keep no slice is built.  An
-image that the split does not allow is a NonTerminating error, never a
-silent truncation.
+transfer across delta1 + delta2, so the caller perturbs once by the whole
+deformation, handed over as two plain SuperPoly -> SuperPoly callables:
+keep, which preserves weight exactly, and drop, which strictly lowers it.  A
+SliceSolver applies (id - delta o eta)^{-1} by one sweep from the top weight
+down, `neumann_apply`.  Only keep o eta needs an exact inverse: when keep is
+given, id - keep o eta is assembled in integers on the monomial basis of
+each finite (homological degree, weight) slice the sweep reaches and
+factored once by fraction-free Gaussian elimination, with the columns of its
+inverse solved on first use.  That needs an eta that keeps weight exactly,
+which slice assembly checks.  drop o eta feeds the lower slices: a Neumann
+series that ends because weight is a non-negative integer.  Without keep no
+slice is built.  Nothing about eta, keep or drop is taken on trust: an image
+off the weight the split allows is a NonTerminating error, never a silent
+truncation.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
@@ -42,37 +40,10 @@ from .linalg import invert
 from .scalars import ONE, Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
-@dataclass(frozen=True)
-class LinearOp:
-    """A Scalar-linear map on SuperPoly with declared grading behavior.
-
-    degree_shift is the homological degree change; weight_change is an upper
-    bound on the weight increase (0 means weight-non-increasing, negative
-    means a strict drop by at least that amount).  d is the degree used for
-    the weight grading.
-    """
-
-    fn: Callable[[SuperPoly], SuperPoly]
-    degree_shift: int
-    weight_change: int
-    d: int
-    name: str = ""
-
-    def __call__(self, v: SuperPoly) -> SuperPoly:
-        return self.fn(v)
+Map = Callable[[SuperPoly], SuperPoly]
 
 
-def op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
-    return LinearOp(
-        fn=lambda v: a.fn(v) + b.fn(v),
-        degree_shift=a.degree_shift,
-        weight_change=max(a.weight_change, b.weight_change),
-        d=a.d,
-        name=f"{a.name}+{b.name}",
-    )
-
-
-def neumann_apply(v: SuperPoly, d: int, eta: LinearOp, drop: LinearOp | None, solve=None) -> SuperPoly:
+def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map | None, solve=None) -> SuperPoly:
     """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
     keep preserves weight exactly, and so does eta wherever a slice is
@@ -103,33 +74,18 @@ def neumann_apply(v: SuperPoly, d: int, eta: LinearOp, drop: LinearOp | None, so
                 add_term(out, key, c)
             if drop is None:
                 continue
-            e = eta.fn(SuperPoly._wrap(n, y_terms))
+            e = eta(SuperPoly._wrap(n, y_terms))
             if e.is_zero:
                 continue
-            for key, c in drop.fn(e).terms.items():
+            for key, c in drop(e).terms.items():
                 ww = term_weight(key, d)
                 if ww >= w:
-                    raise NonTerminating(
-                        f"operator {drop.name!r} declared weight change {drop.weight_change} "
-                        f"but sent weight {w} to weight {ww}"
-                    )
+                    raise NonTerminating(f"the weight-dropping part sent weight {w} to weight {ww}")
                 bucket = pending.setdefault(ww, {})
                 add_term(bucket, key, c)
                 if not bucket:
                     pending.pop(ww, None)
     return SuperPoly._wrap(n, out)
-
-
-def _xi_masks(n: int, h: int) -> list[int]:
-    """All xi words with h factors among n variables, in canonical order."""
-    if h == 0:
-        return [0]
-    masks = []
-    for m in range(1 << n):
-        if m.bit_count() == h:
-            masks.append(m)
-    masks.sort(key=lambda m: tuple(i for i in range(n) if m >> i & 1))
-    return masks
 
 
 def slice_basis(n: int, d: int, h: int, w: int) -> list[Key]:
@@ -138,10 +94,11 @@ def slice_basis(n: int, d: int, h: int, w: int) -> list[Key]:
     if xdeg < 0 or h > n:
         return []
     keys = []
-    for mask in _xi_masks(n, h):
-        for e in monomials_of_degree(n, xdeg):
-            keys.append((e, mask))
-    keys.sort(key=lambda k: (k[0], k[1]))
+    for mask in range(1 << n):
+        if mask.bit_count() == h:
+            for e in monomials_of_degree(n, xdeg):
+                keys.append((e, mask))
+    keys.sort()
     return keys
 
 
@@ -162,10 +119,13 @@ minutes without building a slice over MAX_SLICE_ROWS.
 class SliceSolver:
     """Applies (id - delta o eta)^{-1} for a perturbation delta = keep + drop.
 
-    keep preserves weight exactly and drop strictly lowers it; both undo the
-    homological degree that eta adds.  `apply` is the `neumann_apply` sweep
-    from the top weight down.  Without keep the sweep is the plain Neumann
-    series: no slice is built and drop o eta runs once per weight level.
+    eta, keep and drop are plain SuperPoly -> SuperPoly maps.  keep preserves
+    weight exactly and drop strictly lowers it; both undo the homological
+    degree that eta adds.  The sweep checks the weight of every image it
+    uses and raises NonTerminating on one the split rules out.  `apply` is
+    the `neumann_apply` sweep from the top weight down.  Without keep the
+    sweep is the plain Neumann series: no slice is built and drop o eta runs
+    once per weight level.
 
     With keep, each (degree, weight) slice the sweep reaches is solved
     against id - keep o eta, assembled by `_slice` straight into Gaussian
@@ -181,22 +141,12 @@ class SliceSolver:
     single-flight population of slices and columns under a lock.
     """
 
-    def __init__(self, n: int, d: int, eta: LinearOp, keep: LinearOp | None, drop: LinearOp | None):
-        for op in (keep, drop):
-            if op is not None and op.degree_shift + eta.degree_shift != 0:
-                raise ValueError("slice solving needs a perturbation that undoes eta's degree shift")
-            if op is not None and op.weight_change + eta.weight_change > 0:
-                raise ValueError("slice solving needs a weight-non-increasing perturbation")
-        if keep is not None and keep.weight_change != 0:
-            raise ValueError("the weight-keeping part must declare weight change 0")
-        if drop is not None and drop.weight_change >= 0:
-            raise ValueError("the weight-dropping part must declare a strict drop")
+    def __init__(self, n: int, d: int, eta: Map, keep: Map | None, drop: Map | None):
         self.n = n
         self.d = d
         self.eta = eta
         self.keep = keep
         self.drop = drop
-        self.solves = keep is not None
         self._cache: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
 
@@ -206,19 +156,16 @@ class SliceSolver:
     def _in_slice(self, key: Key, w: int, index: dict[Key, int]) -> dict[Key, Scalar]:
         """The image of the basis monomial key under keep o eta, which must stay in its slice."""
         n, d = self.n, self.d
-        e = self.eta.fn(SuperPoly._wrap(n, {key: ONE}))
+        e = self.eta(SuperPoly._wrap(n, {key: ONE}))
         for kk in e.terms:
             if term_weight(kk, d) != w:
-                raise NonTerminating(f"operator {self.eta.name!r} sent weight {w} to weight {term_weight(kk, d)}")
+                raise NonTerminating(f"eta sent weight {w} to weight {term_weight(kk, d)}")
         if e.is_zero:
             return {}
-        img = self.keep.fn(e).terms
+        img = self.keep(e).terms
         for kk in img:
             if kk not in index:
-                raise NonTerminating(
-                    f"operator {self.keep.name!r} declared weight change 0 "
-                    f"but sent weight {w} to weight {term_weight(kk, d)}"
-                )
+                raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {term_weight(kk, d)}")
         return img
 
     def _slice(self, h: int, w: int):
@@ -269,7 +216,7 @@ class SliceSolver:
             return entry
 
     def apply(self, v: SuperPoly) -> SuperPoly:
-        return neumann_apply(v, self.d, self.eta, self.drop, self._solve if self.solves else None)
+        return neumann_apply(v, self.d, self.eta, self.drop, None if self.keep is None else self._solve)
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
         """X r / det for the (h, w) slice and its terms r; a column of X is solved when r first needs it."""
@@ -298,68 +245,3 @@ class SliceSolver:
         # r = rhs / den, so X r / det = y / (den * det)
         scale = den * factor.det
         return {basis[i]: gauss(a, b, scale) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
-
-
-@dataclass
-class Retraction:
-    """A retraction of a SuperPoly complex onto its degree-0 homology.
-
-    tau maps V to H (realized however the caller likes, e.g. JacClass), phi is
-    a section of tau, eta is the degree +1 homotopy on V, and diff is the
-    differential of the V side, with phi o tau - id = diff o eta + eta o diff.
-    The transferred differential on H is zero for every retraction this
-    engine constructs; the exactness invariant tau o diff = 0 on degree-1
-    inputs witnesses it.
-    """
-
-    n: int
-    d: int
-    tau: Callable[[SuperPoly], object]
-    phi: Callable[[object], SuperPoly]
-    eta: LinearOp
-    diff: LinearOp
-    solvers: tuple = ()
-
-    def solved_weights(self) -> list[int]:
-        ws: set[int] = set()
-        for s in self.solvers:
-            ws.update(s.solved_weights())
-        return sorted(ws)
-
-
-def perturb_retraction(r: Retraction, keep: LinearOp | None, drop: LinearOp | None) -> Retraction:
-    """Transfer the retraction across the small deformation delta = keep + drop of its differential.
-
-    keep is the part of delta that preserves weight exactly and drop the
-    part that strictly lowers it; either may be None.  The caller
-    guarantees (diff + delta)^2 = 0.  When H is concentrated in degree 0
-    and V in non-negative degrees, delta o phi lands in degree -1 and
-    vanishes, so phi and the zero differential on H carry over unchanged.
-    (id - delta o eta)^{-1} is one SliceSolver, which builds slices only
-    when keep is given.
-    """
-    solver = SliceSolver(r.n, r.d, r.eta, keep, drop)
-    apply_inv = solver.apply
-    tau0, eta0 = r.tau, r.eta
-    diff = r.diff
-    for op in (keep, drop):
-        if op is not None:
-            diff = op_sum(diff, op)
-    name = "+".join(op.name for op in (keep, drop) if op is not None)
-
-    new_eta = LinearOp(
-        fn=lambda v: eta0.fn(apply_inv(v)),
-        degree_shift=1,
-        weight_change=eta0.weight_change,
-        d=r.d,
-        name=f"eta[{name}]",
-    )
-    return Retraction(
-        n=r.n,
-        d=r.d,
-        tau=lambda v: tau0(apply_inv(v)),
-        phi=r.phi,
-        eta=new_eta,
-        diff=diff,
-        solvers=r.solvers + (solver,),
-    )

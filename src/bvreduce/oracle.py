@@ -72,8 +72,11 @@ class ContourSpec:
         try:
             wps = tuple(complex(a, b) for a, b in obj["waypoints"])
             dirs = tuple(complex(a, b) for a, b in obj["end_directions"])
-            return ContourSpec(wps, (dirs[0], dirs[1]), float(obj["ray_length"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            if len(dirs) != 2:
+                raise InputError(f"a contour needs exactly two end directions, got {len(dirs)}")
+            return ContourSpec(wps, dirs, float(obj["ray_length"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON integer past the float range
             raise InputError(f"bad contour description: {exc}") from exc
 
 
@@ -399,4 +402,6 @@ def load_contours(path: str) -> list[ContourSpec]:
         data = [data]
     if not isinstance(data, list):
         raise InputError("contour file must hold an object or a list of objects")
+    if not data:
+        raise InputError("contour file holds no contour")
     return [ContourSpec.from_json(obj) for obj in data]

@@ -28,9 +28,9 @@ from functools import lru_cache
 from math import comb, perm
 
 from . import bvdiff
-from .bvdiff import Action, _contract, d_diag, d_div
+from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
-from .hpl import MAX_OBSERVABLE_WEIGHT, LinearOp, Retraction, perturb_retraction
+from .hpl import MAX_OBSERVABLE_WEIGHT, SliceSolver
 from .linalg import invert, rank
 from .scalars import Scalar, clear_denominators, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
@@ -186,22 +186,14 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     return SuperPoly._wrap(v.n, out)
 
 
-def diag_retraction(action: Action) -> Retraction:
-    """The explicit retraction of the diagonal complex onto the basis span, by monomial inclusion."""
-    _check_diag(action)
-    d = action.d
-    return Retraction(
-        n=action.n,
-        d=d,
-        tau=lambda v: tau_diag(v, d),
-        phi=JacClass.to_superpoly,
-        eta=LinearOp(lambda v: eta_diag(v, action), degree_shift=1, weight_change=0, d=d, name="eta_diag"),
-        diff=LinearOp(lambda v: d_diag(action, v), degree_shift=-1, weight_change=0, d=d, name="d_diag"),
-    )
-
-
 class ReduceSession:
-    """Action plus the retraction transferred across d_bv - d_diag and its memoized solves.
+    """Action plus the diagonal retraction transferred across d_bv - d_diag, as one SliceSolver.
+
+    The solver applies (id - delta o eta_diag)^{-1} for delta = d_bv - d_diag,
+    split by weight: keep is the contraction with the mixed top gradients,
+    drop the contraction with the lower-order gradients plus the divergence.
+    The transferred projection is tau' = tau_diag o solver.apply, and the
+    transferred homotopy eta_diag o solver.apply; phi' = phi.
 
     phi_correction optionally replaces the monomial-inclusion section by
     phi(x^m) = x^m + c_m, for a map from basis monomials m to xi-free
@@ -231,20 +223,13 @@ class ReduceSession:
                 raise InputError("corrections must vanish under tau_diag")
             if not c.is_zero:
                 correction[m] = c
-        keep = None
-        if action.has_mix():
-            keep = LinearOp(
-                lambda v: _contract(action.cgrad_mix, v), degree_shift=-1, weight_change=0, d=d, name="d_mix"
-            )
+        _check_diag(action)
+        keep = (lambda v: _contract(action.cgrad_mix, v)) if action.has_mix() else None
+        # every lower part loses at least d minus its degree in weight, the divergence d
+        drop = d_div
         if action.has_lower():
-            # every lower part loses at least d minus its degree in weight, the divergence d
-            drop = LinearOp(
-                lambda v: _contract(action.cgrad_low, v) + d_div(v),
-                degree_shift=-1, weight_change=action.low.max_xdeg() - d, d=d, name="d_low+div",
-            )
-        else:
-            drop = LinearOp(d_div, degree_shift=-1, weight_change=-d, d=d, name="div")
-        self.retraction = perturb_retraction(diag_retraction(action), keep, drop)
+            drop = lambda v: _contract(action.cgrad_low, v) + d_div(v)
+        self.solver = SliceSolver(n, d, lambda v: eta_diag(v, action), keep, drop)
         self._correction = correction
         self._change = None
         if correction:
@@ -252,7 +237,7 @@ class ReduceSession:
             index = {m: i for i, m in enumerate(basis.monomials)}
             mat = [[Scalar(int(i == j)) for j in range(len(index))] for i in range(len(index))]
             for m, c in correction.items():
-                for mm, v in self.retraction.tau(c).coeffs.items():
+                for mm, v in tau_diag(self.solver.apply(c), d).coeffs.items():
                     mat[index[mm]][index[m]] += v
             try:
                 self._change = invert(mat)
@@ -265,7 +250,7 @@ class ReduceSession:
         w = f.max_weight(self.action.d)
         if w > MAX_OBSERVABLE_WEIGHT:
             raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
-        h = self.retraction.tau(f)
+        h = tau_diag(self.solver.apply(f), self.action.d)
         if self._change is None:
             return h
         rhs, den = clear_denominators(h.vector())
@@ -284,7 +269,7 @@ class ReduceSession:
         return out
 
     def solved_weights(self) -> list[int]:
-        return self.retraction.solved_weights()
+        return self.solver.solved_weights()
 
 
 _SESSION_LOCK = threading.Lock()

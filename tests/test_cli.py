@@ -210,13 +210,13 @@ def test_verify_sign_flip_trips_gate(monkeypatch, capsys):
     """A deliberately sign-flipped reduction must fail the exactness invariant."""
     from bvreduce import reduce_full
     from bvreduce.bvdiff import d_div
-    from bvreduce.reduce import session_for, tau_diag
+    from bvreduce.reduce import eta_diag, session_for, tau_diag
 
     def flipped(action, f):
         # wrong-sign divergence route: reduce f - 2*div(eta(f)) style corruption
         sess = session_for(action)
         good = sess.reduce(f)
-        bad = tau_diag(d_div(sess.retraction.eta(f)), action.d).scale(2)
+        bad = tau_diag(d_div(eta_diag(sess.solver.apply(f), action)), action.d).scale(2)
         return good + bad
 
     monkeypatch.setattr(verify_mod, "DEFAULT_REDUCE", flipped)
@@ -292,11 +292,23 @@ def _contour(**fields):
         (["reduce", "{dir}/r.json"], None, {"r.json": b'{"n": 1, "action": "\xff"}'}),
         (["reduce", "{dir}/r.json"], None, {"r.json": '{"n": 1' + "0" * 5000 + "}"}),
         (["reduce", "{dir}/r.json"], None, {"r.json": "[" * 100_000}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(end_directions=[[-1.0, 0.0]]))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(end_directions=[[-1.0, 0.0], [0.5, 0.866025403784], [0.5, -0.866]]))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": "[]"}),
+        (["verify", "--n", "0"], None, {}),
+        (["verify", "--d", "1"], None, {}),
+        (["verify", "--trials", "-1"], None, {}),
+        (["verify", "--maxdeg", "-5"], None, {}),
+        (["verify", "--d", "4", "--maxdeg", "2"], None, {}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
          "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
          "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
-         "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k"],
+         "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k",
+         "contour-one-direction", "contour-three-directions", "contour-none", "verify-n-zero",
+         "verify-d-one", "verify-trials-negative", "verify-maxdeg-negative", "verify-maxdeg-below-d"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:

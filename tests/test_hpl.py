@@ -9,49 +9,60 @@ from bvreduce import (
     Scalar,
     SuperPoly,
     action_build,
-    perturb_retraction,
+    d_bv,
+    d_diag,
+    eta_diag,
     q,
+    tau_diag,
 )
 from bvreduce.bvdiff import _contract, contraction_terms, d_div
-from bvreduce.hpl import LinearOp, SliceSolver
-from bvreduce.reduce import JacClass, ReduceSession, diag_retraction, jac_basis
+from bvreduce.hpl import SliceSolver
+from bvreduce.reduce import JacClass, ReduceSession, jac_basis
 from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
 
 
-def _zero_op(d):
-    return LinearOp(lambda v: SuperPoly.zero(v.n), -1, -1, d, "0")
+def _zero(v):
+    return SuperPoly.zero(v.n)
 
 
-def _id_op(d):
+def _id(v):
     """A degree-0 eta, so that degree-0 keep and drop parts are the whole t."""
-    return LinearOp(lambda v: v, 0, 0, d, "id")
+    return v
 
 
-def _contraction(grads, name, d, weight_change):
-    """The degree -1 LinearOp contracting with the given xi-free gradients."""
+def _eta(a):
+    """The diagonal homotopy of the action a as a plain map."""
+    return lambda v: eta_diag(v, a)
+
+
+def _contraction(grads):
+    """The degree -1 map contracting with the given xi-free gradients."""
     gterms = contraction_terms(grads)
-    return LinearOp(lambda v: _contract(gterms, v), -1, weight_change, d, name)
+    return lambda v: _contract(gterms, v)
 
 
 def _parts(a):
     """d_bv - d_diag of an action as its three pieces: mixed top, lower-order and divergence."""
-    n, d = a.n, a.d
-    mix = _contraction([a.mix.dx(i) for i in range(n)], "d_mix", d, 0)
-    low = _contraction([a.low.dx(i) for i in range(n)], "d_low", d, a.low.max_xdeg() - d)
-    return mix, low, LinearOp(d_div, -1, -d, d, "div")
+    n = a.n
+    mix = _contraction([a.mix.dx(i) for i in range(n)])
+    low = _contraction([a.low.dx(i) for i in range(n)])
+    return mix, low, d_div
+
+
+def _compose(f, g):
+    return lambda v: f(g(v))
 
 
 def _dropping_solver_builds_nothing(solver):
-    return not solver.solves and solver.solved_weights() == []
+    return solver.keep is None and solver.solved_weights() == []
 
 
 def test_neumann_zero_delta_identity():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    r = diag_retraction(a)
     v = x**5 + 2 * x - 3
-    solver = SliceSolver(1, 3, r.eta, None, _zero_op(3))
+    solver = SliceSolver(1, 3, _eta(a), None, _zero)
     assert solver.apply(v) == v
     assert _dropping_solver_builds_nothing(solver)
 
@@ -60,47 +71,40 @@ def test_neumann_one_term_series():
     # s = x^3, delta = div: (id - div eta)^{-1}(x^3) = x^3 - 1/3
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    r = diag_retraction(a)
-    delta = LinearOp(d_div, -1, -3, 3, "div")
-    solver = SliceSolver(1, 3, r.eta, None, delta)
+    solver = SliceSolver(1, 3, _eta(a), None, d_div)
     assert solver.apply(x**3) == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
     assert _dropping_solver_builds_nothing(solver)
     # div(eta(x^3)) computed by hand is -1/3
-    assert d_div(r.eta(x**3)) == SuperPoly.const(1, Scalar(q(-1, 3)))
+    assert d_div(eta_diag(x**3, a)) == SuperPoly.const(1, Scalar(q(-1, 3)))
 
 
 def test_weight_solve_failure_quartic():
     n = 2
     x, y = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
     a = action_build(x**4 + 2 * (x**3 * y) + 2 * (x * y**3) + y**4)
-    r = diag_retraction(a)
     delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
-        SliceSolver(n, 4, r.eta, delta, None).apply(x**2 * y**2)
+        SliceSolver(n, 4, _eta(a), delta, None).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
 def test_nonterminating_guard():
     x = SuperPoly.x(1, 0)
-    eta = _id_op(3)
-    # a drop that declares a weight drop, but its image stays at the weight it came from
-    lying = LinearOp(lambda v: v, 0, -1, 3, "id-disguised")
-    with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, eta, None, lying).apply(x**2)
+    # a drop whose image stays at the weight it came from
+    with pytest.raises(NonTerminating, match="weight-dropping part sent weight 2 to weight 2"):
+        SliceSolver(1, 3, _id, None, lambda v: v).apply(x**2)
     # ... or climbs one weight
-    with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, eta, None, LinearOp(lambda v: v * x, 0, -1, 3, "x-disguised")).apply(x**2)
-    # a keep that declares weight change 0, but its image leaves its slice upward
-    climbing = LinearOp(lambda v: v * x, 0, 0, 3, "x-disguised")
-    with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, eta, climbing, None).apply(x**2)
+    with pytest.raises(NonTerminating, match="weight-dropping part sent weight 2 to weight 3"):
+        SliceSolver(1, 3, _id, None, lambda v: v * x).apply(x**2)
+    # a keep whose image leaves its slice upward
+    with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 3"):
+        SliceSolver(1, 3, _id, lambda v: v * x, None).apply(x**2)
     # ... or downward
-    sinking = LinearOp(lambda v: v.dx(0), 0, 0, 3, "d/dx-disguised")
-    with pytest.raises(NonTerminating):
-        SliceSolver(1, 3, eta, sinking, None).apply(x**2)
+    with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
+        SliceSolver(1, 3, _id, lambda v: v.dx(0), None).apply(x**2)
     # an eta that lowers weight cannot have its slice solved: slice assembly refuses it
-    lowering = SliceSolver(1, 3, LinearOp(lambda v: v.dx(0), 0, -1, 3, "d/dx"), eta, None)
-    with pytest.raises(NonTerminating):
+    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _id, None)
+    with pytest.raises(NonTerminating, match="eta sent weight 2 to weight 1"):
         lowering._slice(0, 2)
     with pytest.raises(NonTerminating):
         lowering.apply(x**2)
@@ -110,23 +114,19 @@ def test_nonterminating_guard():
 def test_perturb_zero_delta_keeps_tau():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    r = diag_retraction(a)
-    r2 = perturb_retraction(r, None, _zero_op(3))
+    solver = SliceSolver(1, 3, _eta(a), None, _zero)
     for f in [x**3, x**5 + x, SuperPoly.one(1)]:
-        assert r2.tau(f) == r.tau(f)
+        assert tau_diag(solver.apply(f), 3) == tau_diag(f, 3)
 
 
 def test_perturb_diagonal_by_div_matches_known_class():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    r = diag_retraction(a)
-    delta = LinearOp(d_div, -1, -3, 3, "div")
-    rb = perturb_retraction(r, None, delta)
-    got = rb.tau(x**3)
+    solver = SliceSolver(1, 3, _eta(a), None, d_div)
+    got = tau_diag(solver.apply(x**3), 3)
     basis = jac_basis(1, 3)
     assert got == JacClass(basis, {(0,): Scalar(q(-1, 3))})
-    # one solver; div o eta drops weight, so it sweeps without building a slice
-    (solver,) = rb.solvers
+    # div o eta drops weight, so the solver sweeps without building a slice
     assert _dropping_solver_builds_nothing(solver)
 
 
@@ -141,27 +141,39 @@ def _random_degree0(rng, n, cap=7):
 
 
 def test_convention_after_perturbation():
-    """phi tau - id = D eta + eta D on degree-0 and degree-1 inputs, exactly."""
+    """phi tau - id = D eta + eta D on degree-0 and degree-1 inputs, exactly.
+
+    tau is the session's reduce, phi the monomial inclusion, eta the
+    transferred homotopy eta_diag o (id - (d_bv - d_diag) o eta_diag)^{-1}
+    and D = d_bv."""
     rng = random.Random(51)
     done = 0
     while done < 12:
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         a = random_action(rng, n, d)
         try:
-            r = ReduceSession(a).retraction
+            session = ReduceSession(a)
+            tau, phi = session.reduce, JacClass.to_superpoly
+
+            def eta(v):
+                return eta_diag(session.solver.apply(v), a)
+
+            def diff(v):
+                return d_bv(a, v)
+
             v0 = _random_degree0(rng, n)
             v1 = random_degree1(rng, n, d, 7)
             for v in (v0, v1):
-                lhs = r.phi(r.tau(v)) - v
-                rhs = r.diff(r.eta(v)) + r.eta(r.diff(v))
+                lhs = phi(tau(v)) - v
+                rhs = diff(eta(v)) + eta(diff(v))
                 assert lhs == rhs
             # the arbiter of all sign conventions: tau kills boundaries
-            assert r.tau(r.diff(v1)).is_zero
+            assert tau(diff(v1)).is_zero
             # tau o phi = id on random basis classes
             basis = jac_basis(n, d)
             m = basis.monomials[rng.randrange(len(basis))]
             unit = JacClass(basis, {m: random_rational(rng, nonzero=True)})
-            assert r.tau(r.phi(unit)) == unit
+            assert tau(phi(unit)) == unit
         except NotGenericAtWeight:
             continue
         done += 1
@@ -184,49 +196,61 @@ def test_diag_retraction_identities_on_every_degree():
     rng = random.Random(54)
     for _ in range(30):
         n, d = rng.randint(1, 3), rng.randint(2, 4)
-        r = diag_retraction(random_action(rng, n, d))
+        a = random_action(rng, n, d)
         for h in range(n + 1):
             v = _random_of_degree(rng, n, d, h)
-            e = r.eta(v)
-            assert r.phi(r.tau(v)) - v == r.diff(e) + r.eta(r.diff(v))
-            assert r.eta(e).is_zero
-            assert r.tau(e).is_zero
+            e = eta_diag(v, a)
+            assert tau_diag(v, d).to_superpoly() - v == d_diag(a, e) + eta_diag(d_diag(a, v), a)
+            assert eta_diag(e, a).is_zero
+            assert tau_diag(e, d).is_zero
 
 
 def test_two_perturbations_equal_combined():
     """Successive small deformations agree with their sum, on random inputs.
 
     Staged: mix as the weight-keeping part, then low, then div as
-    weight-dropping parts, one solver each; only the mix stage builds
-    slices.  Combined: one solver, for d_bv - d_diag split into mix and
-    low + div, whose ReduceSession must give the same classes.
+    weight-dropping parts, one nested solver each: S_k solves against
+    eta_{k-1}, where eta_0 = eta_diag and eta_k = eta_{k-1} o S_k.apply, and
+    tau = tau_diag o S_1 o ... o S_k.  Only the mix stage builds slices.
+    Combined: one solver, for d_bv - d_diag split into mix and low + div,
+    whose ReduceSession must give the same classes.
     """
     rng = random.Random(52)
     done = three = 0
     while done < 8:
         n, d = rng.randint(2, 3), rng.randint(3, 4)
         a = random_action(rng, n, d, homogeneous=done % 2 == 0)
-        r0 = diag_retraction(a)
         mix, low, div = _parts(a)
         keep = mix if a.has_mix() else None
         drops = [low, div] if a.has_lower() else [div]
         stages = ([(keep, None)] if keep else []) + [(None, op) for op in drops]
         try:
-            r_staged = r0
+            staged = []
+            eta = _eta(a)
             for k, dr in stages:
-                r_staged = perturb_retraction(r_staged, k, dr)
-            r_combined = perturb_retraction(r0, keep, drops[0] if len(drops) == 1 else hpl.op_sum(*drops))
+                solver = SliceSolver(n, d, eta, k, dr)
+                staged.append(solver)
+                eta = _compose(eta, solver.apply)
+
+            def staged_tau(f):
+                for solver in reversed(staged):
+                    f = solver.apply(f)
+                return tau_diag(f, d)
+
+            combined_drop = div if len(drops) == 1 else (lambda v: low(v) + div(v))
+            combined = SliceSolver(n, d, _eta(a), keep, combined_drop)
             session = ReduceSession(a)
-            assert len(r_staged.solvers) == len(stages)
-            assert len(r_combined.solvers) == len(session.retraction.solvers) == 1
+            assert len(staged) == len(stages)
+            assert isinstance(session.solver, SliceSolver)
             for _ in range(3):
                 f = _random_degree0(rng, n)
-                assert r_staged.tau(f) == r_combined.tau(f) == session.reduce(f)
-            assert all(_dropping_solver_builds_nothing(s) for s in r_staged.solvers[1 if keep else 0:])
+                assert staged_tau(f) == tau_diag(combined.apply(f), d) == session.reduce(f)
+            assert all(_dropping_solver_builds_nothing(s) for s in staged[1 if keep else 0:])
             # the one stage visits the slices the staged mix solver built, no more
-            assert session.solved_weights() == r_combined.solved_weights() == r_staged.solved_weights()
+            staged_weights = sorted({w for s in staged for w in s.solved_weights()})
+            assert session.solved_weights() == combined.solved_weights() == staged_weights
             if not a.has_mix():
-                assert _dropping_solver_builds_nothing(session.retraction.solvers[0])
+                assert _dropping_solver_builds_nothing(session.solver)
         except NotGenericAtWeight:
             continue
         done += 1
@@ -234,49 +258,49 @@ def test_two_perturbations_equal_combined():
     assert three
 
 
-def _assert_grading(op, v, d, exact):
-    """op sends each monomial of v to degree + op.degree_shift, and to weight + op.weight_change
+def _assert_grading(op, v, d, degree_shift, weight_change, exact):
+    """op sends each monomial of v to degree + degree_shift, and to weight + weight_change
     exactly when exact, else to at most that weight."""
     for key, c in v.terms.items():
         h, w = key[1].bit_count(), term_weight(key, d)
         for kk in op(SuperPoly(v.n, {key: c})).terms:
-            assert kk[1].bit_count() == h + op.degree_shift, (op.name, key, kk)
+            assert kk[1].bit_count() == h + degree_shift, (key, kk)
             ww = term_weight(kk, d)
-            assert ww == w + op.weight_change if exact else ww <= w + op.weight_change, (op.name, key, kk)
+            assert ww == w + weight_change if exact else ww <= w + weight_change, (key, kk)
 
 
 def test_declared_gradings_hold_at_runtime():
-    """The sweep trusts the session's declarations: eta raises degree by 1 and keeps weight,
-    keep lowers degree by 1 and keeps weight, drop lowers degree by 1 and weight by at least
-    -drop.weight_change.  Checked on random inputs of every homological degree."""
+    """The split the sweep relies on, with the shifts worked out here from the action: eta
+    raises degree by 1 and keeps weight, keep lowers degree by 1 and keeps weight, drop
+    lowers degree by 1 and weight by at least d - deg(low), or by d with no lower part.
+    Checked on random inputs of every homological degree."""
     rng = random.Random(53)
     kinds = set()
     for t in range(12):
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         a = random_action(rng, n, d, homogeneous=t % 3 == 0)
-        (solver,) = ReduceSession(a).retraction.solvers
-        assert solver.eta.degree_shift == 1 and solver.eta.weight_change == 0
-        assert solver.drop.degree_shift == -1 and solver.drop.weight_change < 0
-        if solver.keep is not None:
-            assert solver.keep.degree_shift == -1 and solver.keep.weight_change == 0
+        solver = ReduceSession(a).solver
+        drop_change = a.low.max_xdeg() - d if a.has_lower() else -d
+        assert drop_change < 0
+        assert (solver.keep is not None) == a.has_mix()
         kinds.add((solver.keep is not None, a.has_lower()))
         for h in range(n + 1):
             for _ in range(2):
                 v = _random_of_degree(rng, n, d, h, max_weight=12)
-                _assert_grading(solver.eta, v, d, exact=True)
-                _assert_grading(solver.drop, v, d, exact=False)
+                _assert_grading(solver.eta, v, d, 1, 0, exact=True)
+                _assert_grading(solver.drop, v, d, -1, drop_change, exact=False)
                 if solver.keep is not None:
-                    _assert_grading(solver.keep, v, d, exact=True)
+                    _assert_grading(solver.keep, v, d, -1, 0, exact=True)
     assert len(kinds) == 4
 
 
-def _degree0_op(images, name, n=2, d=3):
+def _degree0_op(images, n=2):
     """The degree-0 map sending x^a y^b (a + b > 0) to sum c x^e over images(a, b) = [(e, c)], as (keep, drop).
 
     keep is the part of weight a + b and drop the part below it.  Weight 0
     is the kernel, so that slice has no inverse."""
 
-    def part(same_weight, label, weight_change):
+    def part(same_weight):
         def fn(v):
             out = {}
             for ((a, b), _), c in v.terms.items():
@@ -292,9 +316,9 @@ def _degree0_op(images, name, n=2, d=3):
                         out.pop((e, 0), None)
             return SuperPoly(n, out)
 
-        return LinearOp(fn, degree_shift=0, weight_change=weight_change, d=d, name=f"{name}-{label}")
+        return fn
 
-    return part(True, "keep", 0), part(False, "drop", -1)
+    return part(True), part(False)
 
 
 def _mixing_images(a, b):
@@ -321,8 +345,8 @@ def _triangular_images(a, b):
 @pytest.mark.parametrize("images", [_mixing_images, _triangular_images])
 def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     n = 2
-    keep, drop = _degree0_op(images, images.__name__)
-    solver = SliceSolver(n, 3, _id_op(3), keep, drop)
+    keep, drop = _degree0_op(images)
+    solver = SliceSolver(n, 3, _id, keep, drop)
     builds = []
     hpl_invert = hpl.invert
 
@@ -353,8 +377,8 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
 
 def test_slice_solver_solves_only_the_columns_apply_reaches():
     n = 2
-    keep, drop = _degree0_op(_mixing_images, "mixing")
-    solver = SliceSolver(n, 3, _id_op(3), keep, drop)
+    keep, drop = _degree0_op(_mixing_images)
+    solver = SliceSolver(n, 3, _id, keep, drop)
     v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
     y = solver.apply(v)
     assert y - keep(y) - drop(y) == v
@@ -388,7 +412,7 @@ def _delta_eta_block(a, eta, basis):
 
 def _factored_slices_invert_their_blocks(session, eta):
     """Every slice the session factored inverts id - its block of (d_bv - d_diag) o eta; returns how many."""
-    (solver,) = session.retraction.solvers
+    solver = session.solver
     factored = 0
     for basis, _, factor in solver._cache.values():
         block = _delta_eta_block(session.action, eta, basis)
@@ -440,7 +464,7 @@ def test_every_factored_slice_inverts_the_whole_in_slice_block():
             session.reduce(random_degree1(rng, a.n, a.d, 6))
         except NotGenericAtWeight:
             continue
-        got = _factored_slices_invert_their_blocks(session, diag_retraction(a).eta)
+        got = _factored_slices_invert_their_blocks(session, _eta(a))
         factored += got
         complex_factored += got if any(c.b for c in a.s.terms.values()) else 0
     assert factored and complex_factored

@@ -478,3 +478,11 @@ def test_concurrent_reduce_shares_one_session():
         t.join()
     assert not errors
     assert results == expected
+
+
+def test_star_import_binds_every_public_name():
+    import bvreduce
+
+    namespace = {}
+    exec("from bvreduce import *", namespace)
+    assert [name for name in bvreduce.__all__ if name not in namespace] == []
