@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from bvreduce import (
     wick,
 )
 from bvreduce.reduce import ReduceSession, session_for
+from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import isserlis_wick, random_action, random_degree1, random_quadratic, random_rational
 
 from oracles import ibp_moments
@@ -332,6 +334,49 @@ def test_rank_totals_match_basis_for_generic_homogeneous():
             continue
         assert sum(dims) == (d - 1) ** n
         done += 1
+
+
+def _pinned_case(rng):
+    """An action (homogeneous, inhomogeneous or with an imaginary top coefficient), a
+    section correction about three times in ten, and an observable of weight at most 8."""
+    n, d = rng.randint(1, 3), rng.choice((3, 4))
+    kind = rng.choice(("homogeneous", "inhomogeneous", "complex"))
+    a = random_action(rng, n, d, height=3, homogeneous=kind == "homogeneous")
+    if kind == "complex":
+        e = rng.choice(monomials_of_degree(n, d))
+        a = action_build(a.s + SuperPoly.monomial(n, e, coeff=Scalar(0, random_rational(rng, 3, nonzero=True).re)))
+    correction = None
+    if rng.random() < 0.3:
+        m = rng.choice(jac_basis(n, d).monomials)
+        e = [rng.randint(0, 2) for _ in range(n)]
+        e[rng.randrange(n)] = d - 1 + rng.randint(0, 1)
+        correction = {m: SuperPoly.monomial(n, e, coeff=random_rational(rng, 3, nonzero=True))}
+    f = SuperPoly.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * n
+        for _ in range(rng.randint(0, 8)):
+            e[rng.randrange(n)] += 1
+        f = f + SuperPoly.monomial(n, e, coeff=random_rational(rng))
+    return a, correction, f
+
+
+def test_pinned_classes_digest():
+    """The exact classes of 450 seeded reductions, pinned by one sha256.
+
+    Only the classes (or the error a reduction ends in) enter the digest: which
+    weights a sweep solves depends on the diagonal homotopy, the classes do not.
+    """
+    rng = random.Random(2012)
+    digest = hashlib.sha256()
+    for _ in range(450):
+        a, correction, f = _pinned_case(rng)
+        try:
+            jc = ReduceSession(a, phi_correction=correction).reduce(f)
+            line = " ".join(f"{c.a},{c.b},{c.den}" for c in jc.vector())
+        except (InputError, NotGenericAtWeight) as exc:
+            line = type(exc).__name__
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "1f5a78de02bc3232410e1ae1a28f674c69c7839370ab1feeda94ee949e6f9c43"
 
 
 # -- alternate splittings ------------------------------------------------------------------
