@@ -71,7 +71,7 @@ class Action:
 
         self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
-        self._neg_inv_diag = None  # lazily built (a, b, den) of each -1/a_i (reduce.eta_diag)
+        self._neg_inv_diag = None  # lazily built Scalars -(d-1)!/a_i (reduce.eta_diag)
 
     def _quadratic_form(self):
         n = self.n

@@ -163,15 +163,16 @@ def result_to_json(action: Action, jc: JacClass, diagnostics: dict) -> dict:
     }
 
 
-def result_from_json(data: dict) -> JacClass:
+def result_from_json(data) -> JacClass:
+    if not isinstance(data, dict) or not all(_is_int(data.get(k)) for k in ("n", "d")):
+        raise InputError("result must be an object with integer 'n' and 'd' fields")
     basis = jac_basis(data["n"], data["d"])
-    monos = [tuple(m) for m in data["basis"]]
-    if monos != list(basis.monomials):
+    if data.get("basis") != [list(m) for m in basis.monomials]:
         raise InputError("basis in result file does not match n, d")
-    coeffs = {}
-    for m, c in zip(monos, data["coefficients"]):
-        coeffs[m] = _scalar_from_json(c)
-    return JacClass(basis, coeffs)
+    coeffs = data.get("coefficients")
+    if not isinstance(coeffs, list) or len(coeffs) != len(basis):
+        raise InputError(f"'coefficients' must be a list of {len(basis)} scalars, one per basis monomial")
+    return JacClass(basis, {m: _scalar_from_json(c) for m, c in zip(basis.monomials, coeffs)})
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -25,7 +25,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, perm
+from math import factorial
 
 from . import bvdiff
 from .bvdiff import Action, _contract, d_div
@@ -142,47 +142,32 @@ def _check_diag(action: Action):
 
 
 def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
-    """The diagonal homotopy, in closed form on every homological degree.
+    """The diagonal homotopy: the tensor-product contraction of the one-variable factors.
 
-    With K = sum_i (xi_i / a_i) (d/dx_i)^{d-1}, xi_i multiplied on the left,
-    d_diag K + K d_diag multiplies each monomial x^m xi^S by
-
-        N(m, S) = sum_{i not in S} C(m_i, d-1) + sum_{i in S} C(m_i+d-1, d-1),
-
-    and eta_diag(x^m xi^S) = -K(x^m xi^S) / N(m, S), extended linearly.  N is
-    0 exactly on the basis monomials, where eta_diag vanishes.  N commutes
-    with d_diag and K, so d_diag o eta_diag + eta_diag o d_diag =
-    phi o tau_diag - id, and eta_diag o eta_diag = 0 because K o K = 0.  On
-    degree 0 this is -(1 / sum_i C(m_i, d-1)) * K(x^m).
+    Factor i has the homotopy eta_i(x_i^p) = -((d-1)!/a_i) x_i^(p-d+1) xi_i
+    for p >= d-1, and 0 on x_i^p with p < d-1 and on xi_i terms; the diagonal
+    complex is their tensor product, with eta_diag = sum_i P_1 (x) ... (x)
+    P_(i-1) (x) eta_i (x) id, where P_j projects factor j onto x_j^p, p < d-1.
+    On x^m xi^S only the first index i with i in S or m_i >= d-1 can
+    contribute: if i is not in S, the image is -((d-1)!/a_i) x^(m-(d-1)e_i)
+    xi_i xi^S, with no sign since every index of S lies above i; otherwise,
+    and when there is no such i, it is 0.  Distinct terms have distinct
+    images.  d_diag o eta_diag + eta_diag o d_diag = phi o tau_diag - id and
+    eta_diag o eta_diag = 0.
     """
     units = action._neg_inv_diag
     if units is None:
         _check_diag(action)
-        units = tuple((u.a, u.b, u.den) for u in (-1 / a for a in action.diag_coeffs))
-        action._neg_inv_diag = units
+        units = action._neg_inv_diag = tuple(-factorial(action.d - 1) / a for a in action.diag_coeffs)
     d1 = action.d - 1
     out: dict[Key, Scalar] = {}
     for (e, mask), c in v.terms.items():
-        if mask:
-            den = sum(comb(p + d1, d1) if mask >> i & 1 else comb(p, d1) for i, p in enumerate(e))
-        elif max(e) < d1:
-            continue  # a basis monomial, on which every C(p, d-1) is 0
-        else:
-            den = sum(comb(p, d1) for p in e)
-        ca, cb, cd = c.a, c.b, c.den
         for i, p in enumerate(e):
-            if p < d1 or mask >> i & 1:
-                continue
-            f = perm(p, d1)
-            ua, ub, ud = units[i]
-            key = (e[:i] + (p - d1,) + e[i + 1:], mask | 1 << i)
-            term = gauss((ca * ua - cb * ub) * f, (ca * ub + cb * ua) * f, cd * ud * den)
-            if not mask:
-                out[key] = term  # (e, i) determines the key, so no two contributions meet
-            elif (mask & ((1 << i) - 1)).bit_count() & 1:
-                add_term(out, key, -term)  # xi_i passes an odd number of xi_j, j < i, into place
-            else:
-                add_term(out, key, term)  # x^m xi^S and x^m' xi^S' can meet
+            if mask >> i & 1:
+                break
+            if p >= d1:
+                out[(e[:i] + (p - d1,) + e[i + 1:], mask | 1 << i)] = c * units[i]
+                break
     return SuperPoly._wrap(v.n, out)
 
 

@@ -1,19 +1,23 @@
-"""Fuzz the problem and contour readers through `main()`.
+"""Fuzz the problem, contour and result readers.
 
 Random JSON shaped like the documented schemas, with one value swapped for
 arbitrary JSON in most draws, must end in a documented exit code: 0, 2 (not
 generic or not allowable), 3 (invalid input) or 4 (verification failure),
 never in an exception.  Exponents and truncation orders stay small so that
-a well-formed draw runs in milliseconds.
+a well-formed draw runs in milliseconds.  A result file must read back as
+the class it was written from, and a malformed one must be an InputError.
 """
 import json
 import os
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main
+from bvreduce import InputError, JacClass, Scalar, SuperPoly, action_build, jac_basis
+from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main, result_from_json, result_to_json
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_NOT_GENERIC, EXIT_INVALID, EXIT_VERIFY_FAILED}
 
@@ -117,3 +121,71 @@ def test_readers_end_in_documented_exit(case):
             if command == "oracle" and contour_flag:
                 argv += ["--contour", c]
             assert main(argv) in DOCUMENTED_EXITS
+
+
+@st.composite
+def results(draw):
+    """The JSON of a reduce result, as `reduce` writes it, and the class it holds."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    basis = jac_basis(n, d)
+    part = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    coeffs = draw(st.lists(st.builds(Scalar, part, part | st.just(0)), min_size=len(basis), max_size=len(basis)))
+    jc = JacClass(basis, dict(zip(basis.monomials, coeffs)))
+    action = action_build(sum((SuperPoly.x(n, i, d) for i in range(n)), SuperPoly.zero(n)))
+    return json.loads(json.dumps(result_to_json(action, jc, {"genericity": "ok"}))), jc
+
+
+def _short(doc):
+    doc["coefficients"].pop()
+
+
+def _long(doc):
+    doc["coefficients"].append(doc["coefficients"][0])
+
+
+def _no_n(doc):
+    del doc["n"]
+
+
+def _string_n(doc):
+    doc["n"] = str(doc["n"])
+
+
+def _scalar_coefficients(doc):
+    doc["coefficients"] = 5
+
+
+def _float_d(doc):
+    doc["d"] = float(doc["d"])
+
+
+def _basis_string(doc):
+    doc["basis"][0] = "0" * len(doc["basis"][0])
+
+
+def _bad_scalar(doc):
+    doc["coefficients"][-1] = {"re": [1, 0]}
+
+
+MALFORMED = [_short, _long, _no_n, _string_n, _scalar_coefficients, _float_d, _basis_string, _bad_scalar]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(results(), st.sampled_from(MALFORMED))
+def test_result_reader_round_trips_and_refuses_malformed(case, damage):
+    doc, jc = case
+    assert result_from_json(json.loads(json.dumps(doc))) == jc
+    damage(doc)
+    with pytest.raises(InputError):
+        result_from_json(doc)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(results(), st.data())
+def test_result_reader_takes_junk_without_crashing(case, data):
+    doc, _ = case
+    doc = _replace(doc, data.draw(st.sampled_from(list(_paths(doc)))), data.draw(JUNK))
+    try:
+        result_from_json(doc)
+    except InputError:
+        pass

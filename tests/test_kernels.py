@@ -8,7 +8,7 @@ planted cancellations.  Every output must be canonical: each coefficient
 reduced over a positive denominator, and none zero.
 """
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 from operator import add
 
 import pytest
@@ -76,18 +76,37 @@ def d_div_ref(v: SuperPoly) -> SuperPoly:
 
 
 def eta_diag_ref(v: SuperPoly, action) -> SuperPoly:
-    """-K(x^m xi^S) / N(m, S) term by term, with K = sum_i (xi_i / a_i) (d/dx_i)^{d-1}."""
-    d = action.d
-    out = SuperPoly.zero(v.n)
+    """sum_i P_1 (x) ... (x) P_(i-1) (x) eta_i (x) id, literally, on the one-variable factors.
+
+    Factor j of x^m xi^S is x_j^(m_j) xi_j^(j in S); P_j keeps it when it is
+    xi-free with m_j < d-1, and eta_i(x_i^p) = -((d-1)!/a_i) x_i^(p-d+1) xi_i
+    for p >= d-1, 0 otherwise and on xi_i terms.  The factors are multiplied
+    back in index order, and eta_i, being odd, takes the Koszul sign of the
+    factors it passes.
+    """
+    n, d = v.n, action.d
+
+    def factor(j, p, odd):
+        f = SuperPoly.x(n, j, p)
+        return SuperPoly.xi(n, j) * f if odd else f
+
+    def proj(j, p, odd):
+        return factor(j, p, odd) if not odd and p < d - 1 else SuperPoly.zero(n)
+
+    def eta(j, p, odd):
+        if odd or p < d - 1:
+            return SuperPoly.zero(n)
+        return factor(j, p - d + 1, True).scale(Scalar(-factorial(d - 1)) / action.diag_coeffs[j])
+
+    out = SuperPoly.zero(n)
     for (e, mask), c in v.terms.items():
-        den = sum(comb(p + d - 1, d - 1) if mask >> i & 1 else comb(p, d - 1) for i, p in enumerate(e))
-        if not den:
-            continue
-        for i in range(v.n):
-            g = SuperPoly(v.n, {(e, mask): c})
-            for _ in range(d - 1):
-                g = g.dx(i)
-            out = out + SuperPoly.xi(v.n, i) * g.scale(Scalar(Fraction(-1, den)) / action.diag_coeffs[i])
+        for i in range(n):
+            g = SuperPoly.const(n, c)
+            for j in range(n):
+                g = g * (proj if j < i else eta if j == i else factor)(j, e[j], mask >> j & 1)
+            if (mask & ((1 << i) - 1)).bit_count() & 1:
+                g = -g
+            out = out + g
     return out
 
 
@@ -212,12 +231,6 @@ def _xi(i):
             lambda v: hbar_eta(v, HbarModel(2, [[2, -1], [-1, 1]])),
             _x(0) ** 2 - 2 * (_x(0) * _x(1)),
             _x(0) * _xi(1) + _x(1) * _xi(0) + _x(1) * _xi(1),
-        ),
-        # s = (x0^2 + x1^2) / 2: x0 xi1 and x1 xi0 both reach xi0 xi1, with opposite signs
-        (
-            lambda v: eta_diag(v, action_build((_x(0) ** 2 + _x(1) ** 2).scale(Scalar(Fraction(1, 2))))),
-            _x(0) * _xi(1) + _x(1) * _xi(0),
-            SuperPoly.zero(2),
         ),
     ],
 )
@@ -347,6 +360,22 @@ def test_mul_matches_reference_and_drops_cancelled_terms(data):
     odd = SuperPoly(n, {k: c for k, c in p.terms.items() if k[1].bit_count() % 2})
     assert (odd * odd).is_zero
     assert ref_mul(ref(odd), ref(odd)) == {}
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_ring_identities(data):
+    """Associativity, distributivity, and the graded Leibniz rule for dxi and dx."""
+    n = data.draw(st.integers(1, 3))
+    a, b, c = (data.draw(polys(n, xi=True, max_exp=2)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    even = SuperPoly(n, {k: v for k, v in a.terms.items() if not k[1].bit_count() % 2})
+    odd = a - even
+    for i in range(n):
+        assert (a * b).dx(i) == a.dx(i) * b + a * b.dx(i)
+        assert (a * b).dxi(i) == a.dxi(i) * b + even * b.dxi(i) - odd * b.dxi(i)
 
 
 @SETTINGS

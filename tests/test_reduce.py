@@ -85,13 +85,14 @@ def test_eta_diag_vanishes_on_basis_monomials():
 
 
 def test_eta_diag_mixed_monomial():
-    # value pinned by the retraction identity d_diag(eta(v)) = -v off the basis
+    # x0 is the first index with m_i >= d-1, so only it contracts: -(2!/6) xi0 x1^2;
+    # the retraction identity d_diag(eta(v)) = -v off the basis pins the value
     n = 2
     x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
-    xi0, xi1 = SuperPoly.xi(n, 0), SuperPoly.xi(n, 1)
+    xi0 = SuperPoly.xi(n, 0)
     a = action_build(x0**3 + x1**3)
     got = eta_diag(x0**2 * x1**2, a)
-    want = (xi0 * x1**2 + xi1 * x0**2).scale(Scalar(q(-1, 6)))
+    want = (xi0 * x1**2).scale(Scalar(q(-1, 3)))
     assert got == want
     from bvreduce.bvdiff import d_diag
 
@@ -377,6 +378,20 @@ def test_pinned_classes_digest():
             line = type(exc).__name__
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == "1f5a78de02bc3232410e1ae1a28f674c69c7839370ab1feeda94ee949e6f9c43"
+
+
+def test_sweep_coefficients_stay_near_the_class_size():
+    """The transferred sweep's output is not much wider than the class it projects to."""
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    a = action_build((x0**3 + x1**3).scale(q(1, 3)) + x0 * x1**2 - x0)
+    session = ReduceSession(a)
+
+    def bits(coeffs):
+        return max(max(c.a.bit_length(), c.b.bit_length(), c.den.bit_length()) for c in coeffs)
+
+    swept = session.solver.apply(x0**32)
+    cls = session.reduce(x0**32)
+    assert bits(swept.terms.values()) <= 2 * bits(cls.coeffs.values())
 
 
 # -- alternate splittings ------------------------------------------------------------------
