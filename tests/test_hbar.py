@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from bvreduce import (
     q,
     wick,
 )
+from bvreduce.errors import SingularMatrix
 from bvreduce.hbar import hbar_reduce_series, model_differential
+from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
 
 
@@ -191,3 +194,48 @@ def test_model_validation():
         HbarModel(2, [[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(InputError):
         hbar_reduce(x, _model1(), -1)
+
+
+def _pinned_series_case(rng):
+    """A random model and observable: n <= 3, K <= 5 (K <= 3 for n = 3), cubic and quartic vertices."""
+    n = rng.randint(1, 3)
+    K = rng.randint(0, 5 if n < 3 else 3)
+    cplx = rng.random() < 0.3
+
+    def entry(height, nonzero=False):
+        c = random_rational(rng, height, nonzero)
+        return c + random_rational(rng, 2, nonzero=True) * Scalar(0, 1) if cplx and rng.random() < 0.7 else c
+
+    a = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = entry(3, nonzero=True)
+        for j in range(i):
+            a[i][j] = a[j][i] = entry(2)
+    vertices = {}
+    for deg in (3, 4):
+        p = SuperPoly.zero(n)
+        for e in monomials_of_degree(n, deg):
+            if rng.random() < 0.4:
+                p = p + SuperPoly.monomial(n, e, coeff=entry(2))
+        vertices[deg] = p
+    f = SuperPoly.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * n
+        for _ in range(rng.randint(0, 4)):
+            e[rng.randrange(n)] += 1
+        f = f + SuperPoly.monomial(n, e, coeff=entry(3))
+    return n, a, vertices, f, K
+
+
+def test_pinned_series_digest():
+    """The exact series of 320 seeded hbar reductions, pinned by one sha256."""
+    rng = random.Random(2017)
+    digest = hashlib.sha256()
+    for _ in range(320):
+        n, a, vertices, f, K = _pinned_series_case(rng)
+        try:
+            line = hbar_reduce(f, HbarModel(n, a, vertices), K).text()
+        except SingularMatrix:
+            line = "SingularMatrix"
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "00d5f0896930dde8f4d08391ba0a54ef24694357cd2dcd4f0e66009eb0e66973"
