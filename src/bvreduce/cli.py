@@ -120,6 +120,8 @@ def _load_problem(path: str) -> dict:
                 deg = int(key)
             except ValueError as exc:
                 raise InputError(f"vertex degree {key!r} is not an integer") from exc
+            if deg in vertices:
+                raise InputError(f"vertex degree {deg} is given more than once")
             vertices[deg] = _poly_from_json(n, terms)
         problem["hbar"] = {"a": rows, "vertices": vertices, "K": K}
     if "contour" in data:

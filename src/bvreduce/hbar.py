@@ -7,16 +7,22 @@ polynomials of degree >= 3; the differential being inverted is
     L = sum a_ij x_i d/dxi_j,   B = sum_j (dU/dx_j) d/dxi_j,
 
 with U the sum of the vertex polynomials.  Reduction rewrites an observable
-modulo the image of this differential until only constants survive: each pass
+modulo the image of this differential until only constants survive: each step
 removes one x factor and either sprouts vertex legs (same hbar order, higher
 x-degree) or fuses two legs (one more hbar, two fewer x).  This is the usual
 Feynman-diagram sum evaluated without ever drawing a diagram.
 
-Termination given truncation order K: a term at hbar-order k with x-degree m
-can only reach the constants at order >= k + m/2, so anything with
-m > 2(K - k) is dropped; on the survivors the pair (2(K - k) - m, m) decreases
-lexicographically at every step (vertex steps lower the first entry, fuse
-steps keep it and lower the second), so the rewriting halts.
+Termination and order given truncation order K: a term at hbar-order k with
+x-degree m can only reach the constants at order >= k + m/2, so anything with
+m > 2(K - k) is dropped.  On the survivors the pair (2(K - k) - m, m) falls
+lexicographically at every step: a vertex of degree l sends (k, m) to
+(k, m + l - 2) and lowers the first entry, a fuse sends it to (k + 1, m - 2)
+and keeps the first entry while lowering the second.  The terms are held in
+buckets keyed by (k, m), at most (K + 1)^2 of them, and the bucket with the
+largest pair is rewritten next.  Every step lands in a smaller pair, so each
+bucket has all its terms when it is rewritten and is rewritten once, however
+many paths of different lengths reach it; the constant of bucket (k, 0) is
+the hbar^k coefficient.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from .bvdiff import _contract, contraction_terms, d_div
 from .errors import InputError
 from .linalg import invert
 from .scalars import Scalar, clear_denominators, q
-from .superpoly import SuperPoly, sum_pairs
+from .superpoly import SuperPoly, add_term, sum_pairs
 
 
 class HbarModel:
@@ -120,14 +126,6 @@ class HbarSeries:
     def __hash__(self):
         return hash((self.n, self.K, tuple(self.coeffs)))
 
-    def shifted(self, j: int) -> "HbarSeries":
-        """Multiply by hbar^j, dropping overflow."""
-        out = [SuperPoly.zero(self.n) for _ in range(self.K + 1)]
-        for k, p in enumerate(self.coeffs):
-            if k + j <= self.K:
-                out[k + j] = p
-        return HbarSeries(self.n, self.K, out)
-
     def text(self) -> str:
         return " ; ".join(f"h^{k}: {p.text()}" for k, p in enumerate(self.coeffs))
 
@@ -177,72 +175,70 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
 
 
 MAX_HBAR_ORDER_DEGREE = 48
-"""Budget on K * max(2, largest vertex degree) in hbar_reduce; a larger product is an InputError."""
+"""Budget on K * max(2, largest vertex degree) in hbar_reduce; a larger product is an InputError.
+
+The walk rewrites at most (K + 1)^2 buckets, but a bucket's term count grows
+with the number of variables, which the budget does not read.
+"""
 
 
 def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """The class of f modulo the truncated differential, as a Scalar series.
 
-    Repeatedly strips the constant term and replaces the rest v by
-    (delta o eta)(v) with delta = -B - hbar*div; the series of stripped
-    constants is the answer.  hbar_reduce(1) == 1 exactly.
+    Rewrites each (order, x-degree) bucket once, in termination order: its
+    terms v become (delta o eta)(v) with delta = -B - hbar*div, and the
+    constant left in the x-degree-0 bucket of order k is the hbar^k
+    coefficient.  hbar_reduce(1) == 1 exactly.
     """
+    return _walk(m, K, [f])
+
+
+def hbar_reduce_series(series: HbarSeries, m: HbarModel) -> HbarSeries:
+    """Linear extension of hbar_reduce to truncated series inputs: coefficient k enters at order k."""
+    return _walk(m, series.K, series.coeffs)
+
+
+def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
+    """Reduce sum_k hbar^k coeffs[k] by one pass over the buckets, largest (2(K - k) - deg, deg) first."""
     if K < 0:
         raise InputError("truncation order must be non-negative")
     # checked before anything of size K is allocated
     vdeg = max(2, m.max_vertex_degree)
     if K * vdeg > MAX_HBAR_ORDER_DEGREE:
         raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
-    if f.n != m.n:
+    if any(p.n != m.n for p in coeffs):
         raise ValueError("variable count mismatch")
-    if any(mask for _, mask in f.terms):
+    if any(mask for p in coeffs for _, mask in p.terms):
         raise InputError("observables must be xi-free")
+    # buckets[(2(K - k) - deg, deg)] holds the terms of hbar order k and x-degree deg
+    buckets: dict[tuple[int, int], dict] = {}
+
+    def push(p: SuperPoly, k: int, below=(2 * K + 1, 0)) -> None:
+        for key, c in p.terms.items():
+            deg = sum(key[0])
+            if deg > 2 * (K - k):
+                continue  # reaches the constants only past order K
+            pair = (2 * (K - k) - deg, deg)
+            if pair >= below:
+                raise AssertionError("rewriting step does not descend; this is a bug")
+            add_term(buckets.setdefault(pair, {}), key, c)
+
+    for k, p in enumerate(coeffs):
+        push(p, k)
     result = [Scalar(0)] * (K + 1)
-    zero_exp = (0,) * m.n
-
-    def prune(p: SuperPoly, k: int) -> SuperPoly:
-        cut = 2 * (K - k)
-        kept = {key: c for key, c in p.terms.items() if sum(key[0]) <= cut}
-        return SuperPoly._wrap(m.n, kept)
-
-    work: dict[int, SuperPoly] = {0: prune(f, 0)}
-    max_degree = max((sum(e) for e, _ in f.terms), default=0) + 2 * K * vdeg
-    guard = (2 * K + 2) * (max_degree + 2) + 4
-    for _ in range(guard):
-        if not any(not p.is_zero for p in work.values()):
-            return HbarSeries.of_scalars(m.n, K, result)
-        nxt: dict[int, SuperPoly] = {}
-        for k, p in sorted(work.items()):
-            if p.is_zero:
-                continue
-            c0 = p.coeff(zero_exp)
-            if c0:
-                result[k] = result[k] + c0
-                p = p - SuperPoly.const(m.n, c0)
-            if p.is_zero:
-                continue
+    while buckets:
+        pair = max(buckets)
+        r, deg = pair
+        k = K - (r + deg) // 2
+        p = SuperPoly._wrap(m.n, buckets.pop(pair))
+        if not deg:
+            result[k] = p.coeff((0,) * m.n)
+        elif not p.is_zero:
             e = -hbar_eta(p, m)
-            vert = prune(_contract(m.cgrad_u, e), k)
-            if not vert.is_zero:
-                nxt[k] = nxt.get(k, SuperPoly.zero(m.n)) + vert
-            if k + 1 <= K:
-                fuse = prune(d_div(e), k + 1)
-                if not fuse.is_zero:
-                    nxt[k + 1] = nxt.get(k + 1, SuperPoly.zero(m.n)) + fuse
-        work = nxt
-    raise AssertionError("rewriting exceeded its termination bound; this is a bug")
-
-
-def hbar_reduce_series(series: HbarSeries, m: HbarModel) -> HbarSeries:
-    """Linear extension of hbar_reduce to truncated series inputs."""
-    out = HbarSeries(m.n, series.K)
-    for k, p in enumerate(series.coeffs):
-        if p.is_zero:
-            continue
-        red = hbar_reduce(p, m, series.K - k)
-        padded = HbarSeries(m.n, series.K, red.coeffs + [SuperPoly.zero(m.n)] * k)
-        out = out + padded.shifted(k)
-    return out
+            push(_contract(m.cgrad_u, e), k, pair)
+            if k < K:
+                push(d_div(e), k + 1, pair)
+    return HbarSeries.of_scalars(m.n, K, result)
 
 
 def isserlis_moment(cov_rows, alpha: tuple[int, ...]) -> Scalar:

@@ -14,6 +14,7 @@ from bvreduce import (
     JacClass,
     NotGenericAtWeight,
     Scalar,
+    SingularMatrix,
     SuperPoly,
     action_build,
     contour_integrate,
@@ -171,19 +172,19 @@ def test_criterion_6_hbar_asymptotics():
                 c = random_rational(rng, 2)
                 a[i][j] = c
                 a[j][i] = c
+        vertices = {}
+        for deg in (3, 4):
+            p = SuperPoly.zero(n)
+            for e in monomials_of_degree(n, deg):
+                if rng.random() < 0.5:
+                    p = p + SuperPoly.monomial(n, e, coeff=random_rational(rng, 2))
+            if p.is_zero:
+                # the criterion wants both a cubic and a quartic vertex present
+                p = SuperPoly.x(n, 0, deg)
+            vertices[deg] = p
         try:
-            vertices = {}
-            for deg in (3, 4):
-                p = SuperPoly.zero(n)
-                for e in monomials_of_degree(n, deg):
-                    if rng.random() < 0.5:
-                        p = p + SuperPoly.monomial(n, e, coeff=random_rational(rng, 2))
-                if p.is_zero:
-                    # the criterion wants both a cubic and a quartic vertex present
-                    p = SuperPoly.x(n, 0, deg)
-                vertices[deg] = p
             m = HbarModel(n, a, vertices)
-        except Exception:
+        except SingularMatrix:
             continue
         e = [0] * n
         for _ in range(rng.randint(0, 4)):

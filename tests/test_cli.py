@@ -271,6 +271,9 @@ def _contour(**fields):
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K="2"), {}),
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K=2.5), {}),
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices=[[term((3,), (1, 1))]]), {}),
+        # keys that name one degree: the later polynomial would silently replace the earlier
+        (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices={"3": [term((3,), (1, 1))], "03": [term((3,), (5, 1))]}), {}),
+        (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices={"3": [term((3,), (1, 1))], " 3": [term((3,), (5, 1))]}), {}),
         (["oracle", "{p}"], _with(CUBIC_PROBLEM, None, contour=0), {}),
         (["oracle", "{p}", "--contour", "{dir}/missing.json"], CUBIC_PROBLEM, {}),
         (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": "{not json"}),
@@ -303,8 +306,8 @@ def _contour(**fields):
         (["verify", "--maxdeg", "-5"], None, {}),
         (["verify", "--d", "4", "--maxdeg", "2"], None, {}),
     ],
-    ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "contour-int",
-         "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
+    ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "vertex-degree-03", "vertex-degree-space",
+         "contour-int", "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
          "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
          "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k",
          "contour-one-direction", "contour-three-directions", "contour-none", "verify-n-zero",

@@ -8,6 +8,7 @@ from bvreduce import (
     HbarSeries,
     InputError,
     Scalar,
+    SingularMatrix,
     SuperPoly,
     action_build,
     hbar_eta,
@@ -17,7 +18,6 @@ from bvreduce import (
     q,
     wick,
 )
-from bvreduce.errors import SingularMatrix
 from bvreduce.hbar import hbar_reduce_series, model_differential
 from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
@@ -99,19 +99,17 @@ def test_reduce_matches_oracle_random():
                 c = random_rational(rng, 2)
                 a[i][j] = c
                 a[j][i] = c
+        vertices = {}
+        for deg in (3, 4):
+            p = SuperPoly.zero(n)
+            for e in monomials_of_degree(n, deg):
+                if rng.random() < 0.5:
+                    p = p + SuperPoly.monomial(n, e, coeff=random_rational(rng, 2))
+            if not p.is_zero:
+                vertices[deg] = p
         try:
-            vertices = {}
-            for deg in (3, 4):
-                p = SuperPoly.zero(n)
-                from bvreduce.superpoly import monomials_of_degree
-
-                for e in monomials_of_degree(n, deg):
-                    if rng.random() < 0.5:
-                        p = p + SuperPoly.monomial(n, e, coeff=random_rational(rng, 2))
-                if not p.is_zero:
-                    vertices[deg] = p
             m = HbarModel(n, a, vertices)
-        except Exception:
+        except SingularMatrix:
             continue
         e = [0] * n
         for _ in range(rng.randint(0, 4)):
@@ -121,6 +119,47 @@ def test_reduce_matches_oracle_random():
         assert hbar_reduce(f, m, K) == hbar_oracle(f, m, K)
         checked += 1
     assert checked >= 3  # the agreement must actually have been exercised
+
+
+@pytest.mark.parametrize("n, K", [(2, 6), (3, 4)])
+def test_reduce_matches_oracle_past_order_3(n, K):
+    """Dense cubic and quartic vertices, an observable with terms of degree 0 to 4."""
+    rng = random.Random(74 + n)
+    a = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = random_rational(rng, 3, nonzero=True)
+        for j in range(i):
+            a[i][j] = a[j][i] = random_rational(rng, 2)
+    vertices = {
+        deg: sum((SuperPoly.monomial(n, e, coeff=random_rational(rng, 2)) for e in monomials_of_degree(n, deg)),
+                 SuperPoly.zero(n))
+        for deg in (3, 4)
+    }
+    m = HbarModel(n, a, vertices)
+    f = SuperPoly.const(n, random_rational(rng, 3, nonzero=True))
+    for deg in (1, 2, 3, 4):
+        e = [0] * n
+        for _ in range(deg):
+            e[rng.randrange(n)] += 1
+        f = f + SuperPoly.monomial(n, e, coeff=random_rational(rng, 3, nonzero=True))
+    assert hbar_reduce(f, m, K) == hbar_oracle(f, m, K)
+
+
+def test_each_bucket_is_rewritten_once(monkeypatch):
+    """One hbar_eta call per (order, x-degree) bucket at most: (K + 1)^2 of them."""
+    n, K = 3, 8
+    x0, x1, x2 = (SuperPoly.x(n, i) for i in range(n))
+    m = HbarModel(n, [[2, 1, 0], [1, 3, 0], [0, 0, 1]],
+                  {3: x0**3 + x0 * x1 * x2 + x1**2 * x2, 4: x0**2 * x1**2 + x2**4 + x0 * x1 * x2**2})
+    calls = []
+
+    def counted(v, model):
+        calls.append(v)
+        return hbar_eta(v, model)
+
+    monkeypatch.setattr("bvreduce.hbar.hbar_eta", counted)
+    hbar_reduce(x0**2, m, K)
+    assert 0 < len(calls) <= (K + 1) ** 2
 
 
 def test_vertex_free_matches_quadratic_wick_term_by_term():
