@@ -109,10 +109,8 @@ class Action:
         return f"Action(n={self.n}, d={self.d}, s={self.s.text()})"
 
 
-def action_build(s: SuperPoly, n: int | None = None) -> Action:
+def action_build(s: SuperPoly) -> Action:
     """Build an Action from a xi-free, nonconstant SuperPoly of degree >= 2."""
-    if n is not None and n != s.n:
-        raise InputError(f"declared n={n} does not match polynomial with n={s.n}")
     return Action(s)
 
 

@@ -23,11 +23,11 @@ from .errors import (
     ToleranceNotReached,
     read_json,
 )
-from .hbar import HbarModel, hbar_reduce
+from .hbar import HbarModel, hbar_reduce, vertex_degrees
 from .oracle import load_contours, verify_reduction
 from .reduce import JacClass, jac_basis, session_for, wick
 from .scalars import Scalar, q
-from .superpoly import SuperPoly
+from .superpoly import SuperPoly, add_term
 
 EXIT_OK = 0
 EXIT_NOT_GENERIC = 2
@@ -69,7 +69,7 @@ def _scalar_to_json(s: Scalar) -> dict:
 def _poly_from_json(n: int, terms) -> SuperPoly:
     if not isinstance(terms, list):
         raise InputError("polynomial must be a list of terms")
-    out = SuperPoly.zero(n)
+    out = {}
     for t in terms:
         if not isinstance(t, dict) or "exp" not in t:
             raise InputError(f"bad term {t!r}")
@@ -80,8 +80,10 @@ def _poly_from_json(n: int, terms) -> SuperPoly:
             or not all(_is_int(x) and x >= 0 for x in e)
         ):
             raise InputError(f"exponent list {e!r} must hold {n} non-negative integers")
-        out = out + SuperPoly.monomial(n, e, coeff=_scalar_from_json(t))
-    return out
+        c = _scalar_from_json(t)
+        if c:
+            add_term(out, (tuple(e), 0), c)
+    return SuperPoly._wrap(n, out)
 
 
 def _load_problem(path: str) -> dict:
@@ -91,7 +93,7 @@ def _load_problem(path: str) -> dict:
     n = data["n"]
     if not _is_int(n) or n < 1:
         raise InputError("'n' must be a positive integer")
-    problem = {"n": n, "raw": data}
+    problem = {"n": n}
     if "action" in data:
         problem["action"] = _poly_from_json(n, data["action"])
     if "observable" in data:
@@ -114,15 +116,7 @@ def _load_problem(path: str) -> dict:
         K = h.get("K")
         if K is not None and (not _is_int(K) or K < 0):
             raise InputError("'K' must be a non-negative integer")
-        vertices = {}
-        for key, terms in raw_vertices.items():
-            try:
-                deg = int(key)
-            except ValueError as exc:
-                raise InputError(f"vertex degree {key!r} is not an integer") from exc
-            if deg in vertices:
-                raise InputError(f"vertex degree {deg} is given more than once")
-            vertices[deg] = _poly_from_json(n, terms)
+        vertices = {deg: _poly_from_json(n, terms) for deg, terms in vertex_degrees(raw_vertices).items()}
         problem["hbar"] = {"a": rows, "vertices": vertices, "K": K}
     if "contour" in data:
         if not isinstance(data["contour"], str):
@@ -280,7 +274,8 @@ def cmd_verify(args) -> int:
     failed = False
     for r in reports:
         status = "pass" if r.passed else "FAIL"
-        print(f"verify[{r.name}]: {r.checks} checks, {len(r.failures)} failures ... {status}")
+        skipped = f"{r.skipped} skipped, " if r.skipped else ""
+        print(f"verify[{r.name}]: {r.checks} checks, {skipped}{len(r.failures)} failures ... {status}")
         for f in r.failures:
             failed = True
             print("counterexample: " + json.dumps(f, sort_keys=True))

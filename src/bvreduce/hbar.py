@@ -36,8 +36,22 @@ from .scalars import Scalar, clear_denominators, q
 from .superpoly import SuperPoly, add_term, sum_pairs
 
 
+def vertex_degrees(vertices: dict) -> dict:
+    """vertices keyed by int(key); a non-integer key, or two keys of one degree (3 and "3"), is an InputError."""
+    out = {}
+    for key, p in vertices.items():
+        try:
+            deg = int(key)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"vertex degree {key!r} is not an integer") from exc
+        if deg in out:
+            raise InputError(f"vertex degree {deg} is given more than once")
+        out[deg] = p
+    return out
+
+
 class HbarModel:
-    """Quadratic pairing plus vertex polynomials sum b x...x / l!."""
+    """Quadratic pairing plus vertex polynomials sum b x...x / l!; u is their sum U."""
 
     def __init__(self, n: int, a, vertices=None):
         self.n = n
@@ -55,8 +69,7 @@ class HbarModel:
         cols = [[(i, *pairs[i * n + j]) for i in range(n) if pairs[i * n + j] != (0, 0)] for j in range(n)]
         self.cainv = tuple(cols), aden
         verts: dict[int, SuperPoly] = {}
-        for deg, p in (vertices or {}).items():
-            deg = int(deg)
+        for deg, p in vertex_degrees(vertices or {}).items():
             if p.is_zero:
                 continue
             if deg < 3:
@@ -69,17 +82,15 @@ class HbarModel:
                 raise InputError(f"vertex of declared degree {deg} is not homogeneous")
             verts[deg] = p
         self.vertices = verts
-        u = SuperPoly.zero(n)
-        for p in verts.values():
-            u = u + p
-        self.grad_u = tuple(u.dx(j) for j in range(n))
+        self.u = u = sum(verts.values(), SuperPoly.zero(n))
+        grad_u = tuple(u.dx(j) for j in range(n))
         # L - B = sum_j (sum_i a_ij x_i - dU/dx_j) d/dxi_j
-        self.grad_lb = tuple(
+        grad_lb = tuple(
             sum((SuperPoly.x(n, i) * rows[i][j] for i in range(n)), SuperPoly.zero(n)) - g
-            for j, g in enumerate(self.grad_u)
+            for j, g in enumerate(grad_u)
         )
-        self.cgrad_u = contraction_terms(self.grad_u)
-        self.cgrad_lb = contraction_terms(self.grad_lb)
+        self.cgrad_u = contraction_terms(grad_u)
+        self.cgrad_lb = contraction_terms(grad_lb)
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -277,9 +288,7 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     if any(mask for _, mask in f.terms):
         raise InputError("observables must be xi-free")
     cov = tuple(tuple(v for v in row) for row in m.ainv)
-    u = SuperPoly.zero(m.n)
-    for p in m.vertices.values():
-        u = u + p
+    u = m.u
 
     def bracket(g: SuperPoly) -> list[Scalar]:
         # <g e^{U/hbar}>_0 as a truncated series; each monomial of degree D in

@@ -123,7 +123,7 @@ class Factor:
     until `column(j)` solves it: e_j is forward-substituted through the
     recorded steps, back-substituted on the echelon rows and its entry i
     scaled by dens[i].  Solved columns are memoized; `column` itself takes
-    no lock.
+    no lock.  `solve(rhs)` applies A^{-1} to a Scalar vector.
     """
 
     __slots__ = ("k", "det", "columns", "_dens", "_steps", "_upper")
@@ -170,7 +170,7 @@ class Factor:
             x[c] = acc // piv if acc else 0
         return x
 
-    def solve(self, rhs: list[GInt]) -> list[GInt]:
+    def _solve_gauss(self, rhs: list[GInt]) -> list[GInt]:
         """X rhs = det * A^{-1} rhs for a Gaussian-integer vector rhs, as Gaussian integers."""
         k = self.k
         br = [x for x, _ in rhs]
@@ -183,12 +183,22 @@ class Factor:
             im = self._solve_int(bi) if any(bi) else [0] * k
         return [(x * den, y * den) for x, y, den in zip(re, im, self._dens)]
 
+    def solve(self, rhs: list[Scalar]) -> list[Scalar]:
+        """A^{-1} rhs for a Scalar vector rhs.
+
+        rhs is cleared over one denominator L, solved in integers for
+        det * L * A^{-1} rhs, and each entry costs one exact division by L * det.
+        """
+        g, den = clear_denominators(rhs)
+        scale = self.det * den
+        return [gauss(xr, xi, scale) if xr or xi else ZERO for xr, xi in self._solve_gauss(g)]
+
     def column(self, j: int) -> list[tuple[int, int, int]]:
         """Column j of X as its nonzero entries (i, re, im), solved on first use."""
         col = self.columns[j]
         if col is None:
             e = [(1, 0) if i == j else (0, 0) for i in range(self.k)]
-            col = [(i, xr, xi) for i, (xr, xi) in enumerate(self.solve(e)) if xr or xi]
+            col = [(i, xr, xi) for i, (xr, xi) in enumerate(self._solve_gauss(e)) if xr or xi]
             self.columns[j] = col
         return col
 
@@ -206,16 +216,10 @@ def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[li
     """Solve A X = B for square A; columns of B are given as rhs_cols.
 
     Raises SingularMatrix when A is rank-deficient.  A is factored once by
-    `invert`; each column is cleared over its own denominator L, solved in
-    integers for det * x, and costs one exact rational division per entry.
+    `invert`, and each column is solved by `Factor.solve`.
     """
     f = invert(a)
-    sols = []
-    for col in rhs_cols:
-        g, den = clear_denominators(col)
-        scale = f.det * den
-        sols.append([gauss(xr, xi, scale) if xr or xi else ZERO for xr, xi in f.solve(g)])
-    return sols
+    return [f.solve(col) for col in rhs_cols]
 
 
 def invert(a: list[list], im: list[list[int]] | None = None, dens: list[int] | None = None) -> Factor:

@@ -293,23 +293,24 @@ def _fit_ray_length(s_coeffs: list[complex], spec: ContourSpec) -> ContourSpec:
     raise NotAllowable("could not find a ray length with Re(s) <= -30 decay")
 
 
-def default_contours(d: int, s: SuperPoly | None = None, leading: complex = 1.0) -> list[ContourSpec]:
+def default_contours(d: int, s: SuperPoly | None = None) -> list[ContourSpec]:
     """d-1 independent contours between consecutive decay sectors of the top term.
 
-    The decay sectors of leading * x^d are centered on the rays where
-    Re(leading * x^d) is most negative; contour j runs in from sector j-1 and
-    out to sector j through the origin.  When s is supplied its lower-order
-    terms are accounted for by fitting the ray length against the full action.
+    The decay sectors of the top term c x^d (c = 1 without s) are centered on
+    the rays where Re(c x^d) is most negative; contour j runs in from sector
+    j-1 and out to sector j through the origin.  When s is supplied its
+    lower-order terms are accounted for by fitting the ray length against the
+    full action.
     """
     if d < 2:
         raise InputError("need degree >= 2 for default contours")
-    if s is not None:
+    if s is None:
+        sc = [0j] * d + [1 + 0j]
+    else:
         sc = poly1d_coeffs(s)
         if len(sc) != d + 1 or sc[d] == 0:
             raise InputError("action degree does not match d")
-        leading = sc[d]
-    else:
-        sc = [0j] * d + [complex(leading)]
+    leading = sc[d]
     alpha = cmath.phase(leading)
     midlines = [(math.pi * (2 * k + 1) - alpha) / d for k in range(d)]
     out = []

@@ -32,7 +32,7 @@ from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import MAX_OBSERVABLE_WEIGHT, SliceSolver
 from .linalg import invert, rank
-from .scalars import Scalar, clear_denominators, gauss, q
+from .scalars import Scalar, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -238,11 +238,8 @@ class ReduceSession:
         h = tau_diag(self.solver.apply(f), self.action.d)
         if self._change is None:
             return h
-        rhs, den = clear_denominators(h.vector())
-        scale = self._change.det * den
         out = JacClass(self.basis)
-        sol = self._change.solve(rhs)
-        out.coeffs = {m: gauss(a, b, scale) for m, (a, b) in zip(self.basis.monomials, sol) if a or b}
+        out.coeffs = {m: c for m, c in zip(self.basis.monomials, self._change.solve(h.vector())) if c}
         return out
 
     def phi(self, h: JacClass) -> SuperPoly:

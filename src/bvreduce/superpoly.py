@@ -332,23 +332,7 @@ class SuperPoly:
             out.setdefault(sum(e), SuperPoly(self.n)).terms[(e, m)] = c
         return out
 
-    # -- evaluation / rendering ------------------------------------------------------
-
-    def eval_complex(self, point) -> complex:
-        """Evaluate the degree-0 part at a complex point (floating point, oracle use only)."""
-        pt = [complex(z) for z in point]
-        if len(pt) != self.n:
-            raise ValueError("point must have length n")
-        total = 0j
-        for (e, m), c in self.terms.items():
-            if m:
-                raise ValueError("eval_complex is defined on homological degree 0 only")
-            v = c.to_complex()
-            for i, p in enumerate(e):
-                if p:
-                    v *= pt[i] ** p
-            total += v
-        return total
+    # -- rendering ------------------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[Key, Scalar]]:
         """Terms in lexicographic (exponent word, xi word) order."""

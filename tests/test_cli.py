@@ -200,6 +200,16 @@ def test_verify_ok(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_counts_nongeneric_instances_as_skipped(capsys):
+    # at seed 42 one n = 4 quadratic action with f = x0 x2 raises NotGenericAtWeight(2) in reduce_full
+    rep = verify_mod.check_wick(200, 42)
+    assert (rep.checks, rep.skipped, rep.failures) == (199, 1, [])
+    assert main(["verify", "--trials", "200", "--seed", "42"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "verify[wick-agreement]: 199 checks, 1 skipped, 0 failures ... pass" in out
+    assert "verify[exactness]: 200 checks, 0 failures ... pass" in out
+
+
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -219,7 +229,7 @@ def test_verify_sign_flip_trips_gate(monkeypatch, capsys):
         bad = tau_diag(d_div(eta_diag(sess.solver.apply(f), action)), action.d).scale(2)
         return good + bad
 
-    monkeypatch.setattr(verify_mod, "DEFAULT_REDUCE", flipped)
+    monkeypatch.setattr(verify_mod, "reduce_full", flipped)
     code = main(["verify", "--n", "2", "--d", "3", "--trials", "15", "--seed", "7"])
     assert code == EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
@@ -410,6 +420,17 @@ def test_observable_over_weight_budget_exit_3(tmp_path, capsys):
     assert main(["reduce", write(tmp_path / "p.json", problem)]) == EXIT_INVALID
     assert time.perf_counter() - t0 < 5
     assert "weight 3000, over the budget" in capsys.readouterr().err
+
+
+def test_large_problem_file_reads_in_linear_time(tmp_path, capsys):
+    # 40,000 observable terms: adding them one polynomial at a time copied every term so far and took 16 s
+    observable = [term((i, j), (1, 1)) for i in range(200) for j in range(200)]
+    problem = {"n": 2, "action": [term((3, 0), (1, 1)), term((0, 3), (1, 1))], "observable": observable}
+    inp = write(tmp_path / "p.json", problem)
+    t0 = time.perf_counter()
+    assert main(["reduce", inp]) == EXIT_INVALID
+    assert time.perf_counter() - t0 < 5
+    assert "weight 398, over the budget" in capsys.readouterr().err
 
 
 def test_hbar_over_order_budget_exit_3(tmp_path, capsys):

@@ -235,6 +235,15 @@ def test_model_validation():
         hbar_reduce(x, _model1(), -1)
 
 
+def test_vertex_keys_name_one_degree_each():
+    # 3 and "3" name one degree: the model kept only the last of the two
+    x = SuperPoly.x(1, 0)
+    with pytest.raises(InputError, match="vertex degree 3 is given more than once"):
+        HbarModel(1, [[1]], {3: x**3, "3": 5 * x**3})
+    with pytest.raises(InputError, match="vertex degree 'cubic' is not an integer"):
+        HbarModel(1, [[1]], {"cubic": x**3})
+
+
 def _pinned_series_case(rng):
     """A random model and observable: n <= 3, K <= 5 (K <= 3 for n = 3), cubic and quartic vertices."""
     n = rng.randint(1, 3)

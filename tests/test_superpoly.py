@@ -202,9 +202,3 @@ def test_text_rendering_canonical():
 def test_scalar_text():
     assert Scalar(q(-1, 3)).text() == "-1/3+0/1*i"
     assert Scalar(0, q(-2, 5)).text() == "0/1-2/5*i"
-
-
-def test_eval_complex():
-    x = sp_x(1, 0)
-    p = x**2 + 1
-    assert abs(p.eval_complex([2j]) - (-3 + 0j)) < 1e-14
