@@ -7,71 +7,38 @@ hbar expansion engine and a floating-point contour oracle that validates the
 algebra against real integrals.
 """
 
-from .bvdiff import Action, action_build, d_bv, d_cl, d_diag, d_div
-from .errors import (
-    EngineError,
-    InputError,
-    NonDiagonalizableAction,
-    NonTerminating,
-    NotAllowable,
-    NotGenericAtWeight,
-    SingularMatrix,
-    ToleranceNotReached,
-)
-from .hbar import HbarModel, HbarSeries, hbar_eta, hbar_oracle, hbar_reduce, isserlis_moment
-from .oracle import ComplexEstimate, ContourSpec, contour_integrate, default_contours, verify_reduction
-from .reduce import (
-    JacBasis,
-    JacClass,
-    ReduceSession,
-    eta_diag,
-    jac_basis,
-    jac_rank_check,
-    reduce_full,
-    tau_diag,
-    wick,
-)
-from .scalars import Scalar, q
-from .superpoly import SuperPoly
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "ComplexEstimate",
-    "ContourSpec",
-    "EngineError",
-    "HbarModel",
-    "HbarSeries",
-    "InputError",
-    "JacBasis",
-    "JacClass",
-    "NonDiagonalizableAction",
-    "NonTerminating",
-    "NotAllowable",
-    "NotGenericAtWeight",
-    "ReduceSession",
-    "Scalar",
-    "SingularMatrix",
-    "SuperPoly",
-    "ToleranceNotReached",
-    "action_build",
-    "contour_integrate",
-    "d_bv",
-    "d_cl",
-    "d_diag",
-    "d_div",
-    "default_contours",
-    "eta_diag",
-    "hbar_eta",
-    "hbar_oracle",
-    "hbar_reduce",
-    "isserlis_moment",
-    "jac_basis",
-    "jac_rank_check",
-    "q",
-    "reduce_full",
-    "tau_diag",
-    "verify_reduction",
-    "wick",
-]
+# Each public name and the submodule that defines it.  Importing the package
+# loads no submodule: the first access to a name imports its home (PEP 562), so
+# a process that reduces never compiles the oracle, the hbar engine or verify.
+_HOME = {
+    name: module
+    for module, names in (
+        ("bvdiff", "Action action_build d_bv d_cl d_diag d_div"),
+        ("errors", "EngineError InputError NonDiagonalizableAction NonTerminating NotAllowable "
+                   "NotGenericAtWeight SingularMatrix ToleranceNotReached"),
+        ("hbar", "HbarModel HbarSeries hbar_eta hbar_oracle hbar_reduce isserlis_moment"),
+        ("oracle", "ComplexEstimate ContourSpec contour_integrate default_contours verify_reduction"),
+        ("reduce", "JacBasis JacClass ReduceSession eta_diag jac_basis jac_rank_check reduce_full tau_diag wick"),
+        ("scalars", "Scalar q"),
+        ("superpoly", "SuperPoly"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without calling here
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

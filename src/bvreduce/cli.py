@@ -11,7 +11,6 @@ import math
 import sys
 import time
 
-from . import verify as verify_mod
 from .bvdiff import Action, action_build
 from .errors import (
     EngineError,
@@ -23,11 +22,12 @@ from .errors import (
     ToleranceNotReached,
     read_json,
 )
-from .hbar import HbarModel, hbar_reduce, vertex_degrees
-from .oracle import load_contours, verify_reduction
 from .reduce import JacClass, jac_basis, session_for, wick
 from .scalars import Scalar, q
 from .superpoly import SuperPoly, add_term
+
+# hbar, oracle and verify are imported by the subcommands that run them: a
+# one-shot `reduce` process neither loads nor compiles them
 
 EXIT_OK = 0
 EXIT_NOT_GENERIC = 2
@@ -116,7 +116,9 @@ def _load_problem(path: str) -> dict:
         K = h.get("K")
         if K is not None and (not _is_int(K) or K < 0):
             raise InputError("'K' must be a non-negative integer")
-        vertices = {deg: _poly_from_json(n, terms) for deg, terms in vertex_degrees(raw_vertices).items()}
+        from . import hbar
+
+        vertices = {deg: _poly_from_json(n, terms) for deg, terms in hbar.vertex_degrees(raw_vertices).items()}
         problem["hbar"] = {"a": rows, "vertices": vertices, "K": K}
     if "contour" in data:
         if not isinstance(data["contour"], str):
@@ -212,6 +214,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hbar(args) -> int:
+    from . import hbar
+
     problem = _load_problem(args.input)
     if "hbar" not in problem:
         raise InputError("problem file is missing the 'hbar' section")
@@ -220,8 +224,8 @@ def cmd_hbar(args) -> int:
     order = args.order if args.order is not None else spec.get("K")
     if order is None:
         raise InputError("truncation order missing: pass -K or set hbar.K")
-    model = HbarModel(problem["n"], spec["a"], spec["vertices"])
-    series = hbar_reduce(f, model, order)
+    model = hbar.HbarModel(problem["n"], spec["a"], spec["vertices"])
+    series = hbar.hbar_reduce(f, model, order)
     _write_json(args.output, {
         "n": problem["n"],
         "K": order,
@@ -231,14 +235,16 @@ def cmd_hbar(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be a finite positive number, got {args.tol}")
     problem = _load_problem(args.input)
     action = _require_action(problem)
     f = _require_observable(problem)
     contour_path = args.contour or problem.get("contour")
-    contours = load_contours(contour_path) if contour_path else None
-    report = verify_reduction(action, f, contours=contours, tol=args.tol)
+    contours = oracle.load_contours(contour_path) if contour_path else None
+    report = oracle.verify_reduction(action, f, contours=contours, tol=args.tol)
     payload = {
         "tol": args.tol,
         "coefficients": [_scalar_to_json(c) for c in report.coefficients],
@@ -259,6 +265,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.n < 1 or args.d < 2:
         raise InputError(f"verify needs --n >= 1 and --d >= 2, got n={args.n}, d={args.d}")
     if args.trials < 0:
@@ -270,7 +278,7 @@ def cmd_verify(args) -> int:
     if args.trials == 0:
         print("verify: 0 checks run (trials=0)")
         return EXIT_OK
-    reports = verify_mod.run_all(args.trials, args.seed, args.n, args.d, args.maxdeg)
+    reports = verify.run_all(args.trials, args.seed, args.n, args.d, args.maxdeg)
     failed = False
     for r in reports:
         status = "pass" if r.passed else "FAIL"

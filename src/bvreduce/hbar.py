@@ -26,6 +26,7 @@ the hbar^k coefficient.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -36,14 +37,23 @@ from .scalars import Scalar, clear_denominators, q
 from .superpoly import SuperPoly, add_term, sum_pairs
 
 
+def _degree(key) -> int:
+    """A vertex key as a degree: an int (not a bool), or a string of decimal digits with an optional sign."""
+    if isinstance(key, int) and not isinstance(key, bool):
+        return key
+    if isinstance(key, str) and re.fullmatch(r"[+-]?[0-9]+", key):
+        try:
+            return int(key)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"vertex degree {key!r} is not an integer")
+
+
 def vertex_degrees(vertices: dict) -> dict:
-    """vertices keyed by int(key); a non-integer key, or two keys of one degree (3 and "3"), is an InputError."""
+    """vertices keyed by degree; a key that is no integer (3.7, " 3") or repeats a degree (3, "3") is an InputError."""
     out = {}
     for key, p in vertices.items():
-        try:
-            deg = int(key)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"vertex degree {key!r} is not an integer") from exc
+        deg = _degree(key)
         if deg in out:
             raise InputError(f"vertex degree {deg} is given more than once")
         out[deg] = p

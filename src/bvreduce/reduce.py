@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -36,16 +35,27 @@ from .scalars import Scalar, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
-@dataclass(frozen=True)
 class JacBasis:
     """The (d-1)^n monomials x^m with every exponent at most d-2, lexicographic."""
 
-    n: int
-    d: int
-    monomials: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "d", "monomials")
+
+    def __init__(self, n: int, d: int, monomials: tuple[tuple[int, ...], ...]):
+        self.n, self.d, self.monomials = n, d, monomials
+
+    def __eq__(self, other):
+        if not isinstance(other, JacBasis):
+            return NotImplemented
+        return (self.n, self.d, self.monomials) == (other.n, other.d, other.monomials)
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.monomials))
 
     def __len__(self):
         return len(self.monomials)
+
+    def __repr__(self):
+        return f"JacBasis(n={self.n}, d={self.d}, monomials={self.monomials!r})"
 
 
 MAX_BASIS_ENTRIES = 1 << 22

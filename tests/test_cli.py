@@ -281,7 +281,7 @@ def _contour(**fields):
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K="2"), {}),
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", K=2.5), {}),
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices=[[term((3,), (1, 1))]]), {}),
-        # keys that name one degree: the later polynomial would silently replace the earlier
+        # a second key for degree 3: the later polynomial would silently replace the earlier; " 3" is no integer
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices={"3": [term((3,), (1, 1))], "03": [term((3,), (5, 1))]}), {}),
         (["hbar", "{p}"], _with(HBAR_PROBLEM, "hbar", vertices={"3": [term((3,), (1, 1))], " 3": [term((3,), (5, 1))]}), {}),
         (["oracle", "{p}"], _with(CUBIC_PROBLEM, None, contour=0), {}),
@@ -365,20 +365,56 @@ def test_overflowing_contour_not_allowable_exit_2(tmp_path, capsys, problem, con
 
 
 def test_oracle_runs_on_stdlib_only(tmp_path):
-    """The package imports neither numpy nor scipy, and the oracle runs with both unimportable."""
+    """An oracle run imports neither numpy nor scipy, and it runs with both unimportable."""
     inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
-    script = (
-        "import sys\n"
-        "import bvreduce.cli\n"
-        "leaked = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
-        "assert not leaked, leaked\n"
-        "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
-        "raise SystemExit(bvreduce.cli.main(['oracle', sys.argv[1], '-o', '-']))\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(Path(bvreduce.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", script, inp], capture_output=True, text=True, env=env)
+    for poison in (False, True):
+        script = (
+            "import sys\n"
+            f"if {poison}:\n"
+            "    sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+            "import bvreduce.cli\n"
+            "code = bvreduce.cli.main(['oracle', sys.argv[1], '-o', '-'])\n"
+            # the oracle module is imported inside main, so the check comes after it
+            "leaked = sorted(m for m, mod in sys.modules.items() if mod and m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "assert not leaked, leaked\n"
+            "raise SystemExit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, inp], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+
+
+def _modules_after(code: str, *argv: str) -> set[str]:
+    """The names in sys.modules once a fresh interpreter has run code, which must exit 0."""
+    script = code + "\nprint(' '.join(sys.modules), file=sys.stderr)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(bvreduce.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["passed"] is True
+    return set(proc.stderr.split())
+
+
+def test_reduce_child_loads_only_the_reduce_path(tmp_path):
+    """`python -m bvreduce.cli reduce` compiles no module that only another subcommand runs."""
+    inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['bvreduce.cli', 'reduce', sys.argv[1], '-o', sys.argv[2]]\n"
+        "try:\n"
+        "    runpy.run_module('bvreduce.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    loaded = _modules_after(code, inp, str(tmp_path / "r.json"))
+    assert json.loads((tmp_path / "r.json").read_text())["basis"] == [[0], [1]]
+    assert "bvreduce.reduce" in loaded
+    assert not loaded & {"bvreduce.oracle", "bvreduce.hbar", "bvreduce.verify", "dataclasses"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = _modules_after("import sys\nimport bvreduce")
+    assert "bvreduce" in loaded
+    assert not [m for m in loaded if m.startswith("bvreduce.")]
 
 
 def test_basis_over_budget_exit_3_without_allocating(tmp_path, monkeypatch, capsys):

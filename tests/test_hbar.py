@@ -242,6 +242,13 @@ def test_vertex_keys_name_one_degree_each():
         HbarModel(1, [[1]], {3: x**3, "3": 5 * x**3})
     with pytest.raises(InputError, match="vertex degree 'cubic' is not an integer"):
         HbarModel(1, [[1]], {"cubic": x**3})
+    # a float key is no degree, even when it is whole: int() would truncate 3.7 to 3
+    for key in (3.7, 3.0, True):
+        with pytest.raises(InputError, match=f"vertex degree {key!r} is not an integer"):
+            HbarModel(1, [[1]], {key: x**3})
+    with pytest.raises(InputError, match="is not an integer"):
+        HbarModel(1, [[1]], {"9" * 5000: x**3})  # past int()'s digit limit
+    assert HbarModel(1, [[1]], {"+3": x**3}).vertices == HbarModel(1, [[1]], {3: x**3}).vertices
 
 
 def _pinned_series_case(rng):
