@@ -93,14 +93,7 @@ class HbarModel:
             verts[deg] = p
         self.vertices = verts
         self.u = u = sum(verts.values(), SuperPoly.zero(n))
-        grad_u = tuple(u.dx(j) for j in range(n))
-        # L - B = sum_j (sum_i a_ij x_i - dU/dx_j) d/dxi_j
-        grad_lb = tuple(
-            sum((SuperPoly.x(n, i) * rows[i][j] for i in range(n)), SuperPoly.zero(n)) - g
-            for j, g in enumerate(grad_u)
-        )
-        self.cgrad_u = contraction_terms(grad_u)
-        self.cgrad_lb = contraction_terms(grad_lb)
+        self.cgrad_u = contraction_terms([u.dx(j) for j in range(n)])
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -156,8 +149,13 @@ class HbarSeries:
 
 def model_differential(m: HbarModel, v: SuperPoly, K: int) -> HbarSeries:
     """Apply L - B - hbar*div to a polynomial, as a truncated series."""
-    out = HbarSeries(m.n, K)
-    out.coeffs[0] = _contract(m.cgrad_lb, v)
+    n = m.n
+    # L - B = sum_j (sum_i a_ij x_i - dU/dx_j) d/dxi_j
+    grad_lb = [
+        sum((SuperPoly.x(n, i) * m.a[i][j] for i in range(n)), SuperPoly.zero(n)) - m.u.dx(j) for j in range(n)
+    ]
+    out = HbarSeries(n, K)
+    out.coeffs[0] = _contract(contraction_terms(grad_lb), v)
     if K >= 1:
         out.coeffs[1] = -d_div(v)
     return out

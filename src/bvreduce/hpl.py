@@ -37,13 +37,13 @@ from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import invert
-from .scalars import ONE, Scalar, clear_denominators, gauss
+from .scalars import ONE, Scalar, clear_denominators
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 Map = Callable[[SuperPoly], SuperPoly]
 
 
-def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map | None, solve=None) -> SuperPoly:
+def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map, solve=None) -> SuperPoly:
     """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
     keep preserves weight exactly, and so does eta wherever a slice is
@@ -72,8 +72,6 @@ def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map | None, solve=None) 
                 y_terms = solve(h, w, y_terms)
             for key, c in y_terms.items():
                 add_term(out, key, c)
-            if drop is None:
-                continue
             e = eta(SuperPoly._wrap(n, y_terms))
             if e.is_zero:
                 continue
@@ -106,15 +104,16 @@ MAX_SLICE_ROWS = 256
 """Budget on the rows of one (degree, weight) slice; a larger slice is an InputError."""
 
 MAX_OBSERVABLE_WEIGHT = 128
-"""Budget on the weight of an observable to reduce; a heavier one is an InputError.
+"""Budget on the weight of what `SliceSolver.apply` sweeps; a heavier input is an InputError.
 
-The transferred tau sweeps every weight level from the observable's weight
-down (`neumann_apply`), applying the perturbation at each and solving a
-slice at each when it has a weight-keeping part, so the cost grows with the
-weight, and faster with n: an n = 2 reduction at this budget takes seconds
-(x0^128 on x0^3 + x1^3 + x0 x1^2 - x0 in about 2 s, and about 18 s with
-complex x1^3 and x0 x1^2 coefficients) without building a slice over
-MAX_SLICE_ROWS.
+That is every observable a session reduces and every section correction
+it is built with.  The sweep visits every weight level from the input's
+weight down (`neumann_apply`), applying the perturbation at each and
+solving a slice at each when it has a weight-keeping part, so the cost
+grows with the weight, and faster with n: an n = 2 reduction at this
+budget takes seconds (x0^128 on x0^3 + x1^3 + x0 x1^2 - x0 in about 2 s,
+and about 18 s with complex x1^3 and x0 x1^2 coefficients) without
+building a slice over MAX_SLICE_ROWS.
 """
 
 
@@ -135,15 +134,14 @@ class SliceSolver:
     `linalg.invert`.  Assembly also checks, once per slice, that eta keeps
     the weight of every basis monomial, so that drop o eta is all the sweep
     has left to apply.  The slice is memoized as its `Factor`: a
-    fraction-free LU, an integer det and the columns of X = det (id - keep o
-    eta)^{-1}, each solved on first use.  A bucket r is cleared to Gaussian
-    integers over one common denominator L, X r is accumulated in integers
-    over the columns r touches and each nonzero output entry is divided
-    once, by L * det.  Concurrent readers see a consistent cache thanks to
-    single-flight population of slices and columns under a lock.
+    fraction-free LU whose inverse columns are solved on first use.  A
+    bucket is mapped to the slice's basis indices and solved by
+    `Factor.solve`, which touches only the columns the bucket needs.
+    Concurrent readers see a consistent cache: slices are populated
+    single-flight under the solver's lock, columns under the factor's own.
     """
 
-    def __init__(self, n: int, d: int, eta: Map, keep: Map | None, drop: Map | None):
+    def __init__(self, n: int, d: int, eta: Map, keep: Map | None, drop: Map):
         self.n = n
         self.d = d
         self.eta = eta
@@ -218,32 +216,15 @@ class SliceSolver:
             return entry
 
     def apply(self, v: SuperPoly) -> SuperPoly:
+        w = v.max_weight(self.d)
+        if w > MAX_OBSERVABLE_WEIGHT:
+            raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
         return neumann_apply(v, self.d, self.eta, self.drop, None if self.keep is None else self._solve)
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
-        """X r / det for the (h, w) slice and its terms r; a column of X is solved when r first needs it."""
+        """(id - keep o eta)^{-1} applied to the terms of one (h, w) bucket, by the slice's `Factor.solve`."""
         basis, index, factor = self._slice(h, w)
         if factor is None:
             return vec_terms
-        cols = factor.columns
-        rhs, den = clear_denominators(vec_terms.values())
-        k = len(basis)
-        yr = [0] * k
-        yi = [0] * k
-        for key, (ar, ai) in zip(vec_terms, rhs):
-            j = index[key]
-            col = cols[j]
-            if col is None:
-                with self._lock:
-                    col = factor.column(j)
-            if ai:
-                for i, xr, xi in col:
-                    yr[i] += xr * ar - xi * ai
-                    yi[i] += xr * ai + xi * ar
-            else:
-                for i, xr, xi in col:
-                    yr[i] += xr * ar
-                    yi[i] += xi * ar
-        # r = rhs / den, so X r / det = y / (den * det)
-        scale = den * factor.det
-        return {basis[i]: gauss(a, b, scale) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
+        y = factor.solve({index[key]: c for key, c in vec_terms.items()})
+        return {basis[i]: c for i, c in y.items()}

@@ -14,10 +14,11 @@ the same elimination on a rectangular matrix, halved for a complex one.
 """
 from __future__ import annotations
 
+import threading
 from operator import mul
 
 from .errors import SingularMatrix
-from .scalars import ZERO, GInt, Scalar, clear_denominators, gauss
+from .scalars import ZERO, Scalar, clear_denominators, gauss
 
 
 def _gaussian_columns(a: list[list[Scalar]]):
@@ -122,11 +123,15 @@ class Factor:
     `columns[j]` is column j of X as its nonzero entries (i, re, im), or None
     until `column(j)` solves it: e_j is forward-substituted through the
     recorded steps, back-substituted on the echelon rows and its entry i
-    scaled by dens[i].  Solved columns are memoized; `column` itself takes
-    no lock.  `solve(rhs)` applies A^{-1} to a Scalar vector.
+    scaled by dens[i].  Solved columns are memoized, and a column is solved
+    under the factor's lock, so threads that race for it solve it once.
+    `solve(r)` applies A^{-1} to a sparse Scalar vector r: r is cleared to
+    Gaussian integers over one common denominator L, X r is accumulated in
+    integers over the columns r touches and each nonzero entry is divided
+    once, by L * det.
     """
 
-    __slots__ = ("k", "det", "columns", "_dens", "_steps", "_upper")
+    __slots__ = ("k", "det", "columns", "_dens", "_steps", "_upper", "_lock")
 
     def __init__(self, re: list[list[int]], im: list[list[int]] | None, dens: list[int]):
         k = len(re)
@@ -140,6 +145,7 @@ class Factor:
         self._dens = dens
         self._steps = steps
         self._upper = upper
+        self._lock = threading.Lock()
         self.columns: list[list[tuple[int, int, int]] | None] = [None] * k
 
     def _solve_int(self, b: list[int]) -> list[int]:
@@ -170,37 +176,48 @@ class Factor:
             x[c] = acc // piv if acc else 0
         return x
 
-    def _solve_gauss(self, rhs: list[GInt]) -> list[GInt]:
-        """X rhs = det * A^{-1} rhs for a Gaussian-integer vector rhs, as Gaussian integers."""
-        k = self.k
-        br = [x for x, _ in rhs]
-        bi = [y for _, y in rhs]
-        if len(self._upper) > k:
-            x = self._solve_int(br + bi)
-            re, im = x[:k], x[k:]
-        else:
-            re = self._solve_int(br)
-            im = self._solve_int(bi) if any(bi) else [0] * k
-        return [(x * den, y * den) for x, y, den in zip(re, im, self._dens)]
-
-    def solve(self, rhs: list[Scalar]) -> list[Scalar]:
-        """A^{-1} rhs for a Scalar vector rhs.
-
-        rhs is cleared over one denominator L, solved in integers for
-        det * L * A^{-1} rhs, and each entry costs one exact division by L * det.
-        """
-        g, den = clear_denominators(rhs)
-        scale = self.det * den
-        return [gauss(xr, xi, scale) if xr or xi else ZERO for xr, xi in self._solve_gauss(g)]
-
     def column(self, j: int) -> list[tuple[int, int, int]]:
-        """Column j of X as its nonzero entries (i, re, im), solved on first use."""
+        """Column j of X as its nonzero entries (i, re, im), solved once, on first use."""
         col = self.columns[j]
         if col is None:
-            e = [(1, 0) if i == j else (0, 0) for i in range(self.k)]
-            col = [(i, xr, xi) for i, (xr, xi) in enumerate(self._solve_gauss(e)) if xr or xi]
-            self.columns[j] = col
+            with self._lock:
+                col = self.columns[j]
+                if col is None:
+                    k = self.k
+                    # e_j, of the size of M or of its real embedding
+                    x = self._solve_int([int(i == j) for i in range(len(self._upper))])
+                    col = [(i, xr * den, xi * den)
+                           for i, (xr, xi, den) in enumerate(zip(x, x[k:] or [0] * k, self._dens)) if xr or xi]
+                    self.columns[j] = col
         return col
+
+    def solve(self, rhs) -> dict[int, Scalar]:
+        """A^{-1} r for a sparse Scalar vector r, given as a {j: r_j} map or as (j, r_j) pairs with distinct j.
+
+        Returns the nonzero entries as {i: Scalar}.  Only the columns of X
+        that r touches are solved.
+        """
+        rhs = rhs if isinstance(rhs, dict) else dict(rhs)
+        g, den = clear_denominators(rhs.values())
+        k = self.k
+        cols = self.columns
+        yr = [0] * k
+        yi = [0] * k
+        for j, (ar, ai) in zip(rhs, g):
+            col = cols[j]
+            if col is None:
+                col = self.column(j)
+            if ai:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar - xi * ai
+                    yi[i] += xr * ai + xi * ar
+            else:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar
+                    yi[i] += xi * ar
+        # r = g / den, so A^{-1} r = X g / (den * det)
+        scale = den * self.det
+        return {i: gauss(a, b, scale) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
 
     def inverse(self) -> list[list[Scalar]]:
         """A^{-1} as Scalar rows."""
@@ -213,13 +230,17 @@ class Factor:
 
 
 def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Solve A X = B for square A; columns of B are given as rhs_cols.
+    """Solve A X = B for square A; columns of B are given as rhs_cols, and X is returned the same way.
 
     Raises SingularMatrix when A is rank-deficient.  A is factored once by
     `invert`, and each column is solved by `Factor.solve`.
     """
     f = invert(a)
-    return [f.solve(col) for col in rhs_cols]
+    out = []
+    for col in rhs_cols:
+        x = f.solve({j: c for j, c in enumerate(col) if c})
+        out.append([x.get(i, ZERO) for i in range(f.k)])
+    return out
 
 
 def invert(a: list[list], im: list[list[int]] | None = None, dens: list[int] | None = None) -> Factor:

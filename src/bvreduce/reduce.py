@@ -29,7 +29,7 @@ from math import factorial
 from . import bvdiff
 from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
-from .hpl import MAX_OBSERVABLE_WEIGHT, SliceSolver
+from .hpl import SliceSolver
 from .linalg import invert, rank
 from .scalars import Scalar, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
@@ -192,10 +192,11 @@ class ReduceSession:
 
     phi_correction optionally replaces the monomial-inclusion section by
     phi(x^m) = x^m + c_m, for a map from basis monomials m to xi-free
-    polynomials c_m killed by tau_diag.  Another section only changes the
-    basis of H: with tau the transferred projection and M the matrix whose
-    columns are e_m + tau(c_m), the classes over the new representatives
-    are M^{-1} tau, and M is factored once here.
+    polynomials c_m killed by tau_diag; the solver sweeps each c_m once
+    here, under the same weight budget as an observable.  Another section
+    only changes the basis of H: with tau the transferred projection and M
+    the matrix whose columns are e_m + tau(c_m), the classes over the new
+    representatives are M^{-1} tau, and M is factored once here.
 
     Construction is single-threaded; afterwards reduce() may be called
     concurrently (the per-weight caches populate under a lock).
@@ -229,7 +230,7 @@ class ReduceSession:
         self._change = None
         if correction:
             # column m of M is the class of x^m + c_m over the monomial-inclusion section
-            index = {m: i for i, m in enumerate(basis.monomials)}
+            self._index = index = {m: i for i, m in enumerate(basis.monomials)}
             mat = [[Scalar(int(i == j)) for j in range(len(index))] for i in range(len(index))]
             for m, c in correction.items():
                 for mm, v in tau_diag(self.solver.apply(c), d).coeffs.items():
@@ -242,14 +243,12 @@ class ReduceSession:
     def reduce(self, f: SuperPoly) -> JacClass:
         if f.n != self.action.n:
             raise ValueError("variable count mismatch")
-        w = f.max_weight(self.action.d)
-        if w > MAX_OBSERVABLE_WEIGHT:
-            raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
         h = tau_diag(self.solver.apply(f), self.action.d)
         if self._change is None:
             return h
         out = JacClass(self.basis)
-        out.coeffs = {m: c for m, c in zip(self.basis.monomials, self._change.solve(h.vector())) if c}
+        y = self._change.solve({self._index[m]: c for m, c in h.coeffs.items()})
+        out.coeffs = {self.basis.monomials[i]: c for i, c in y.items()}
         return out
 
     def phi(self, h: JacClass) -> SuperPoly:

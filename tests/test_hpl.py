@@ -84,7 +84,7 @@ def test_weight_solve_failure_quartic():
     a = action_build(x**4 + 2 * (x**3 * y) + 2 * (x * y**3) + y**4)
     delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
-        SliceSolver(n, 4, _eta(a), delta, None).apply(x**2 * y**2)
+        SliceSolver(n, 4, _eta(a), delta, _zero).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
@@ -98,12 +98,12 @@ def test_nonterminating_guard():
         SliceSolver(1, 3, _id, None, lambda v: v * x).apply(x**2)
     # a keep whose image leaves its slice upward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 3"):
-        SliceSolver(1, 3, _id, lambda v: v * x, None).apply(x**2)
+        SliceSolver(1, 3, _id, lambda v: v * x, _zero).apply(x**2)
     # ... or downward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
-        SliceSolver(1, 3, _id, lambda v: v.dx(0), None).apply(x**2)
+        SliceSolver(1, 3, _id, lambda v: v.dx(0), _zero).apply(x**2)
     # an eta that lowers weight cannot have its slice solved: slice assembly refuses it
-    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _id, None)
+    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _id, _zero)
     with pytest.raises(NonTerminating, match="eta sent weight 2 to weight 1"):
         lowering._slice(0, 2)
     with pytest.raises(NonTerminating):
@@ -223,7 +223,7 @@ def test_two_perturbations_equal_combined():
         mix, low, div = _parts(a)
         keep = mix if a.has_mix() else None
         drops = [low, div] if a.has_lower() else [div]
-        stages = ([(keep, None)] if keep else []) + [(None, op) for op in drops]
+        stages = ([(keep, _zero)] if keep else []) + [(None, op) for op in drops]
         try:
             staged = []
             eta = _eta(a)

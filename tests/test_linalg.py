@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import invert, rank, solve_square
+from bvreduce.linalg import Factor, invert, rank, solve_square
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -216,6 +218,87 @@ def test_lazy_columns_match_fraction_reference(data):
     a[-1] = [c * v for v in a[0]]
     with pytest.raises(SingularMatrix):
         invert(a)
+
+
+def _dense_fraction_solve(a, rhs):
+    """The nonzero entries of a^{-1} rhs for a sparse rhs {j: Scalar}, by the Fraction route."""
+    b = [rhs.get(j, Scalar(0)) for j in range(len(a))]
+    return {i: x for i, x in enumerate(_as_scalars(_fraction_gauss_solve(a, b))) if x}
+
+
+def _solved_columns(f):
+    return [j for j, col in enumerate(f.columns) if col is not None]
+
+
+def test_factor_solve_sparse_rhs_matches_fraction_reference():
+    rng = random.Random(27)
+    k = 5
+    real_rhs = {1: _frac_scalar(Fraction(2, 3)), 3: _frac_scalar(Fraction(-5, 4)), 4: _frac_scalar(7)}
+    complex_rhs = {0: _frac_scalar(1, Fraction(-1, 2)), 4: _frac_scalar(0, Fraction(3, 7))}
+    for complex_matrix in (False, True):
+        while True:
+            a = _mat(rng, k, k, complex_part=complex_matrix)
+            if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
+                break
+        f = invert(a)
+        for rhs in (real_rhs, complex_rhs):
+            want = _dense_fraction_solve(a, rhs)
+            assert f.solve(rhs) == want
+            assert f.solve(list(rhs.items())) == want
+        assert _solved_columns(f) == [0, 1, 3, 4]
+        # a right-hand side on one column solves that column alone
+        single = {2: _frac_scalar(Fraction(3, 5), 1)}
+        g = invert(a)
+        assert g.solve(single) == _dense_fraction_solve(a, single)
+        assert _solved_columns(g) == [2]
+        assert g.solve({}) == {}
+
+
+def test_factor_solves_each_column_once_across_threads(monkeypatch):
+    """Threads solving the same right-hand side on one fresh Factor solve each column it touches once."""
+    rng = random.Random(28)
+    k = 12
+    while True:
+        a = _mat(rng, k, k)
+        if rank(a) == k:
+            break
+    rhs = {j: _frac_scalar(Fraction(j + 1, 3), Fraction(-1, j + 2)) for j in range(0, k, 2)}
+    want = _dense_fraction_solve(a, rhs)
+    f = invert(a)
+    solved = []
+    solve_int = Factor._solve_int
+
+    def counting_solve_int(self, b):
+        solved.append(b.index(1))
+        return solve_int(self, b)
+
+    monkeypatch.setattr(Factor, "_solve_int", counting_solve_int)
+    workers = 8
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=30)
+            results[i] = f.solve(rhs)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == [want] * workers
+    assert sorted(solved) == sorted(rhs) == _solved_columns(f)
 
 
 def test_solve_square_gate_sized_slice():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bvreduce.hpl as hpl
 from bvreduce import (
     InputError,
     JacClass,
@@ -452,6 +453,19 @@ def test_custom_splitting_rejects_basis_overlap():
     with pytest.raises(InputError):
         # x^4 has the class -2/3 x, so x + 3/2 x^4 is a boundary and the representatives miss a class
         ReduceSession(a, phi_correction={(1,): x**4 * Scalar(q(3, 2))})
+
+
+def test_section_correction_over_the_weight_budget_is_refused_before_the_sweep(monkeypatch):
+    """A correction is swept once when the session is built, so it has the budget of an observable."""
+    x = SuperPoly.x(1, 0)
+    ReduceSession(action_build(x**3), phi_correction={(0,): x**128})  # at the budget
+    monkeypatch.setattr(hpl, "neumann_apply", lambda *args: pytest.fail("the sweep ran"))
+    with pytest.raises(InputError, match="the observable has weight 129, over the budget of 128"):
+        ReduceSession(action_build(x**3), phi_correction={(0,): x**129})
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    a = action_build(x0**3 + x1**3 + x0 * x1**2 - x0)
+    with pytest.raises(InputError, match="the observable has weight 200, over the budget of 128"):
+        ReduceSession(a, phi_correction={(0, 0): x0**200})
 
 
 def test_session_reuse_is_cached():
