@@ -19,7 +19,7 @@ deformation, handed over as two plain SuperPoly -> SuperPoly callables:
 keep, which preserves weight exactly, and drop, which strictly lowers it.  A
 SliceSolver applies (id - delta o eta)^{-1} by one sweep from the top weight
 down, `neumann_apply`.  Only keep o eta needs an exact inverse: when keep is
-given, id - keep o eta is assembled in integers on the monomial basis of
+given, id - keep o eta is assembled as term maps on the monomial basis of
 each finite (homological degree, weight) slice the sweep reaches and
 factored once by fraction-free Gaussian elimination, with the columns of its
 inverse solved on first use.  That needs an eta that keeps weight exactly,
@@ -36,11 +36,12 @@ from math import comb
 from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
-from .linalg import invert
-from .scalars import ONE, Scalar, clear_denominators
+from .linalg import Factor, invert
+from .scalars import ONE, Scalar
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 Map = Callable[[SuperPoly], SuperPoly]
+_NEG_ONE = -ONE
 
 
 def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map, solve=None) -> SuperPoly:
@@ -129,13 +130,13 @@ class SliceSolver:
     once per weight level.
 
     With keep, each (degree, weight) slice the sweep reaches is solved
-    against id - keep o eta, assembled by `_slice` straight into Gaussian
-    integers, each column over its own denominator, and factored once by
-    `linalg.invert`.  Assembly also checks, once per slice, that eta keeps
-    the weight of every basis monomial, so that drop o eta is all the sweep
-    has left to apply.  The slice is memoized as its `Factor`: a
-    fraction-free LU whose inverse columns are solved on first use.  A
-    bucket is mapped to the slice's basis indices and solved by
+    against id - keep o eta: `_slice` builds its columns as term maps on the
+    slice's monomial basis and factors them once by `linalg.invert`.
+    Assembly also checks, once per slice, that eta keeps the weight of every
+    basis monomial, so that drop o eta is all the sweep has left to apply.
+    The slice is memoized as its `Factor`, keyed by the basis monomials: a
+    fraction-free LU whose inverse columns are solved on first use, or None
+    where keep o eta vanishes on the slice.  A bucket is solved by
     `Factor.solve`, which touches only the columns the bucket needs.
     Concurrent readers see a consistent cache: slices are populated
     single-flight under the solver's lock, columns under the factor's own.
@@ -147,16 +148,17 @@ class SliceSolver:
         self.eta = eta
         self.keep = keep
         self.drop = drop
-        self._cache: dict[tuple[int, int], tuple] = {}
+        self._cache: dict[tuple[int, int], Factor | None] = {}
         self._lock = threading.Lock()
 
     def solved_weights(self) -> list[int]:
         return sorted({w for (_, w) in self._cache})
 
-    def _in_slice(self, key: Key, w: int, index: dict[Key, int]) -> dict[Key, Scalar]:
-        """The image of the basis monomial key under keep o eta, which must stay in its slice."""
+    def _in_slice(self, key: Key, w: int, basis: dict) -> dict[Key, Scalar]:
+        """The image of the basis monomial key under -keep o eta, which must stay in its slice."""
         n, d = self.n, self.d
-        e = self.eta(SuperPoly._wrap(n, {key: ONE}))
+        # keep(eta(-e)) = -keep(eta(e)), with no Scalar negated
+        e = self.eta(SuperPoly._wrap(n, {key: _NEG_ONE}))
         for kk in e.terms:
             if term_weight(kk, d) != w:
                 raise NonTerminating(f"eta sent weight {w} to weight {term_weight(kk, d)}")
@@ -164,18 +166,19 @@ class SliceSolver:
             return {}
         img = self.keep(e).terms
         for kk in img:
-            if kk not in index:
+            if kk not in basis:
                 raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {term_weight(kk, d)}")
         return img
 
-    def _slice(self, h: int, w: int):
-        got = self._cache.get((h, w))
-        if got is not None:
-            return got
+    def _slice(self, h: int, w: int) -> Factor | None:
+        """The factored id - keep o eta on the (h, w) slice, or None where keep o eta vanishes on it."""
+        cache = self._cache
+        # membership, not get(): None is a cached slice too
+        if (h, w) in cache:
+            return cache[(h, w)]
         with self._lock:
-            got = self._cache.get((h, w))
-            if got is not None:
-                return got
+            if (h, w) in cache:
+                return cache[(h, w)]
             # the size of slice_basis(n, d, h, w), counted before anything is built
             xdeg = w - (self.d - 1) * h
             k = comb(self.n, h) * comb(xdeg + self.n - 1, self.n - 1) if xdeg >= 0 else 0
@@ -183,37 +186,21 @@ class SliceSolver:
                 raise InputError(
                     f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"
                 )
-            basis = slice_basis(self.n, self.d, h, w)
-            index = {key: i for i, key in enumerate(basis)}
-            # id - keep o eta in Gaussian integers: column j is (den_j e_j - image_j) / den_j
-            re = [[0] * k for _ in range(k)]
-            im = None
-            dens = [1] * k
+            # the columns e_key - keep(eta(e_key)), keyed by the basis monomials in basis order
+            cols = dict.fromkeys(slice_basis(self.n, self.d, h, w))
             nontrivial = False
-            for j, key in enumerate(basis):
-                img = self._in_slice(key, w, index)
-                if not img:
-                    re[j][j] = 1
-                    continue
-                nontrivial = True
-                pairs, den = clear_denominators(img.values())
-                dens[j] = re[j][j] = den
-                for kk, (a, b) in zip(img, pairs):
-                    i = index[kk]
-                    re[i][j] -= a
-                    if b:
-                        if im is None:
-                            im = [[0] * k for _ in range(k)]
-                        im[i][j] -= b
+            for key in cols:
+                col = cols[key] = dict(self._in_slice(key, w, cols))
+                nontrivial = nontrivial or bool(col)
+                add_term(col, key, ONE)
             factor = None
             if nontrivial:
                 try:
-                    factor = invert(re, im, dens)
+                    factor = invert(cols)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
-            entry = (basis, index, factor)
-            self._cache[(h, w)] = entry
-            return entry
+            cache[(h, w)] = factor
+            return factor
 
     def apply(self, v: SuperPoly) -> SuperPoly:
         w = v.max_weight(self.d)
@@ -223,8 +210,5 @@ class SliceSolver:
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
         """(id - keep o eta)^{-1} applied to the terms of one (h, w) bucket, by the slice's `Factor.solve`."""
-        basis, index, factor = self._slice(h, w)
-        if factor is None:
-            return vec_terms
-        y = factor.solve({index[key]: c for key, c in vec_terms.items()})
-        return {basis[i]: c for i, c in y.items()}
+        factor = self._slice(h, w)
+        return vec_terms if factor is None else factor.solve(vec_terms)

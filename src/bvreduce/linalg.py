@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over Q(i) via fraction-free (Bareiss) elimination.
+"""Exact linear algebra over Q(i) via fraction-free (Bareiss) elimination.
 
-Matrices are cleared to Gaussian integers column by column; a matrix with an
-imaginary part B + iC is then replaced by its real embedding [[B, -C], [C, B]],
-so one elimination on plain ints, `_forward_eliminate`, serves every matrix.
-It uses the one-step Bareiss recurrence, whose divisions are exact in any
-integral domain.  Everything stays in big integers until a single division at
-the end, which keeps intermediate entries at minor-determinant size instead of
-letting rational numerators blow up.
+This module owns the matrix format.  A matrix is handed over as sparse
+vectors {key: Scalar} in the caller's keys, a dense list of Scalar rows being
+the same matrix keyed by position, and answers come back in those keys.
+`_gaussian_columns` alone clears columns to Gaussian integers, one by one; a
+matrix with an imaginary part B + iC is then replaced by its real embedding
+[[B, -C], [C, B]], so one elimination on plain ints, `_forward_eliminate`,
+serves every matrix.  It uses the one-step Bareiss recurrence, whose
+divisions are exact in any integral domain.  Everything stays in big integers
+until a single division at the end, which keeps intermediate entries at
+minor-determinant size instead of letting rational numerators blow up.
 
 A square matrix is factored once by `invert` into a fraction-free LU, and the
 columns of its inverse are solved on first use.  `rank` counts the pivots of
@@ -15,30 +18,43 @@ the same elimination on a rectangular matrix, halved for a complex one.
 from __future__ import annotations
 
 import threading
+from math import lcm
 from operator import mul
 
 from .errors import SingularMatrix
 from .scalars import ZERO, Scalar, clear_denominators, gauss
 
 
-def _gaussian_columns(a: list[list[Scalar]]):
-    """a cleared to Gaussian integers column by column, as (re, im, dens).
+def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
+    """Sparse columns {row key: Scalar} cleared to Gaussian integers one by one, as (m, realified, dens).
 
-    a[i][j] = (re[i][j] + i*im[i][j]) / dens[j], and im is None for a real a.
+    Rows follow the order of row_keys, and column j is cleared over dens[j]
+    to B + iC.  m is B for a real matrix and otherwise its real embedding
+    [[B, -C], [C, B]], of twice the size and rank.  A row key not in
+    row_keys is a ValueError.
     """
-    cols = [clear_denominators(col) for col in zip(*a)]
-    re = [list(row) for row in zip(*[[x for x, _ in g] for g, _ in cols])]
+    width = len(cols)
+    re = {key: [0] * width for key in row_keys}
     im = None
-    if any(y for g, _ in cols for _, y in g):
-        im = [list(row) for row in zip(*[[y for _, y in g] for g, _ in cols])]
-    return re, im, [den for _, den in cols]
-
-
-def _realify(re: list[list[int]], im: list[list[int]] | None) -> list[list[int]]:
-    """The real embedding [[B, -C], [C, B]] of B + iC, of twice the size and rank; B itself when C is None."""
+    dens = []
+    for j, col in enumerate(cols):
+        # a list, not a generator: lcm(*<genexpr>) in a hot loop grows the process's memory
+        den = lcm(*[s.den for s in col.values()])
+        dens.append(den)
+        for key, s in col.items():
+            f = den // s.den
+            try:
+                re[key][j] = s.a * f
+            except KeyError:
+                raise ValueError(f"row key {key!r} is not a column key") from None
+            if s.b:
+                if im is None:
+                    im = {key: [0] * width for key in re}
+                im[key][j] = s.b * f
     if im is None:
-        return re
-    return [b + [-x for x in c] for b, c in zip(re, im)] + [c + b for b, c in zip(re, im)]
+        return list(re.values()), False, dens
+    pairs = list(zip(re.values(), im.values()))
+    return [b + [-x for x in c] for b, c in pairs] + [c + b for b, c in pairs], True, dens
 
 
 def _forward_eliminate(m: list[list[int]]):
@@ -98,13 +114,13 @@ def _forward_eliminate(m: list[list[int]]):
     return steps, upper
 
 
-def rank(rows: list[list[Scalar]]) -> int:
-    """Exact rank of a rectangular Scalar matrix."""
-    if not rows:
-        return 0
-    re, im, _ = _gaussian_columns(rows)
-    steps, _ = _forward_eliminate(_realify(re, im))
-    return len(steps) if im is None else len(steps) // 2
+def rank(vectors: list) -> int:
+    """The dimension of the span of sparse vectors {key: Scalar} over Q(i); a dense row is keyed by position."""
+    vectors = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
+    # the vectors are the columns of a matrix with a row per key: rank(A^T) = rank(A)
+    m, realified, _ = _gaussian_columns(vectors, dict.fromkeys(key for v in vectors for key in v))
+    steps, _ = _forward_eliminate(m)
+    return len(steps) // 2 if realified else len(steps)
 
 
 class Factor:
@@ -118,35 +134,36 @@ class Factor:
     M^{-1} in its upper and lower halves.  The factor keeps the pivot order,
     the echelon rows and each step's multipliers, and `det`, the last pivot:
     a nonzero integer with det * M^{-1} a Gaussian-integer matrix, and so
-    X = det * A^{-1} = D (det * M^{-1}) as well.
+    X = det * A^{-1} = D (det * M^{-1}) as well.  `keys` lists the column
+    keys of A in the caller's order, which key its rows too.
 
-    `columns[j]` is column j of X as its nonzero entries (i, re, im), or None
-    until `column(j)` solves it: e_j is forward-substituted through the
-    recorded steps, back-substituted on the echelon rows and its entry i
-    scaled by dens[i].  Solved columns are memoized, and a column is solved
-    under the factor's lock, so threads that race for it solve it once.
-    `solve(r)` applies A^{-1} to a sparse Scalar vector r: r is cleared to
-    Gaussian integers over one common denominator L, X r is accumulated in
-    integers over the columns r touches and each nonzero entry is divided
-    once, by L * det.
+    `columns[key]` is that column of X as its nonzero entries (i, re, im),
+    i a position in `keys`, or None until `column(key)` solves it: e_j is
+    forward-substituted through the recorded steps, back-substituted on the
+    echelon rows and its entry i scaled by dens[i].  Solved columns are
+    memoized, and a column is solved under the factor's lock, so threads
+    that race for it solve it once.  `solve(r)` applies A^{-1} to a sparse
+    Scalar vector r: r is cleared to Gaussian integers over one common
+    denominator L, X r is accumulated in integers over the columns r touches
+    and each nonzero entry is divided once, by L * det.
     """
 
-    __slots__ = ("k", "det", "columns", "_dens", "_steps", "_upper", "_lock")
+    __slots__ = ("k", "keys", "det", "columns", "_dens", "_steps", "_upper", "_lock")
 
-    def __init__(self, re: list[list[int]], im: list[list[int]] | None, dens: list[int]):
-        k = len(re)
-        m = _realify(re, im)
+    def __init__(self, a: dict, m: list[list[int]], realified: bool, dens: list[int]):
+        k = len(a)
         steps, upper = _forward_eliminate(m)
         if len(steps) < len(m):
-            rk = len(steps) if im is None else len(steps) // 2
+            rk = len(steps) // 2 if realified else len(steps)
             raise SingularMatrix(f"matrix of size {k} has rank {rk}")
         self.k = k
+        self.keys = list(a)
         self.det = steps[-1][3] if steps else 1
         self._dens = dens
         self._steps = steps
         self._upper = upper
         self._lock = threading.Lock()
-        self.columns: list[list[tuple[int, int, int]] | None] = [None] * k
+        self.columns: dict = dict.fromkeys(a)
 
     def _solve_int(self, b: list[int]) -> list[int]:
         """x with M x = det * b for the factored integer matrix M, by forward and back substitution.
@@ -176,37 +193,37 @@ class Factor:
             x[c] = acc // piv if acc else 0
         return x
 
-    def column(self, j: int) -> list[tuple[int, int, int]]:
-        """Column j of X as its nonzero entries (i, re, im), solved once, on first use."""
-        col = self.columns[j]
+    def column(self, key) -> list[tuple[int, int, int]]:
+        """The column of X at key as its nonzero entries (i, re, im), solved once, on first use."""
+        col = self.columns[key]
         if col is None:
             with self._lock:
-                col = self.columns[j]
+                col = self.columns[key]
                 if col is None:
                     k = self.k
+                    # list.index is O(k), once per column, beside the O(k^2) substitution
+                    j = self.keys.index(key)
                     # e_j, of the size of M or of its real embedding
                     x = self._solve_int([int(i == j) for i in range(len(self._upper))])
                     col = [(i, xr * den, xi * den)
                            for i, (xr, xi, den) in enumerate(zip(x, x[k:] or [0] * k, self._dens)) if xr or xi]
-                    self.columns[j] = col
+                    self.columns[key] = col
         return col
 
-    def solve(self, rhs) -> dict[int, Scalar]:
-        """A^{-1} r for a sparse Scalar vector r, given as a {j: r_j} map or as (j, r_j) pairs with distinct j.
+    def solve(self, rhs: dict) -> dict:
+        """A^{-1} r for a sparse Scalar vector r given as {key: r_key}, returned the same way, zeros omitted.
 
-        Returns the nonzero entries as {i: Scalar}.  Only the columns of X
-        that r touches are solved.
+        Only the columns of X that r touches are solved.
         """
-        rhs = rhs if isinstance(rhs, dict) else dict(rhs)
         g, den = clear_denominators(rhs.values())
         k = self.k
         cols = self.columns
         yr = [0] * k
         yi = [0] * k
-        for j, (ar, ai) in zip(rhs, g):
-            col = cols[j]
+        for key, (ar, ai) in zip(rhs, g):
+            col = cols[key]
             if col is None:
-                col = self.column(j)
+                col = self.column(key)
             if ai:
                 for i, xr, xi in col:
                     yr[i] += xr * ar - xi * ai
@@ -217,14 +234,14 @@ class Factor:
                     yi[i] += xi * ar
         # r = g / den, so A^{-1} r = X g / (den * det)
         scale = den * self.det
-        return {i: gauss(a, b, scale) for i, (a, b) in enumerate(zip(yr, yi)) if a or b}
+        return {key: gauss(a, b, scale) for key, a, b in zip(self.keys, yr, yi) if a or b}
 
     def inverse(self) -> list[list[Scalar]]:
-        """A^{-1} as Scalar rows."""
+        """A^{-1} as Scalar rows, rows and columns in key order."""
         k, det = self.k, self.det
         rows = [[ZERO] * k for _ in range(k)]
-        for j in range(k):
-            for i, xr, xi in self.column(j):
+        for j, key in enumerate(self.keys):
+            for i, xr, xi in self.column(key):
                 rows[i][j] = gauss(xr, xi, det)
         return rows
 
@@ -243,20 +260,22 @@ def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[li
     return out
 
 
-def invert(a: list[list], im: list[list[int]] | None = None, dens: list[int] | None = None) -> Factor:
+def invert(a) -> Factor:
     """The fraction-free LU `Factor` of a square matrix over Q(i).
 
-    a is a square Scalar matrix, cleared here column by column.  A caller
-    that builds the matrix in integers passes its rows of real parts as a,
-    the rows of imaginary parts as im (None for a real matrix) and each
-    column's denominator as dens: entry (i, j) is (a[i][j] + i*im[i][j]) / dens[j].
+    a is given as its sparse columns {key: {row key: Scalar}}, in the
+    caller's order; every row key must be a column key.  A dense list of
+    Scalar rows is the same matrix keyed by position.
 
     The factor is computed once; columns of det * a^{-1} are solved on
     first use, and `inverse()` gives the whole inverse as Scalar rows.  det
     is the last Bareiss pivot of the cleared (and, for a complex matrix,
     realified) matrix, so it can differ from det(a) by a rational factor.
-    Raises SingularMatrix when a is rank-deficient.
+    Raises ValueError when a is not square and SingularMatrix when it is
+    rank-deficient.
     """
-    if dens is None:
-        a, im, dens = _gaussian_columns(a)
-    return Factor(a, im, dens)
+    if isinstance(a, list):
+        if any(len(row) != len(a) for row in a):
+            raise ValueError(f"a dense matrix of {len(a)} rows is not square")
+        a = {j: {i: row[j] for i, row in enumerate(a)} for j in range(len(a))}
+    return Factor(a, *_gaussian_columns(a.values(), a))

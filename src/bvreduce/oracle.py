@@ -70,6 +70,10 @@ class ContourSpec:
     @staticmethod
     def from_json(obj: dict) -> "ContourSpec":
         try:
+            # complex() and float() take JSON booleans too, and float() numeric strings
+            numbers = [*(x for p in (*obj["waypoints"], *obj["end_directions"]) for x in p), obj["ray_length"]]
+            if any(type(x) not in (int, float) for x in numbers):
+                raise TypeError("waypoints, end directions and ray length must be JSON numbers")
             wps = tuple(complex(a, b) for a, b in obj["waypoints"])
             dirs = tuple(complex(a, b) for a, b in obj["end_directions"])
             if len(dirs) != 2:

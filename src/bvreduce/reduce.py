@@ -31,7 +31,7 @@ from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import SliceSolver
 from .linalg import invert, rank
-from .scalars import Scalar, q
+from .scalars import ONE, Scalar, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -230,13 +230,12 @@ class ReduceSession:
         self._change = None
         if correction:
             # column m of M is the class of x^m + c_m over the monomial-inclusion section
-            self._index = index = {m: i for i, m in enumerate(basis.monomials)}
-            mat = [[Scalar(int(i == j)) for j in range(len(index))] for i in range(len(index))]
+            cols = {m: {m: ONE} for m in basis.monomials}
             for m, c in correction.items():
                 for mm, v in tau_diag(self.solver.apply(c), d).coeffs.items():
-                    mat[index[mm]][index[m]] += v
+                    add_term(cols[m], mm, v)
             try:
-                self._change = invert(mat)
+                self._change = invert(cols)
             except SingularMatrix:
                 raise InputError("the corrected representatives are not a basis of the homology") from None
 
@@ -247,8 +246,7 @@ class ReduceSession:
         if self._change is None:
             return h
         out = JacClass(self.basis)
-        y = self._change.solve({self._index[m]: c for m, c in h.coeffs.items()})
-        out.coeffs = {self.basis.monomials[i]: c for i, c in y.items()}
+        out.coeffs = self._change.solve(h.coeffs)
         return out
 
     def phi(self, h: JacClass) -> SuperPoly:
@@ -340,24 +338,9 @@ def jac_rank_check(action: Action, w_max: int) -> list[int]:
     the weight at which the monomials stop being independent.
     """
     n, d = action.n, action.d
-    cols = []
-    for deg in range(w_max + 1):
-        cols.extend(monomials_of_degree(n, deg))
-    col_index = {m: i for i, m in enumerate(cols)}
-    ncols = len(cols)
-
     basis = jac_basis(n, d)
-
-    def row_of(p: SuperPoly) -> list[Scalar]:
-        row = [Scalar(0)] * ncols
-        for (e, mask), c in p.terms.items():
-            if mask:
-                raise AssertionError("image of a degree-1 element must be xi-free")
-            row[col_index[e]] = c
-        return row
-
-    img_rows: list[list[Scalar]] = []
-    unit_rows: list[list[Scalar]] = []
+    images: list[dict[Key, Scalar]] = []
+    units: list[dict[Key, Scalar]] = []
     dims = []
     prev = 0
     for w in range(w_max + 1):
@@ -365,18 +348,12 @@ def jac_rank_check(action: Action, w_max: int) -> list[int]:
         if xdeg >= 0:
             for i in range(n):
                 for e in monomials_of_degree(n, xdeg):
-                    gen = SuperPoly(n, {(e, 1 << i): Scalar(1)})
-                    img = bvdiff.d_cl(action, gen)
-                    if not img.is_zero:
-                        img_rows.append(row_of(img))
-        for m in basis.monomials:
-            if sum(m) == w:
-                row = [Scalar(0)] * ncols
-                row[col_index[m]] = Scalar(1)
-                unit_rows.append(row)
-        r_img = rank(img_rows) if img_rows else 0
-        r_all = rank(img_rows + unit_rows) if (img_rows or unit_rows) else 0
-        cum = r_all - r_img
+                    img = bvdiff.d_cl(action, SuperPoly(n, {(e, 1 << i): ONE}))
+                    if any(mask for _, mask in img.terms):
+                        raise AssertionError("image of a degree-1 element must be xi-free")
+                    images.append(img.terms)
+        units.extend({(m, 0): ONE} for m in basis.monomials if sum(m) == w)
+        cum = rank(images + units) - rank(images)
         dims.append(cum - prev)
         prev = cum
     return dims

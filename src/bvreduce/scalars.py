@@ -155,8 +155,7 @@ def gauss(a: int, b: int, den: int) -> Scalar:
 def clear_denominators(values: Collection[Scalar]) -> tuple[list[GInt], int]:
     """Gaussian integers g and den, the lcm of all denominators, with values[j] == g[j] / den.
 
-    Scaling a matrix row this way leaves rank and kernels unchanged, and a
-    term-map kernel that clears its input once adds plain ints.
+    A term-map kernel or a sparse solve that clears its input once adds plain ints.
     """
     # a list, not a generator: lcm(*<genexpr>) in a hot loop grows the process's memory
     den = lcm(*[s.den for s in values])

@@ -310,6 +310,11 @@ def _contour(**fields):
         (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
          {"c.json": json.dumps(_contour(end_directions=[[-1.0, 0.0], [0.5, 0.866025403784], [0.5, -0.866]]))}),
         (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": "[]"}),
+        # float() takes a numeric string, and complex() and float() take JSON booleans
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": json.dumps(_contour(ray_length="6"))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM, {"c.json": json.dumps(_contour(ray_length=True))}),
+        (["oracle", "{p}", "--contour", "{dir}/c.json"], CUBIC_PROBLEM,
+         {"c.json": json.dumps(_contour(waypoints=[[False, False]]))}),
         (["verify", "--n", "0"], None, {}),
         (["verify", "--d", "1"], None, {}),
         (["verify", "--trials", "-1"], None, {}),
@@ -320,7 +325,8 @@ def _contour(**fields):
          "contour-int", "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
          "contour-inf-direction", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
          "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k",
-         "contour-one-direction", "contour-three-directions", "contour-none", "verify-n-zero",
+         "contour-one-direction", "contour-three-directions", "contour-none",
+         "contour-ray-string", "contour-ray-true", "contour-waypoint-false", "verify-n-zero",
          "verify-d-one", "verify-trials-negative", "verify-maxdeg-negative", "verify-maxdeg-below-d"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):

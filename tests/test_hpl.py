@@ -16,7 +16,7 @@ from bvreduce import (
     tau_diag,
 )
 from bvreduce.bvdiff import _contract, contraction_terms, d_div
-from bvreduce.hpl import SliceSolver
+from bvreduce.hpl import SliceSolver, slice_basis
 from bvreduce.reduce import JacClass, ReduceSession, jac_basis
 from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
@@ -350,9 +350,9 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     builds = []
     hpl_invert = hpl.invert
 
-    def counting_invert(mat, *args):
-        builds.append(len(mat))
-        return hpl_invert(mat, *args)
+    def counting_invert(cols):
+        builds.append(len(cols))
+        return hpl_invert(cols)
 
     monkeypatch.setattr(hpl, "invert", counting_invert)
     v = SuperPoly(n, {
@@ -370,9 +370,31 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     assert solver.apply(v) == y
     assert len(builds) == n_builds  # every slice came from the cache
     # weight 0 is the kernel: no inverse is kept and its input passes through
-    assert solver._slice(0, 0)[2] is None
+    assert solver._slice(0, 0) is None
     one = SuperPoly.const(n, Scalar(q(-2, 7), q(1, 3)))
     assert solver.apply(one) == one
+
+
+def test_slice_without_weight_keeping_image_is_built_once(monkeypatch):
+    # keep o eta vanishes on every slice: each is cached as None and must not be assembled again
+    x = SuperPoly.x(2, 0)
+    y = SuperPoly.x(2, 1)
+    solver = SliceSolver(2, 3, _id, _zero, lambda v: v.dx(0))
+    calls = []
+    in_slice = SliceSolver._in_slice
+
+    def counting_in_slice(self, key, w, basis):
+        calls.append((key, w))
+        return in_slice(self, key, w, basis)
+
+    monkeypatch.setattr(SliceSolver, "_in_slice", counting_in_slice)
+    v = x**3 + x * y
+    out = solver.apply(v)
+    assert calls and solver.solved_weights() == [0, 1, 2, 3]
+    assert list(solver._cache.values()) == [None] * 4
+    built = len(calls)
+    assert solver.apply(v) == out
+    assert len(calls) == built
 
 
 def test_slice_solver_solves_only_the_columns_apply_reaches():
@@ -382,11 +404,14 @@ def test_slice_solver_solves_only_the_columns_apply_reaches():
     v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
     y = solver.apply(v)
     assert y - keep(y) - drop(y) == v
-    basis, index, factor = solver._slice(0, 4)
-    solved = [j for j, col in enumerate(factor.columns) if col is not None]
-    assert solved == sorted(index[key] for key in v.terms) and len(solved) < len(basis)
+    factor = solver._slice(0, 4)
+    basis = factor.keys
+    assert basis == slice_basis(n, 3, 0, 4)
+    solved = [key for key, col in factor.columns.items() if col is not None]
+    assert solved == sorted(v.terms) and len(solved) < len(basis)
     # the top slice of y is the whole inverse of id - keep applied to v
     inv = factor.inverse()
+    index = {key: i for i, key in enumerate(basis)}
     top = {key: sum((inv[i][index[kv]] * c for kv, c in v.terms.items()), Scalar(0)) for i, key in enumerate(basis)}
     assert {key: c for key, c in y.terms.items() if key in index} == {key: c for key, c in top.items() if c}
     assert solver.apply(v) == y
@@ -414,16 +439,18 @@ def _factored_slices_invert_their_blocks(session, eta):
     """Every slice the session factored inverts id - its block of (d_bv - d_diag) o eta; returns how many."""
     solver = session.solver
     factored = 0
-    for basis, _, factor in solver._cache.values():
+    for (h, w), factor in solver._cache.items():
+        basis = slice_basis(solver.n, solver.d, h, w)
         block = _delta_eta_block(session.action, eta, basis)
         if factor is None:
             assert not any(c for row in block for c in row)
             continue
+        assert factor.keys == basis
         k = len(basis)
         det = Scalar(factor.det)
-        for j in range(k):
+        for j, key in enumerate(basis):
             x = [Scalar(0)] * k
-            for i, xr, xi in factor.column(j):
+            for i, xr, xi in factor.column(key):
                 x[i] = Scalar(xr, xi)
             for i in range(k):
                 got = x[i] - sum((block[i][t] * x[t] for t in range(k)), Scalar(0))

@@ -203,7 +203,7 @@ def test_lazy_columns_match_fraction_reference(data):
         if rank(a) == k:
             break
     f = invert(a)
-    assert f.columns == [None] * k
+    assert f.columns == dict.fromkeys(range(k))
     for j in data.draw(st.permutations(range(k))):
         col = f.column(j)
         assert f.columns[j] is col
@@ -227,7 +227,7 @@ def _dense_fraction_solve(a, rhs):
 
 
 def _solved_columns(f):
-    return [j for j, col in enumerate(f.columns) if col is not None]
+    return [j for j, col in f.columns.items() if col is not None]
 
 
 def test_factor_solve_sparse_rhs_matches_fraction_reference():
@@ -244,7 +244,6 @@ def test_factor_solve_sparse_rhs_matches_fraction_reference():
         for rhs in (real_rhs, complex_rhs):
             want = _dense_fraction_solve(a, rhs)
             assert f.solve(rhs) == want
-            assert f.solve(list(rhs.items())) == want
         assert _solved_columns(f) == [0, 1, 3, 4]
         # a right-hand side on one column solves that column alone
         single = {2: _frac_scalar(Fraction(3, 5), 1)}
@@ -338,3 +337,65 @@ def test_singular_message_reports_complex_rank():
     assert rank(a) == 2 == _fraction_gauss_rank(a)
     with pytest.raises(SingularMatrix, match="matrix of size 3 has rank 2"):
         invert(a)
+
+
+def _keyed_columns(a, keys):
+    """The dense rows a as sparse columns {key: {row key: Scalar}}, zeros omitted."""
+    return {keys[j]: {keys[i]: a[i][j] for i in range(len(a)) if a[i][j]} for j in range(len(a))}
+
+
+def test_keyed_invert_and_solve_match_fraction_reference():
+    # tuple keys in an order that is not sorted: answers come back in the caller's keys and order
+    rng = random.Random(29)
+    k = 5
+    keys = [((2, 0), 1), ((0, 1), 0), ((3, 1), 2), ((0, 0), 0), ((1, 4), 1)]
+    assert keys != sorted(keys)
+    for complex_matrix in (False, True):
+        while True:
+            a = _mat(rng, k, k, complex_part=complex_matrix)
+            for i in range(k):
+                for j in rng.sample(range(k), 2):
+                    a[i][j] = Scalar(0)
+            if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
+                break
+        f = invert(_keyed_columns(a, keys))
+        assert f.keys == keys
+        assert f.inverse() == invert(a).inverse()
+        for rhs in ({1: _frac_scalar(Fraction(2, 3)), 4: _frac_scalar(-5, Fraction(1, 4))},
+                    {0: _frac_scalar(0, Fraction(3, 7))}):
+            want = _dense_fraction_solve(a, rhs)
+            assert f.solve({keys[j]: c for j, c in rhs.items()}) == {keys[i]: c for i, c in want.items()}
+            assert list(f.solve({keys[j]: c for j, c in rhs.items()})) == [keys[i] for i in sorted(want)]
+
+
+def test_invert_refuses_a_matrix_that_is_not_square():
+    one, two = Scalar(1), Scalar(2)
+    with pytest.raises(ValueError):
+        invert([[one, two, Scalar(3)], [Scalar(4), Scalar(5), Scalar(6)]])
+    with pytest.raises(ValueError):
+        invert([[one, two], [two]])
+    # row key 1 is no column key
+    with pytest.raises(ValueError, match="not a column key"):
+        invert({0: {0: one, 1: two}, 2: {2: one}})
+
+
+def test_rank_of_sparse_vectors_matches_fraction_reference():
+    rng = random.Random(30)
+    assert rank([]) == 0 == _fraction_gauss_rank([])
+    assert rank([{}]) == 0
+    for _ in range(20):
+        pool = [(i, "a" if i % 2 else "b") for i in range(6)]
+        vectors = []
+        for _ in range(rng.randint(1, 5)):
+            support = rng.sample(pool, rng.randint(1, 3))
+            vectors.append({key: _rand_scalar(rng) for key in support})
+        if rng.random() < 0.5:
+            # a vector on keys no other vector has
+            vectors.append({("only", j): _rand_scalar(rng) for j in range(rng.randint(1, 2))})
+        if rng.random() < 0.4:
+            # a dependent vector
+            c = _rand_scalar(rng)
+            vectors.append({key: c * v for key, v in vectors[0].items()})
+        keys = sorted({key for v in vectors for key in v}, key=repr)
+        dense = [[v.get(key, Scalar(0)) for key in keys] for v in vectors]
+        assert rank(vectors) == _fraction_gauss_rank(dense) == rank(dense)
