@@ -7,34 +7,44 @@ polynomials of degree >= 3; the differential being inverted is
     L = sum a_ij x_i d/dxi_j,   B = sum_j (dU/dx_j) d/dxi_j,
 
 with U the sum of the vertex polynomials.  Reduction rewrites an observable
-modulo the image of this differential until only constants survive: each step
-removes one x factor and either sprouts vertex legs (same hbar order, higher
-x-degree) or fuses two legs (one more hbar, two fewer x).  This is the usual
-Feynman-diagram sum evaluated without ever drawing a diagram.
+modulo the image of this differential until only constants survive.  One
+rewrite of a homogeneous part p of x-degree m > 0 applies the two Feynman
+rules to its propagator leg y = sum_ij (a^-1)_ij xi_i d_j p / m:
+
+  vertex  y joins a vertex of degree l through one leg, sum_i d_i U * y_i,
+          at the same hbar order and x-degree m + l - 2;
+  loop    y closes two legs into a loop, sum_i d_i y_i, at one more hbar and
+          x-degree m - 2.
+
+This is the usual Feynman-diagram sum evaluated without ever drawing a
+diagram.
 
 Termination and order given truncation order K: a term at hbar-order k with
 x-degree m can only reach the constants at order >= k + m/2, so anything with
 m > 2(K - k) is dropped.  On the survivors the pair (2(K - k) - m, m) falls
 lexicographically at every step: a vertex of degree l sends (k, m) to
-(k, m + l - 2) and lowers the first entry, a fuse sends it to (k + 1, m - 2)
+(k, m + l - 2) and lowers the first entry, a loop sends it to (k + 1, m - 2)
 and keeps the first entry while lowering the second.  The terms are held in
 buckets keyed by (k, m), at most (K + 1)^2 of them, and the bucket with the
 largest pair is rewritten next.  Every step lands in a smaller pair, so each
 bucket has all its terms when it is rewritten and is rewritten once, however
 many paths of different lengths reach it; the constant of bucket (k, 0) is
-the hbar^k coefficient.
+the hbar^k coefficient.  A bucket is held as Gaussian integers over one
+denominator, content-reduced by one gcd before it is rewritten, and only
+those constants become Scalars.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import add
 
 from .bvdiff import _contract, contraction_terms, d_div
 from .errors import InputError
 from .linalg import invert
-from .scalars import Scalar, clear_denominators, q
-from .superpoly import SuperPoly, add_term, sum_pairs
+from .scalars import ZERO, Scalar, clear_denominators, gauss, q
+from .superpoly import SuperPoly, add_pairs, sum_pairs
 
 
 def _degree(key) -> int:
@@ -73,11 +83,12 @@ class HbarModel:
                 if rows[i][j] != rows[j][i]:
                     raise InputError("pairing matrix must be symmetric")
         self.a = rows
-        self.ainv = invert(rows).inverse()  # SingularMatrix propagates
-        # a^{-1} as (cols, A) for hbar_eta: cols[j] has (i, a, b) per nonzero entry (a + b*i)/A
-        pairs, aden = clear_denominators([t for row in self.ainv for t in row])
-        cols = [[(i, *pairs[i * n + j]) for i in range(n) if pairs[i * n + j] != (0, 0)] for j in range(n)]
-        self.cainv = tuple(cols), aden
+        f = invert(rows)  # SingularMatrix propagates
+        self.ainv = f.inverse()
+        # a^{-1} as (cols, A): cols[j] has (i, a, b) per nonzero entry (a + b*i)/A, read off the factor's
+        # columns of det * a^{-1}; A = |det|, so the walk's denominators stay positive
+        sign = -1 if f.det < 0 else 1
+        self.cainv = tuple([(i, sign * a, sign * b) for i, a, b in f.column(j)] for j in range(n)), sign * f.det
         verts: dict[int, SuperPoly] = {}
         for deg, p in vertex_degrees(vertices or {}).items():
             if p.is_zero:
@@ -92,8 +103,10 @@ class HbarModel:
                 raise InputError(f"vertex of declared degree {deg} is not homogeneous")
             verts[deg] = p
         self.vertices = verts
-        self.u = u = sum(verts.values(), SuperPoly.zero(n))
-        self.cgrad_u = contraction_terms([u.dx(j) for j in range(n)])
+        self.u = sum(verts.values(), SuperPoly.zero(n))
+        # (degree, contraction_terms of its gradient) per vertex, by degree, for the vertex rule
+        self.cgrad_vertices = tuple((deg, contraction_terms([verts[deg].dx(j) for j in range(n)]))
+                                    for deg in sorted(verts))
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -205,9 +218,10 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """The class of f modulo the truncated differential, as a Scalar series.
 
     Rewrites each (order, x-degree) bucket once, in termination order: its
-    terms v become (delta o eta)(v) with delta = -B - hbar*div, and the
-    constant left in the x-degree-0 bucket of order k is the hbar^k
-    coefficient.  hbar_reduce(1) == 1 exactly.
+    terms v become (delta o hbar_eta)(v) with delta = -B - hbar*div, computed
+    in integers by `feynman_rules`, and the constant left in the x-degree-0
+    bucket of order k is the hbar^k coefficient.  hbar_reduce(1) == 1
+    exactly.
     """
     return _walk(m, K, [f])
 
@@ -215,6 +229,61 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
 def hbar_reduce_series(series: HbarSeries, m: HbarModel) -> HbarSeries:
     """Linear extension of hbar_reduce to truncated series inputs: coefficient k enters at order k."""
     return _walk(m, series.K, series.coeffs)
+
+
+def feynman_rules(m: HbarModel, terms: dict, den: int, deg: int, room: int):
+    """One rewrite of a bucket sum_e terms[e] x^e / den, xi-free and homogeneous of x-degree deg > 0, in integers.
+
+    terms maps exponent words to Gaussian integers (a, b).  The propagator
+    leg y = sum_ij (a^-1)_ij xi_i d_j p / deg, which is -hbar_eta(p), is kept
+    as integers y[(f, i)] for x^f xi_i, with 1/deg in the denominator (the
+    bucket is homogeneous).  Returns (vertex, loop):
+
+      vertex  (l, out, den) per vertex degree l with deg + l - 2 <= room:
+              y contracted with the gradient of the degree-l vertex, of
+              x-degree deg + l - 2 at the same order;
+      loop    (out, den): sum_i d_i y_i, of x-degree deg - 2 at the next order.
+
+    Each out maps exponent words to [a, b] lists, zeros not dropped.  The
+    vertex outputs sum to _contract(grad U, y) and the loop output is
+    d_div(y).
+    """
+    cols, aden = m.cainv
+
+    def legs():
+        for e, (ca, cb) in terms.items():
+            for j, p in enumerate(e):
+                if p:
+                    f = e[:j] + (p - 1,) + e[j + 1:]
+                    fa, fb = p * ca, p * cb
+                    for i, ta, tb in cols[j]:
+                        yield (f, i), ta * fa - tb * fb, ta * fb + tb * fa
+
+    def joined(rows):
+        for (f, i), (ya, yb) in y.items():
+            for ge, ga, gb in rows[i]:
+                yield tuple(map(add, f, ge)), ga * ya - gb * yb, ga * yb + gb * ya
+
+    def closed():
+        for (f, i), (ya, yb) in y.items():
+            if p := f[i]:
+                yield f[:i] + (p - 1,) + f[i + 1:], p * ya, p * yb
+
+    y = add_pairs(legs())
+    yden = den * aden * deg
+    vertex = [(l, add_pairs(joined(rows)), yden * gden) for l, (rows, gden) in m.cgrad_vertices if deg + l - 2 <= room]
+    return vertex, (add_pairs(closed()), yden)
+
+
+def _gather(parts: list) -> tuple[dict, int]:
+    """The parts (terms, den) of one bucket over one denominator, zeros dropped and the content divided out.
+
+    The content is the gcd of the denominator and every integer, found by one gcd call.
+    """
+    den = lcm(*[d for _, d in parts])
+    terms = add_pairs((e, a * (den // d), b * (den // d)) for part, d in parts for e, (a, b) in part.items())
+    g = gcd(den, *[x for ab in terms.values() for x in ab])
+    return {e: (a // g, b // g) for e, (a, b) in terms.items() if a or b}, den // g
 
 
 def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
@@ -229,34 +298,36 @@ def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
         raise ValueError("variable count mismatch")
     if any(mask for p in coeffs for _, mask in p.terms):
         raise InputError("observables must be xi-free")
-    # buckets[(2(K - k) - deg, deg)] holds the terms of hbar order k and x-degree deg
-    buckets: dict[tuple[int, int], dict] = {}
+    # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
+    buckets: dict[tuple[int, int], list] = {}
 
-    def push(p: SuperPoly, k: int, below=(2 * K + 1, 0)) -> None:
-        for key, c in p.terms.items():
-            deg = sum(key[0])
-            if deg > 2 * (K - k):
-                continue  # reaches the constants only past order K
-            pair = (2 * (K - k) - deg, deg)
-            if pair >= below:
-                raise AssertionError("rewriting step does not descend; this is a bug")
-            add_term(buckets.setdefault(pair, {}), key, c)
+    def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
+        if not terms or deg > 2 * (K - k):
+            return  # nothing, or it reaches the constants only past order K
+        pair = (2 * (K - k) - deg, deg)
+        if pair >= below:
+            raise AssertionError("rewriting step does not descend; this is a bug")
+        buckets.setdefault(pair, []).append((terms, den))
 
     for k, p in enumerate(coeffs):
-        push(p, k)
-    result = [Scalar(0)] * (K + 1)
+        for (e, _), c in p.terms.items():
+            push(k, sum(e), {e: (c.a, c.b)}, c.den)
+    result = [ZERO] * (K + 1)
     while buckets:
         pair = max(buckets)
         r, deg = pair
         k = K - (r + deg) // 2
-        p = SuperPoly._wrap(m.n, buckets.pop(pair))
+        terms, den = _gather(buckets.pop(pair))
+        if not terms:
+            continue
         if not deg:
-            result[k] = p.coeff((0,) * m.n)
-        elif not p.is_zero:
-            e = -hbar_eta(p, m)
-            push(_contract(m.cgrad_u, e), k, pair)
-            if k < K:
-                push(d_div(e), k + 1, pair)
+            (a, b), = terms.values()
+            result[k] = gauss(a, b, den)
+            continue
+        vertex, (loop, lden) = feynman_rules(m, terms, den, deg, 2 * (K - k))
+        for l, out, vden in vertex:
+            push(k, deg + l - 2, out, vden, pair)
+        push(k + 1, deg - 2, loop, lden, pair)
     return HbarSeries.of_scalars(m.n, K, result)
 
 

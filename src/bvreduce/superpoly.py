@@ -63,12 +63,8 @@ def add_term(terms: dict, key, c: Scalar) -> None:
         del terms[key]
 
 
-def sum_pairs(n: int, contributions: Iterable[tuple[Key, int, int]], den: int) -> "SuperPoly":
-    """The SuperPoly of the contributions (key, a, b), each meaning (a + b*i)/den with den > 0.
-
-    The plain ints are added per key, and each sum that survives is reduced
-    once by `gauss`: one gcd per output key and none per collision.
-    """
+def add_pairs(contributions: Iterable[tuple[Key, int, int]]) -> dict[Key, list[int]]:
+    """The Gaussian-integer contributions (key, a, b) added per key, as [a, b]; a sum that cancels stays as [0, 0]."""
     acc: dict[Key, list[int]] = {}
     for key, a, b in contributions:
         s = acc.get(key)
@@ -77,7 +73,17 @@ def sum_pairs(n: int, contributions: Iterable[tuple[Key, int, int]], den: int) -
         else:
             s[0] += a
             s[1] += b
-    return SuperPoly._wrap(n, {key: gauss(a, b, den) for key, (a, b) in acc.items() if a or b})
+    return acc
+
+
+def sum_pairs(n: int, contributions: Iterable[tuple[Key, int, int]], den: int) -> "SuperPoly":
+    """The SuperPoly of the contributions (key, a, b), each meaning (a + b*i)/den with den > 0.
+
+    The plain ints are added per key by `add_pairs`, and each sum that
+    survives is reduced once by `gauss`: one gcd per output key and none per
+    collision.
+    """
+    return SuperPoly._wrap(n, {key: gauss(a, b, den) for key, (a, b) in add_pairs(contributions).items() if a or b})
 
 
 class SuperPoly:

@@ -18,7 +18,10 @@ from bvreduce import (
     q,
     wick,
 )
-from bvreduce.hbar import hbar_reduce_series, model_differential
+from bvreduce.bvdiff import _contract, contraction_terms, d_div
+from bvreduce.hbar import feynman_rules, hbar_reduce_series, model_differential
+from bvreduce.linalg import invert
+from bvreduce.scalars import clear_denominators, gauss
 from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
 
@@ -146,20 +149,70 @@ def test_reduce_matches_oracle_past_order_3(n, K):
 
 
 def test_each_bucket_is_rewritten_once(monkeypatch):
-    """One hbar_eta call per (order, x-degree) bucket at most: (K + 1)^2 of them."""
+    """One feynman_rules call per (order, x-degree) bucket at most: (K + 1)^2 of them."""
     n, K = 3, 8
     x0, x1, x2 = (SuperPoly.x(n, i) for i in range(n))
     m = HbarModel(n, [[2, 1, 0], [1, 3, 0], [0, 0, 1]],
                   {3: x0**3 + x0 * x1 * x2 + x1**2 * x2, 4: x0**2 * x1**2 + x2**4 + x0 * x1 * x2**2})
     calls = []
 
-    def counted(v, model):
-        calls.append(v)
-        return hbar_eta(v, model)
+    def counted(model, terms, den, deg, room):
+        calls.append(deg)
+        return feynman_rules(model, terms, den, deg, room)
 
-    monkeypatch.setattr("bvreduce.hbar.hbar_eta", counted)
+    monkeypatch.setattr("bvreduce.hbar.feynman_rules", counted)
     hbar_reduce(x0**2, m, K)
     assert 0 < len(calls) <= (K + 1) ** 2
+
+
+def _as_poly(n, out, den):
+    return SuperPoly(n, {(e, 0): gauss(a, b, den) for e, (a, b) in out.items() if a or b})
+
+
+def test_feynman_rules_match_eta_contract_and_div():
+    """The bucket kernel equals (_contract(grad U, e), d_div(e)) with e = -hbar_eta(p), on homogeneous p."""
+    rng = random.Random(76)
+    i = Scalar(0, 1)
+    pairings = [
+        [[-1]],  # a negative Bareiss det: the cleared a^{-1} is flipped to a positive denominator
+        [[Scalar(q(3, 2))]],
+        [[2, 1], [1, 3]],
+        [[0, 1], [1, 0]],
+        [[1 + i, Scalar(q(1, 2))], [Scalar(q(1, 2)), 2 - i]],
+        [[2, 1, 0], [1, 3, 0], [0, 0, -1]],
+        [[1, i, 0], [i, 2, 1], [0, 1, Scalar(q(-1, 3))]],
+    ]
+    dets = []
+    for a in pairings:
+        n = len(a)
+        dets.append(invert([[Scalar.of(v) for v in row] for row in a]).det)
+        cplx = any(Scalar.of(v).b for row in a for v in row)
+
+        def coeff():
+            c = random_rational(rng, 3, nonzero=True)
+            return c + random_rational(rng, 2) * i if cplx else c
+
+        def homogeneous(deg):
+            # x_(n-1)^deg always, the other monomials at random, each with a nonzero coefficient
+            return SuperPoly(n, {(e, 0): coeff() for e in monomials_of_degree(n, deg)
+                                 if e[-1] == deg or rng.random() < 0.6})
+
+        vertices = {3: homogeneous(3), 4: homogeneous(4)}
+        m = HbarModel(n, a, vertices)
+        assert m.cainv[1] > 0
+        cgrad_u = contraction_terms([m.u.dx(j) for j in range(n)])
+        for deg in (1, 2, 3, 4):
+            p = homogeneous(deg)
+            pairs, den = clear_denominators(p.terms.values())
+            terms = {e: ab for (e, _), ab in zip(p.terms, pairs)}
+            vertex, (loop, lden) = feynman_rules(m, terms, den, deg, deg + 2)
+            assert [l for l, _, _ in vertex] == [3, 4]
+            leg = -hbar_eta(p, m)
+            assert sum((_as_poly(n, out, d) for _, out, d in vertex), SuperPoly.zero(n)) == _contract(cgrad_u, leg)
+            assert _as_poly(n, loop, lden) == d_div(leg)
+            # room for the cubic vertex only: the quartic one is not applied
+            assert [l for l, _, _ in feynman_rules(m, terms, den, deg, deg + 1)[0]] == [3]
+    assert min(dets) < 0
 
 
 def test_vertex_free_matches_quadratic_wick_term_by_term():
