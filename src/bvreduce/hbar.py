@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -300,6 +301,8 @@ def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
         raise InputError("observables must be xi-free")
     # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
     buckets: dict[tuple[int, int], list] = {}
+    # every live pair once, negated, so the heap pops the largest
+    heap: list[tuple[int, int]] = []
 
     def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
         if not terms or deg > 2 * (K - k):
@@ -307,15 +310,19 @@ def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
         pair = (2 * (K - k) - deg, deg)
         if pair >= below:
             raise AssertionError("rewriting step does not descend; this is a bug")
-        buckets.setdefault(pair, []).append((terms, den))
+        parts = buckets.get(pair)
+        if parts is None:
+            parts = buckets[pair] = []
+            heappush(heap, (-pair[0], -deg))
+        parts.append((terms, den))
 
     for k, p in enumerate(coeffs):
         for (e, _), c in p.terms.items():
             push(k, sum(e), {e: (c.a, c.b)}, c.den)
     result = [ZERO] * (K + 1)
-    while buckets:
-        pair = max(buckets)
-        r, deg = pair
+    while heap:
+        r, deg = heappop(heap)
+        pair = r, deg = -r, -deg
         k = K - (r + deg) // 2
         terms, den = _gather(buckets.pop(pair))
         if not terms:

@@ -15,19 +15,19 @@ Deforming D by a small delta re-establishes exactly this convention with
 
 Transferring across delta1 and then delta2 gives the same tau as one
 transfer across delta1 + delta2, so the caller perturbs once by the whole
-deformation, handed over as two plain SuperPoly -> SuperPoly callables:
-keep, which preserves weight exactly, and drop, which strictly lowers it.  A
-SliceSolver applies (id - delta o eta)^{-1} by one sweep from the top weight
-down, `neumann_apply`.  Only keep o eta needs an exact inverse: when keep is
-given, id - keep o eta is assembled as term maps on the monomial basis of
-each finite (homological degree, weight) slice the sweep reaches and
-factored once by fraction-free Gaussian elimination, with the columns of its
-inverse solved on first use.  That needs an eta that keeps weight exactly,
-which slice assembly checks.  drop o eta feeds the lower slices: a Neumann
-series that ends because weight is a non-negative integer.  Without keep no
-slice is built.  Nothing about eta, keep or drop is taken on trust: an image
-off the weight the split allows is a NonTerminating error, never a silent
-truncation.
+deformation, split by weight into keep, which preserves weight exactly, and
+drop, which strictly lowers it.  A SliceSolver applies (id - delta o eta)^{-1}
+by one sweep from the top weight down, `neumann_apply`.  Only keep o eta
+needs an exact inverse, and the solver sees it as a column kernel: the image
+-keep(eta(x^key)) of each basis monomial of a finite (homological degree,
+weight) slice, as a term map.  Each slice the sweep reaches is assembled from
+one kernel call per basis monomial and factored once by fraction-free
+Gaussian elimination; a slice used once is then solved by one substitution.
+drop o eta, a plain SuperPoly -> SuperPoly map, feeds the lower slices: a
+Neumann series that ends because weight is a non-negative integer.  Without
+a kernel no slice is built.  Nothing about the kernel or drop is taken on
+trust: an image off the slice or weight the split allows is a NonTerminating
+error, never a silent truncation.
 """
 from __future__ import annotations
 
@@ -41,20 +41,19 @@ from .scalars import ONE, Scalar
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 Map = Callable[[SuperPoly], SuperPoly]
-_NEG_ONE = -ONE
 
 
 def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map, solve=None) -> SuperPoly:
     """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
-    keep preserves weight exactly, and so does eta wherever a slice is
-    solved, so keep o eta stays in its (homological degree, weight) slice
-    and drop o eta strictly lowers weight.  Then (id - delta o eta)^{-1} =
-    sum_k (S drop eta)^k S with S = (id - keep o eta)^{-1}, a Neumann series
-    that ends because weight is a non-negative integer.  The sweep groups it
-    by weight: at weight w it sets y = S(bucket w) by solve(h, w, terms),
-    adds y to the output and hands drop(eta(y)) on to the lower buckets.
-    Without keep, S = id and no solve is given.  An image at or above w is a
+    keep o eta stays in its (homological degree, weight) slice, as slice
+    assembly checks, and drop o eta strictly lowers weight.  Then
+    (id - delta o eta)^{-1} = sum_k (S drop eta)^k S with S = (id - keep o
+    eta)^{-1}, a Neumann series that ends because weight is a non-negative
+    integer.  The sweep groups it by weight: at weight w it sets y =
+    S(bucket w) by solve(h, w, terms), adds y to the output and hands
+    drop(eta(y)) on to the lower buckets.  Without keep, S = id and no
+    solve is given.  An image at or above w is a
     NonTerminating error, never a silent truncation.
     """
     if v.is_zero:
@@ -121,54 +120,39 @@ building a slice over MAX_SLICE_ROWS.
 class SliceSolver:
     """Applies (id - delta o eta)^{-1} for a perturbation delta = keep + drop.
 
-    eta, keep and drop are plain SuperPoly -> SuperPoly maps.  keep preserves
-    weight exactly and drop strictly lowers it; both undo the homological
-    degree that eta adds.  The sweep checks the weight of every image it
-    uses and raises NonTerminating on one the split rules out.  `apply` is
-    the `neumann_apply` sweep from the top weight down.  Without keep the
+    eta and drop are plain SuperPoly -> SuperPoly maps; drop strictly lowers
+    weight and undoes the homological degree that eta adds.  keep, which
+    preserves weight exactly, is given as its column kernel: column(key) is
+    -keep(eta(x^key)) for a basis monomial as a fresh term map, which the
+    solver keeps.  The sweep checks every image it uses and raises
+    NonTerminating on one the split rules out.  `apply` is the
+    `neumann_apply` sweep from the top weight down.  Without a kernel the
     sweep is the plain Neumann series: no slice is built and drop o eta runs
     once per weight level.
 
-    With keep, each (degree, weight) slice the sweep reaches is solved
-    against id - keep o eta: `_slice` builds its columns as term maps on the
-    slice's monomial basis and factors them once by `linalg.invert`.
-    Assembly also checks, once per slice, that eta keeps the weight of every
-    basis monomial, so that drop o eta is all the sweep has left to apply.
-    The slice is memoized as its `Factor`, keyed by the basis monomials: a
-    fraction-free LU whose inverse columns are solved on first use, or None
-    where keep o eta vanishes on the slice.  A bucket is solved by
-    `Factor.solve`, which touches only the columns the bucket needs.
-    Concurrent readers see a consistent cache: slices are populated
-    single-flight under the solver's lock, columns under the factor's own.
+    With a kernel, each (degree, weight) slice the sweep reaches is solved
+    against id - keep o eta: `_slice` calls the kernel once per basis
+    monomial, checks that every image stays in the slice, adds e_key and
+    hands the k columns to one `linalg.invert`.  The slice is memoized as
+    its `Factor`, keyed by the basis monomials, or as None where keep o eta
+    vanishes on the slice.  A bucket is solved by `Factor.solve`: the first
+    bucket a slice sees is one substitution, and later ones go through
+    memoized columns, each solved once on first use.  Concurrent readers see
+    a consistent cache: slices are populated single-flight under the
+    solver's lock, columns under the factor's own.
     """
 
-    def __init__(self, n: int, d: int, eta: Map, keep: Map | None, drop: Map):
+    def __init__(self, n: int, d: int, eta: Map, column: Callable[[Key], dict] | None, drop: Map):
         self.n = n
         self.d = d
         self.eta = eta
-        self.keep = keep
+        self.column = column
         self.drop = drop
         self._cache: dict[tuple[int, int], Factor | None] = {}
         self._lock = threading.Lock()
 
     def solved_weights(self) -> list[int]:
         return sorted({w for (_, w) in self._cache})
-
-    def _in_slice(self, key: Key, w: int, basis: dict) -> dict[Key, Scalar]:
-        """The image of the basis monomial key under -keep o eta, which must stay in its slice."""
-        n, d = self.n, self.d
-        # keep(eta(-e)) = -keep(eta(e)), with no Scalar negated
-        e = self.eta(SuperPoly._wrap(n, {key: _NEG_ONE}))
-        for kk in e.terms:
-            if term_weight(kk, d) != w:
-                raise NonTerminating(f"eta sent weight {w} to weight {term_weight(kk, d)}")
-        if e.is_zero:
-            return {}
-        img = self.keep(e).terms
-        for kk in img:
-            if kk not in basis:
-                raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {term_weight(kk, d)}")
-        return img
 
     def _slice(self, h: int, w: int) -> Factor | None:
         """The factored id - keep o eta on the (h, w) slice, or None where keep o eta vanishes on it."""
@@ -190,8 +174,12 @@ class SliceSolver:
             cols = dict.fromkeys(slice_basis(self.n, self.d, h, w))
             nontrivial = False
             for key in cols:
-                col = cols[key] = dict(self._in_slice(key, w, cols))
+                col = cols[key] = self.column(key)
                 nontrivial = nontrivial or bool(col)
+                for kk in col:
+                    if kk not in cols:
+                        ww = term_weight(kk, self.d)
+                        raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {ww}")
                 add_term(col, key, ONE)
             factor = None
             if nontrivial:
@@ -206,7 +194,7 @@ class SliceSolver:
         w = v.max_weight(self.d)
         if w > MAX_OBSERVABLE_WEIGHT:
             raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
-        return neumann_apply(v, self.d, self.eta, self.drop, None if self.keep is None else self._solve)
+        return neumann_apply(v, self.d, self.eta, self.drop, None if self.column is None else self._solve)
 
     def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
         """(id - keep o eta)^{-1} applied to the terms of one (h, w) bucket, by the slice's `Factor.solve`."""

@@ -137,18 +137,19 @@ class Factor:
     X = det * A^{-1} = D (det * M^{-1}) as well.  `keys` lists the column
     keys of A in the caller's order, which key its rows too.
 
-    `columns[key]` is that column of X as its nonzero entries (i, re, im),
-    i a position in `keys`, or None until `column(key)` solves it: e_j is
-    forward-substituted through the recorded steps, back-substituted on the
-    echelon rows and its entry i scaled by dens[i].  Solved columns are
-    memoized, and a column is solved under the factor's lock, so threads
-    that race for it solve it once.  `solve(r)` applies A^{-1} to a sparse
-    Scalar vector r: r is cleared to Gaussian integers over one common
-    denominator L, X r is accumulated in integers over the columns r touches
-    and each nonzero entry is divided once, by L * det.
+    `solve(r)` applies A^{-1} to a sparse Scalar vector r, cleared to
+    Gaussian integers g over one denominator L: X g is found in integers and
+    each nonzero entry divided once, by L * det.  The factor's first solve
+    substitutes g itself through `_solve_int` ([Re g; Im g] for a realified
+    M, Re g and Im g apart for a real one) and memoizes nothing; later solves
+    sum X g over memoized columns.  `columns[key]` is that column of X as
+    its nonzero entries (i, re, im), i a position in `keys`, or None until
+    `column(key)` substitutes e_j and scales entry i by dens[i].  The first
+    solve and each column are taken under the factor's lock, so racing
+    callers substitute directly once and solve each column once.
     """
 
-    __slots__ = ("k", "keys", "det", "columns", "_dens", "_steps", "_upper", "_lock")
+    __slots__ = ("k", "keys", "det", "columns", "_dens", "_steps", "_upper", "_lock", "_used")
 
     def __init__(self, a: dict, m: list[list[int]], realified: bool, dens: list[int]):
         k = len(a)
@@ -163,6 +164,7 @@ class Factor:
         self._steps = steps
         self._upper = upper
         self._lock = threading.Lock()
+        self._used = False
         self.columns: dict = dict.fromkeys(a)
 
     def _solve_int(self, b: list[int]) -> list[int]:
@@ -213,28 +215,56 @@ class Factor:
     def solve(self, rhs: dict) -> dict:
         """A^{-1} r for a sparse Scalar vector r given as {key: r_key}, returned the same way, zeros omitted.
 
-        Only the columns of X that r touches are solved.
+        The factor's first solve substitutes r itself and memoizes nothing;
+        every later one solves only the columns of X that r touches.
         """
         g, den = clear_denominators(rhs.values())
-        k = self.k
-        cols = self.columns
-        yr = [0] * k
-        yi = [0] * k
-        for key, (ar, ai) in zip(rhs, g):
-            col = cols[key]
-            if col is None:
-                col = self.column(key)
-            if ai:
-                for i, xr, xi in col:
-                    yr[i] += xr * ar - xi * ai
-                    yi[i] += xr * ai + xi * ar
-            else:
-                for i, xr, xi in col:
-                    yr[i] += xr * ar
-                    yi[i] += xi * ar
+        first = False
+        if not self._used:
+            # under the lock, so exactly one caller takes the first solve
+            with self._lock:
+                first, self._used = not self._used, True
+        if first:
+            yr, yi = self._substitute(rhs, g)
+        else:
+            k = self.k
+            cols = self.columns
+            yr = [0] * k
+            yi = [0] * k
+            for key, (ar, ai) in zip(rhs, g):
+                col = cols[key]
+                if col is None:
+                    col = self.column(key)
+                if ai:
+                    for i, xr, xi in col:
+                        yr[i] += xr * ar - xi * ai
+                        yi[i] += xr * ai + xi * ar
+                else:
+                    for i, xr, xi in col:
+                        yr[i] += xr * ar
+                        yi[i] += xi * ar
         # r = g / den, so A^{-1} r = X g / (den * det)
         scale = den * self.det
         return {key: gauss(a, b, scale) for key, a, b in zip(self.keys, yr, yi) if a or b}
+
+    def _substitute(self, rhs: dict, g: list) -> tuple[list[int], list[int]]:
+        """X g as (re, im) lists in key order, by substituting g itself: [re; im] for a realified M."""
+        k = self.k
+        index = {key: i for i, key in enumerate(self.keys)}
+        br = [0] * k
+        bi = [0] * k
+        for key, (a, b) in zip(rhs, g):
+            i = index[key]
+            br[i] = a
+            bi[i] = b
+        if len(self._upper) > k:
+            x = self._solve_int(br + bi)
+            xr, xi = x[:k], x[k:]
+        else:
+            xr = self._solve_int(br)
+            xi = self._solve_int(bi) if any(bi) else bi
+        dens = self._dens
+        return list(map(mul, xr, dens)), list(map(mul, xi, dens))
 
     def inverse(self) -> list[list[Scalar]]:
         """A^{-1} as Scalar rows, rows and columns in key order."""

@@ -25,13 +25,14 @@ import itertools
 import threading
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 from . import bvdiff
 from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import SliceSolver
 from .linalg import invert, rank
-from .scalars import ONE, Scalar, q
+from .scalars import ONE, Scalar, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -165,10 +166,7 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     images.  d_diag o eta_diag + eta_diag o d_diag = phi o tau_diag - id and
     eta_diag o eta_diag = 0.
     """
-    units = action._neg_inv_diag
-    if units is None:
-        _check_diag(action)
-        units = action._neg_inv_diag = tuple(-factorial(action.d - 1) / a for a in action.diag_coeffs)
+    units = action._neg_inv_diag or _units(action)
     d1 = action.d - 1
     out: dict[Key, Scalar] = {}
     for (e, mask), c in v.terms.items():
@@ -181,12 +179,71 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     return SuperPoly._wrap(v.n, out)
 
 
+def _units(action: Action) -> tuple[Scalar, ...]:
+    """The Scalars -(d-1)!/a_i of eta_diag, built once per action."""
+    units = action._neg_inv_diag
+    if units is None:
+        _check_diag(action)
+        units = action._neg_inv_diag = tuple(-factorial(action.d - 1) / a for a in action.diag_coeffs)
+    return units
+
+
+def keep_columns(action: Action):
+    """The column kernel of id - keep o eta_diag for `SliceSolver`, keep being the contraction with cgrad_mix.
+
+    column(key) is -keep(eta_diag(x^key)) as a fresh term map.  eta_diag
+    sends x^e xi^S to at most one term, units[i] x^e' xi^(S+i), and keep
+    contracts it with the Gaussian-integer rows of cgrad_mix: xi_j goes to
+    the sign of dxi_j times row j.  The products -units[i] * row j are made
+    Scalars once, on first use, so a column costs tuple additions and no
+    arithmetic.  Distinct (j, row term) give distinct keys, so nothing is
+    summed.
+    """
+    rows, gden = action.cgrad_mix
+    units = _units(action)
+    d1 = action.d - 1
+    products: dict[tuple[int, int], list] = {}
+
+    def product(i: int, j: int) -> list:
+        # (row term, coefficient under an even sign of dxi_j, under an odd one)
+        out = products[(i, j)] = []
+        for ge, ga, gb in rows[j]:
+            c = units[i] * gauss(ga, gb, gden)
+            out.append((ge, -c, c))
+        return out
+
+    def column(key: Key) -> dict[Key, Scalar]:
+        e, mask = key
+        for i, p in enumerate(e):
+            if mask >> i & 1:
+                return {}
+            if p >= d1:
+                break
+        else:
+            return {}
+        e = e[:i] + (p - d1,) + e[i + 1:]
+        mask |= 1 << i
+        out = {}
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
+            odd = (mask & (bit - 1)).bit_count() & 1
+            for ge, plus, minus in products.get((i, j)) or product(i, j):
+                out[(tuple(map(add, e, ge)), mask ^ bit)] = minus if odd else plus
+        return out
+
+    return column
+
+
 class ReduceSession:
     """Action plus the diagonal retraction transferred across d_bv - d_diag, as one SliceSolver.
 
     The solver applies (id - delta o eta_diag)^{-1} for delta = d_bv - d_diag,
     split by weight: keep is the contraction with the mixed top gradients,
-    drop the contraction with the lower-order gradients plus the divergence.
+    handed over as its column kernel `keep_columns`, and drop the
+    contraction with the lower-order gradients plus the divergence.
     The transferred projection is tau' = tau_diag o solver.apply, and the
     transferred homotopy eta_diag o solver.apply; phi' = phi.
 
@@ -220,12 +277,12 @@ class ReduceSession:
             if not c.is_zero:
                 correction[m] = c
         _check_diag(action)
-        keep = (lambda v: _contract(action.cgrad_mix, v)) if action.has_mix() else None
         # every lower part loses at least d minus its degree in weight, the divergence d
         drop = d_div
         if action.has_lower():
             drop = lambda v: _contract(action.cgrad_low, v) + d_div(v)
-        self.solver = SliceSolver(n, d, lambda v: eta_diag(v, action), keep, drop)
+        column = keep_columns(action) if action.has_mix() else None
+        self.solver = SliceSolver(n, d, lambda v: eta_diag(v, action), column, drop)
         self._correction = correction
         self._change = None
         if correction:

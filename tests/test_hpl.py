@@ -54,8 +54,13 @@ def _compose(f, g):
     return lambda v: f(g(v))
 
 
+def _columns(eta, keep):
+    """A SuperPoly keep map as the solver's column kernel: key -> -keep(eta(x^key))."""
+    return lambda key: dict(keep(eta(SuperPoly(len(key[0]), {key: Scalar(-1)}))).terms)
+
+
 def _dropping_solver_builds_nothing(solver):
-    return solver.keep is None and solver.solved_weights() == []
+    return solver.column is None and solver.solved_weights() == []
 
 
 def test_neumann_zero_delta_identity():
@@ -84,7 +89,7 @@ def test_weight_solve_failure_quartic():
     a = action_build(x**4 + 2 * (x**3 * y) + 2 * (x * y**3) + y**4)
     delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
-        SliceSolver(n, 4, _eta(a), delta, _zero).apply(x**2 * y**2)
+        SliceSolver(n, 4, _eta(a), _columns(_eta(a), delta), _zero).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
@@ -98,13 +103,13 @@ def test_nonterminating_guard():
         SliceSolver(1, 3, _id, None, lambda v: v * x).apply(x**2)
     # a keep whose image leaves its slice upward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 3"):
-        SliceSolver(1, 3, _id, lambda v: v * x, _zero).apply(x**2)
+        SliceSolver(1, 3, _id, _columns(_id, lambda v: v * x), _zero).apply(x**2)
     # ... or downward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
-        SliceSolver(1, 3, _id, lambda v: v.dx(0), _zero).apply(x**2)
-    # an eta that lowers weight cannot have its slice solved: slice assembly refuses it
-    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _id, _zero)
-    with pytest.raises(NonTerminating, match="eta sent weight 2 to weight 1"):
+        SliceSolver(1, 3, _id, _columns(_id, lambda v: v.dx(0)), _zero).apply(x**2)
+    # an eta that lowers weight cannot have its slice solved: its column images leave the slice
+    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _columns(lambda v: v.dx(0), _id), _zero)
+    with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
         lowering._slice(0, 2)
     with pytest.raises(NonTerminating):
         lowering.apply(x**2)
@@ -228,7 +233,7 @@ def test_two_perturbations_equal_combined():
             staged = []
             eta = _eta(a)
             for k, dr in stages:
-                solver = SliceSolver(n, d, eta, k, dr)
+                solver = SliceSolver(n, d, eta, None if k is None else _columns(eta, k), dr)
                 staged.append(solver)
                 eta = _compose(eta, solver.apply)
 
@@ -238,7 +243,8 @@ def test_two_perturbations_equal_combined():
                 return tau_diag(f, d)
 
             combined_drop = div if len(drops) == 1 else (lambda v: low(v) + div(v))
-            combined = SliceSolver(n, d, _eta(a), keep, combined_drop)
+            kernel = None if keep is None else _columns(_eta(a), keep)
+            combined = SliceSolver(n, d, _eta(a), kernel, combined_drop)
             session = ReduceSession(a)
             assert len(staged) == len(stages)
             assert isinstance(session.solver, SliceSolver)
@@ -271,7 +277,7 @@ def _assert_grading(op, v, d, degree_shift, weight_change, exact):
 
 def test_declared_gradings_hold_at_runtime():
     """The split the sweep relies on, with the shifts worked out here from the action: eta
-    raises degree by 1 and keeps weight, keep lowers degree by 1 and keeps weight, drop
+    raises degree by 1 and keeps weight, the column kernel -keep o eta keeps both, drop
     lowers degree by 1 and weight by at least d - deg(low), or by d with no lower part.
     Checked on random inputs of every homological degree."""
     rng = random.Random(53)
@@ -282,15 +288,15 @@ def test_declared_gradings_hold_at_runtime():
         solver = ReduceSession(a).solver
         drop_change = a.low.max_xdeg() - d if a.has_lower() else -d
         assert drop_change < 0
-        assert (solver.keep is not None) == a.has_mix()
-        kinds.add((solver.keep is not None, a.has_lower()))
+        assert (solver.column is not None) == a.has_mix()
+        kinds.add((solver.column is not None, a.has_lower()))
         for h in range(n + 1):
             for _ in range(2):
                 v = _random_of_degree(rng, n, d, h, max_weight=12)
                 _assert_grading(solver.eta, v, d, 1, 0, exact=True)
                 _assert_grading(solver.drop, v, d, -1, drop_change, exact=False)
-                if solver.keep is not None:
-                    _assert_grading(solver.keep, v, d, -1, 0, exact=True)
+                if solver.column is not None:
+                    _assert_grading(lambda p: SuperPoly(p.n, solver.column(*p.terms)), v, d, 0, 0, exact=True)
     assert len(kinds) == 4
 
 
@@ -346,7 +352,7 @@ def _triangular_images(a, b):
 def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     n = 2
     keep, drop = _degree0_op(images)
-    solver = SliceSolver(n, 3, _id, keep, drop)
+    solver = SliceSolver(n, 3, _id, _columns(_id, keep), drop)
     builds = []
     hpl_invert = hpl.invert
 
@@ -379,15 +385,14 @@ def test_slice_without_weight_keeping_image_is_built_once(monkeypatch):
     # keep o eta vanishes on every slice: each is cached as None and must not be assembled again
     x = SuperPoly.x(2, 0)
     y = SuperPoly.x(2, 1)
-    solver = SliceSolver(2, 3, _id, _zero, lambda v: v.dx(0))
     calls = []
-    in_slice = SliceSolver._in_slice
+    zero_columns = _columns(_id, _zero)
 
-    def counting_in_slice(self, key, w, basis):
-        calls.append((key, w))
-        return in_slice(self, key, w, basis)
+    def counting_columns(key):
+        calls.append(key)
+        return zero_columns(key)
 
-    monkeypatch.setattr(SliceSolver, "_in_slice", counting_in_slice)
+    solver = SliceSolver(2, 3, _id, counting_columns, lambda v: v.dx(0))
     v = x**3 + x * y
     out = solver.apply(v)
     assert calls and solver.solved_weights() == [0, 1, 2, 3]
@@ -400,13 +405,17 @@ def test_slice_without_weight_keeping_image_is_built_once(monkeypatch):
 def test_slice_solver_solves_only_the_columns_apply_reaches():
     n = 2
     keep, drop = _degree0_op(_mixing_images)
-    solver = SliceSolver(n, 3, _id, keep, drop)
+    solver = SliceSolver(n, 3, _id, _columns(_id, keep), drop)
     v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
     y = solver.apply(v)
     assert y - keep(y) - drop(y) == v
     factor = solver._slice(0, 4)
     basis = factor.keys
     assert basis == slice_basis(n, 3, 0, 4)
+    # each slice's first bucket is one substitution of the bucket itself: no column is memoized
+    assert all(col is None for f in solver._cache.values() if f for col in f.columns.values())
+    # the second apply memoizes exactly the columns its top bucket touches
+    assert solver.apply(v) == y
     solved = [key for key, col in factor.columns.items() if col is not None]
     assert solved == sorted(v.terms) and len(solved) < len(basis)
     # the top slice of y is the whole inverse of id - keep applied to v
@@ -495,3 +504,45 @@ def test_every_factored_slice_inverts_the_whole_in_slice_block():
         factored += got
         complex_factored += got if any(c.b for c in a.s.terms.values()) else 0
     assert factored and complex_factored
+
+
+def test_slice_columns_match_the_definition(monkeypatch):
+    """Every slice a session hands to invert has the columns e_key - keep(eta_diag(e_key)).
+
+    The reference columns are computed on SuperPoly values by eta_diag and
+    _contract with the mixed top gradients, for random mixed actions, real
+    and complex, with n <= 3 and d <= 4.
+    """
+    rng = random.Random(56)
+    seen = []
+    hpl_invert = hpl.invert
+
+    def recording_invert(cols):
+        seen.append(cols)
+        return hpl_invert(cols)
+
+    monkeypatch.setattr(hpl, "invert", recording_invert)
+    checked = complex_checked = 0
+    for t in range(10):
+        while True:
+            n, d = rng.randint(2, 3), rng.randint(3, 4)
+            a = random_action(rng, n, d, homogeneous=t % 3 == 0)
+            if a.has_mix():
+                break
+        if t % 2:
+            a = _complexified(rng, a)
+        seen.clear()
+        session = ReduceSession(a)
+        try:
+            session.reduce(_random_degree0(rng, n, cap=6))
+            session.reduce(random_degree1(rng, n, d, 6))
+        except NotGenericAtWeight:
+            pass
+        assert seen
+        for cols in seen:
+            for key, col in cols.items():
+                e = SuperPoly(n, {key: Scalar(1)})
+                assert col == (e - _contract(a.cgrad_mix, eta_diag(e, a))).terms
+                checked += 1
+                complex_checked += t % 2
+    assert checked and complex_checked

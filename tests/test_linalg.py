@@ -241,20 +241,26 @@ def test_factor_solve_sparse_rhs_matches_fraction_reference():
             if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
                 break
         f = invert(a)
-        for rhs in (real_rhs, complex_rhs):
-            want = _dense_fraction_solve(a, rhs)
-            assert f.solve(rhs) == want
+        assert f.solve(real_rhs) == _dense_fraction_solve(a, real_rhs)
+        # the first solve substitutes the right-hand side itself and memoizes nothing
+        assert _solved_columns(f) == []
+        # a later solve memoizes exactly the columns it touches
+        assert f.solve(complex_rhs) == _dense_fraction_solve(a, complex_rhs)
+        assert _solved_columns(f) == [0, 4]
+        assert f.solve(real_rhs) == _dense_fraction_solve(a, real_rhs)
         assert _solved_columns(f) == [0, 1, 3, 4]
-        # a right-hand side on one column solves that column alone
+        # a right-hand side on one column solves that column alone, once the first solve is spent
         single = {2: _frac_scalar(Fraction(3, 5), 1)}
         g = invert(a)
-        assert g.solve(single) == _dense_fraction_solve(a, single)
-        assert _solved_columns(g) == [2]
+        for solved in ([], [2]):
+            assert g.solve(single) == _dense_fraction_solve(a, single)
+            assert _solved_columns(g) == solved
         assert g.solve({}) == {}
 
 
 def test_factor_solves_each_column_once_across_threads(monkeypatch):
-    """Threads solving the same right-hand side on one fresh Factor solve each column it touches once."""
+    """Threads solving the same right-hand side on one fresh Factor: one substitutes it directly, the others
+    solve each column it touches once."""
     rng = random.Random(28)
     k = 12
     while True:
@@ -265,10 +271,14 @@ def test_factor_solves_each_column_once_across_threads(monkeypatch):
     want = _dense_fraction_solve(a, rhs)
     f = invert(a)
     solved = []
+    direct = []
     solve_int = Factor._solve_int
 
     def counting_solve_int(self, b):
-        solved.append(b.index(1))
+        if sum(map(abs, b)) == 1:
+            solved.append(b.index(1))
+        else:
+            direct.append(threading.get_ident())
         return solve_int(self, b)
 
     monkeypatch.setattr(Factor, "_solve_int", counting_solve_int)
@@ -298,6 +308,37 @@ def test_factor_solves_each_column_once_across_threads(monkeypatch):
     assert not errors
     assert results == [want] * workers
     assert sorted(solved) == sorted(rhs) == _solved_columns(f)
+    assert direct and len(set(direct)) == 1
+
+
+def test_first_and_memoized_solves_match_fraction_reference():
+    """A fresh factor's first solve (one substitution) and its memoized solves agree with the Fraction route.
+
+    Real and complex factors, with real and complex right-hand sides; a real
+    factor substitutes the real and imaginary parts of a complex one apart.
+    """
+    rng = random.Random(29)
+    kinds = set()
+    for t in range(16):
+        k = rng.randint(1, 6)
+        complex_matrix = t % 2 == 1
+        while True:
+            a = _mat(rng, k, k, complex_part=complex_matrix)
+            if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
+                break
+        keys = sorted(rng.sample(range(k), rng.randint(1, k)))
+        real_rhs = {j: _rand_scalar(rng, complex_part=False) or Scalar(1) for j in keys}
+        complex_rhs = {j: c + _frac_scalar(0, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                       for j, c in real_rhs.items()}
+        for rhs in (real_rhs, complex_rhs):
+            want = _dense_fraction_solve(a, rhs)
+            f = invert(a)
+            assert f.solve(rhs) == want
+            assert _solved_columns(f) == []
+            assert f.solve(rhs) == want
+            assert _solved_columns(f) == keys
+            kinds.add((complex_matrix, rhs is complex_rhs))
+    assert len(kinds) == 4
 
 
 def test_solve_square_gate_sized_slice():

@@ -381,6 +381,25 @@ def test_pinned_classes_digest():
     assert digest.hexdigest() == "1f5a78de02bc3232410e1ae1a28f674c69c7839370ab1feeda94ee949e6f9c43"
 
 
+def test_complex_cubic_golden_class():
+    """x0^16 on the n = 3 cubic with x1^3 and x0 x1 x2 coefficients 1 + i/2 and 1 + i, pinned exactly.
+
+    Every slice of this action is complex, so it is factored through its
+    real embedding, and one reduction solves each slice once: by the
+    factor's first-use substitution, with no column memoized.
+    """
+    x0, x1, x2 = (SuperPoly.x(3, i) for i in range(3))
+    a = action_build(x0**3 + x1**3 * Scalar(1, q(1, 2)) + x2**3 + x0 * x1 * x2 * Scalar(1, 1))
+    session = ReduceSession(a)
+    cls = session.reduce(x0**16)
+    want = Scalar(q(-6239711545855614401120, 120674156011400872143), q(18730318287431562560, 1489804395202479903))
+    assert cls.coeffs == {(1, 0, 0): want}
+    factors = [f for f in session.solver._cache.values() if f is not None]
+    # realified: twice as many pivots as rows
+    assert factors and all(len(f._upper) == 2 * f.k for f in factors)
+    assert all(col is None for f in factors for col in f.columns.values())
+
+
 def test_sweep_coefficients_stay_near_the_class_size():
     """The transferred sweep's output is not much wider than the class it projects to."""
     x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
