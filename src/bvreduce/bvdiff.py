@@ -1,9 +1,8 @@
 """The action data type and the differentials d_cl, div, d_bv.
 
-An Action packages a polynomial s with its homogeneous decomposition, the
-diagonal/mixed split of the top part, precomputed gradients, and the quadratic
-normal form when d = 2.  The differentials act on SuperPoly values and never
-mutate shared state.
+An Action packages a polynomial s with its split s = diag + mix + low, the
+gradients the reduction reads, and the quadratic normal form when d = 2.  The
+differentials act on SuperPoly values and never mutate shared state.
 """
 from __future__ import annotations
 
@@ -12,29 +11,28 @@ from math import factorial
 from operator import add
 
 from .errors import InputError
-from .scalars import Scalar, clear_denominators
+from .scalars import ZERO, clear_denominators
 from .superpoly import SuperPoly, sum_pairs
 
 
 class Action:
-    """Polynomial action s with degree d and all decompositions precomputed.
+    """Polynomial action s with degree d, split in one pass over its terms.
 
     Fields:
       n, d          variable count and maximal total degree (d >= 2)
       s             the action itself (no xi content)
-      parts         map k -> homogeneous piece s^(k)
-      top           s^(d), the top part
-      diag, mix     top = diag + mix; diag = sum_i a_i x_i^d / d!, every mix
-                    monomial involves at least two variables
+      diag, mix     the degree-d terms: diag = sum_i a_i x_i^d / d!, and every
+                    mix monomial involves at least two variables
+      low           the terms of degree below d, so s = diag + mix + low
       diag_coeffs   the sequence a_1..a_n (d! times the x_i^d coefficient)
-      low           the lower part s - top
       cgrad_mix     the gradients of mix as `contraction_terms`, the
                     weight-keeping contraction in d_bv - d_diag
       cgrad_low     the same for low, its weight-dropping contraction
       cgrad         the same for s, for d_cl, built on first use
       cgrad_diag    the same for diag, for d_diag, built on first use
-      quad          for d = 2 only: (s2 matrix, s1 vector, s0 constant) with
-                    s = 1/2 x^T s2 x + s1 . x + s0
+      quad          for d = 2 only, built on first use: (s2 matrix, s1
+                    vector, s0 constant) with s = 1/2 x^T s2 x + s1 . x + s0;
+                    None for d > 2
     """
 
     def __init__(self, s: SuperPoly):
@@ -43,52 +41,52 @@ class Action:
         d = s.max_xdeg()
         if d < 2:
             raise InputError("action must have total degree >= 2")
-        self.n = s.n
+        self.n = n = s.n
         self.d = d
         self.s = s
-        self.parts = s.xdeg_split()
-        self.top = self.parts[d]
 
-        diag = SuperPoly(s.n)
-        mix = SuperPoly(s.n)
-        for (e, m), c in self.top.terms.items():
-            if sum(1 for p in e if p) <= 1:
-                diag.terms[(e, m)] = c
-            else:
-                mix.terms[(e, m)] = c
-        self.diag = diag
-        self.mix = mix
+        diag, mix, low = {}, {}, {}
+        coeffs = [ZERO] * n
         fact = factorial(d)
-        self.diag_coeffs = tuple(
-            Scalar.of(fact) * diag.coeff(tuple(d if j == i else 0 for j in range(s.n)))
-            for i in range(s.n)
-        )
-
-        self.low = s - self.top
+        for key, c in s.terms.items():
+            e = key[0]
+            if sum(e) < d:
+                low[key] = c
+            elif d in e:
+                diag[key] = c
+                coeffs[e.index(d)] = c * fact
+            else:
+                mix[key] = c
+        self.diag = SuperPoly._wrap(n, diag)
+        self.mix = SuperPoly._wrap(n, mix)
+        self.low = SuperPoly._wrap(n, low)
+        self.diag_coeffs = tuple(coeffs)
         # the gradients the reduction reads, as the rows _contract reads, built once per action
-        self.cgrad_mix = _gradients(mix)
+        self.cgrad_mix = _gradients(self.mix)
         self.cgrad_low = _gradients(self.low)
 
-        self.quad = self._quadratic_form() if d == 2 else None
         self._session = None  # lazily built reduction session (reduce module)
         self._neg_inv_diag = None  # lazily built Scalars -(d-1)!/a_i (reduce.eta_diag)
 
-    def _quadratic_form(self):
+    @cached_property
+    def quad(self):
+        if self.d != 2:
+            return None
         n = self.n
-        two = self.parts.get(2, SuperPoly.zero(n))
-        s2 = [[Scalar(0)] * n for _ in range(n)]
-        for (e, _), c in two.terms.items():
+        s2 = [[ZERO] * n for _ in range(n)]
+        s1 = [ZERO] * n
+        s0 = ZERO
+        for (e, _), c in self.s.terms.items():
             idx = [i for i, p in enumerate(e) if p]
-            if len(idx) == 1:
-                i = idx[0]
-                s2[i][i] = c * 2
-            else:
+            if not idx:
+                s0 = c
+            elif len(idx) == 2:
                 i, j = idx
-                s2[i][j] = c
-                s2[j][i] = c
-        one = self.parts.get(1, SuperPoly.zero(n))
-        s1 = [one.coeff(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-        s0 = self.parts.get(0, SuperPoly.zero(n)).coeff((0,) * n)
+                s2[i][j] = s2[j][i] = c
+            elif e[idx[0]] == 2:
+                s2[idx[0]][idx[0]] = c * 2
+            else:
+                s1[idx[0]] = c
         return s2, s1, s0
 
     @cached_property

@@ -41,10 +41,10 @@ from heapq import heappop, heappush
 from math import factorial, gcd, lcm
 from operator import add
 
-from .bvdiff import _contract, contraction_terms, d_div
+from .bvdiff import _contract, _gradients, contraction_terms, d_div
 from .errors import InputError
 from .linalg import invert
-from .scalars import ZERO, Scalar, clear_denominators, gauss, q
+from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
 from .superpoly import SuperPoly, add_pairs, sum_pairs
 
 
@@ -106,8 +106,7 @@ class HbarModel:
         self.vertices = verts
         self.u = sum(verts.values(), SuperPoly.zero(n))
         # (degree, contraction_terms of its gradient) per vertex, by degree, for the vertex rule
-        self.cgrad_vertices = tuple((deg, contraction_terms([verts[deg].dx(j) for j in range(n)]))
-                                    for deg in sorted(verts))
+        self.cgrad_vertices = tuple((deg, _gradients(verts[deg])) for deg in sorted(verts))
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -348,13 +347,13 @@ def isserlis_moment(cov_rows, alpha: tuple[int, ...]) -> Scalar:
 def _isserlis(cov, alpha: tuple[int, ...]) -> Scalar:
     total_deg = sum(alpha)
     if total_deg == 0:
-        return Scalar(1)
+        return ONE
     if total_deg % 2:
-        return Scalar(0)
+        return ZERO
     i = next(k for k, a in enumerate(alpha) if a > 0)
     beta = list(alpha)
     beta[i] -= 1
-    acc = Scalar(0)
+    acc = ZERO
     for j, bj in enumerate(beta):
         if bj and cov[i][j]:
             gamma = list(beta)
@@ -379,7 +378,7 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     def bracket(g: SuperPoly) -> list[Scalar]:
         # <g e^{U/hbar}>_0 as a truncated series; each monomial of degree D in
         # the r-th vertex power contributes at hbar^(D/2 - r)
-        out = [Scalar(0)] * (K + 1)
+        out = [ZERO] * (K + 1)
         rmax = 2 * K if not u.is_zero else 0
         upow = SuperPoly.one(m.n)
         for r in range(rmax + 1):
@@ -405,7 +404,7 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     den = bracket(SuperPoly.one(m.n))
     if not den[0]:
         raise AssertionError("normalization series has zero constant term")
-    ratio = [Scalar(0)] * (K + 1)
+    ratio = [ZERO] * (K + 1)
     for k in range(K + 1):
         acc = num[k]
         for j in range(k):

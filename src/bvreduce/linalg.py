@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .errors import SingularMatrix
-from .scalars import ZERO, Scalar, clear_denominators, gauss
+from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss
 
 
 def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
@@ -144,7 +144,7 @@ class Factor:
     M, Re g and Im g apart for a real one) and memoizes nothing; later solves
     sum X g over memoized columns.  `columns[key]` is that column of X as
     its nonzero entries (i, re, im), i a position in `keys`, or None until
-    `column(key)` substitutes e_j and scales entry i by dens[i].  The first
+    `column(key)` substitutes e_j through `_substitute`.  The first
     solve and each column are taken under the factor's lock, so racing
     callers substitute directly once and solve each column once.
     """
@@ -202,14 +202,8 @@ class Factor:
             with self._lock:
                 col = self.columns[key]
                 if col is None:
-                    k = self.k
-                    # list.index is O(k), once per column, beside the O(k^2) substitution
-                    j = self.keys.index(key)
-                    # e_j, of the size of M or of its real embedding
-                    x = self._solve_int([int(i == j) for i in range(len(self._upper))])
-                    col = [(i, xr * den, xi * den)
-                           for i, (xr, xi, den) in enumerate(zip(x, x[k:] or [0] * k, self._dens)) if xr or xi]
-                    self.columns[key] = col
+                    xr, xi = self._substitute({key: ONE}, [(1, 0)])
+                    col = self.columns[key] = [(i, a, b) for i, (a, b) in enumerate(zip(xr, xi)) if a or b]
         return col
 
     def solve(self, rhs: dict) -> dict:

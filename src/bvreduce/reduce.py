@@ -32,7 +32,7 @@ from .bvdiff import Action, _contract, d_div
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import SliceSolver
 from .linalg import invert, rank
-from .scalars import ONE, Scalar, gauss, q
+from .scalars import ONE, ZERO, Scalar, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -54,6 +54,11 @@ class JacBasis:
 
     def __len__(self):
         return len(self.monomials)
+
+    def __contains__(self, m) -> bool:
+        """Whether m is a basis exponent word, in O(n): a tuple of n entries, each in 0..d-2."""
+        exps = range(self.d - 1)
+        return isinstance(m, tuple) and len(m) == self.n and all(p in exps for p in m)
 
     def __repr__(self):
         return f"JacBasis(n={self.n}, d={self.d}, monomials={self.monomials!r})"
@@ -88,7 +93,7 @@ class JacClass:
             for k, v in dict(coeffs).items():
                 v = Scalar.of(v)
                 if v:
-                    if k not in basis.monomials:
+                    if k not in basis:
                         raise ValueError(f"{k} is not a basis monomial")
                     self.coeffs[k] = v
 
@@ -97,7 +102,7 @@ class JacClass:
         return not self.coeffs
 
     def vector(self) -> list[Scalar]:
-        return [self.coeffs.get(m, Scalar(0)) for m in self.basis.monomials]
+        return [self.coeffs.get(m, ZERO) for m in self.basis.monomials]
 
     def __add__(self, other: "JacClass") -> "JacClass":
         out = dict(self.coeffs)
@@ -146,12 +151,6 @@ def tau_diag(v: SuperPoly, d: int) -> JacClass:
     return out
 
 
-def _check_diag(action: Action):
-    for i, a in enumerate(action.diag_coeffs):
-        if not a:
-            raise NonDiagonalizableAction(i)
-
-
 def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     """The diagonal homotopy: the tensor-product contraction of the one-variable factors.
 
@@ -180,10 +179,12 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
 
 
 def _units(action: Action) -> tuple[Scalar, ...]:
-    """The Scalars -(d-1)!/a_i of eta_diag, built once per action."""
+    """The Scalars -(d-1)!/a_i of eta_diag, built once per action; a zero a_i is NonDiagonalizableAction(i)."""
     units = action._neg_inv_diag
     if units is None:
-        _check_diag(action)
+        for i, a in enumerate(action.diag_coeffs):
+            if not a:
+                raise NonDiagonalizableAction(i)
         units = action._neg_inv_diag = tuple(-factorial(action.d - 1) / a for a in action.diag_coeffs)
     return units
 
@@ -230,7 +231,10 @@ def keep_columns(action: Action):
             rest ^= bit
             j = bit.bit_length() - 1
             odd = (mask & (bit - 1)).bit_count() & 1
-            for ge, plus, minus in products.get((i, j)) or product(i, j):
+            prod = products.get((i, j))
+            if prod is None:
+                prod = product(i, j)
+            for ge, plus, minus in prod:
                 out[(tuple(map(add, e, ge)), mask ^ bit)] = minus if odd else plus
         return out
 
@@ -266,7 +270,7 @@ class ReduceSession:
         correction: dict[tuple[int, ...], SuperPoly] = {}
         for m, c in (phi_correction or {}).items():
             m = tuple(m)
-            if m not in basis.monomials:
+            if m not in basis:
                 raise InputError(f"{m} is not a basis monomial")
             if not isinstance(c, SuperPoly) or c.n != n:
                 raise InputError("corrections must be SuperPoly values in the same variables")
@@ -276,7 +280,7 @@ class ReduceSession:
                 raise InputError("corrections must vanish under tau_diag")
             if not c.is_zero:
                 correction[m] = c
-        _check_diag(action)
+        _units(action)
         # every lower part loses at least d minus its degree in weight, the divergence d
         drop = d_div
         if action.has_lower():
@@ -349,16 +353,14 @@ def wick(action: Action, f: SuperPoly) -> Scalar:
     The minus sign in the exponent pairs with the homotopy orientation above;
     it reproduces the Isserlis moments for covariance -(s2)^{-1}.
     """
-    if action.d != 2 or action.quad is None:
+    if action.d != 2:
         raise InputError("wick needs a quadratic action")
     if any(mask for _, mask in f.terms):
         raise InputError("wick is defined on homological degree 0")
     s2, s1, _ = action.quad
     s2inv = invert(s2).inverse()  # raises SingularMatrix when degenerate
     n = action.n
-    crit = [
-        -sum((s2inv[i][j] * s1[j] for j in range(n)), Scalar(0)) for i in range(n)
-    ]
+    crit = [-sum((s2inv[i][j] * s1[j] for j in range(n)), ZERO) for i in range(n)]
     g = f.shift(crit)
 
     def lap(p: SuperPoly) -> SuperPoly:
@@ -375,7 +377,7 @@ def wick(action: Action, f: SuperPoly) -> Scalar:
                         out = out + t.scale(c)
         return out
 
-    total = Scalar(0)
+    total = ZERO
     cur = g
     k = 0
     while not cur.is_zero:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import Scalar, clear_denominators, gauss
+from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss
 
 Key = tuple[tuple[int, ...], int]
 
@@ -125,13 +125,13 @@ class SuperPoly:
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         exps = tuple(power if j == i else 0 for j in range(n))
-        return SuperPoly(n, {(exps, 0): Scalar(1)})
+        return SuperPoly(n, {(exps, 0): ONE})
 
     @staticmethod
     def xi(n: int, i: int) -> "SuperPoly":
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
-        return SuperPoly(n, {((0,) * n, 1 << i): Scalar(1)})
+        return SuperPoly(n, {((0,) * n, 1 << i): ONE})
 
     @staticmethod
     def monomial(n: int, exps: Iterable[int], xi_indices: Iterable[int] = (), coeff=1) -> "SuperPoly":
@@ -160,7 +160,7 @@ class SuperPoly:
         mask = 0
         for i in xi_indices:
             mask |= 1 << i
-        return self.terms.get((tuple(exps), mask), Scalar(0))
+        return self.terms.get((tuple(exps), mask), ZERO)
 
     def max_xdeg(self) -> int:
         """Largest total x-degree of any term; -1 for the zero element."""
@@ -306,7 +306,7 @@ class SuperPoly:
                 if ei == 0 or not ci:
                     partial = {k + (ei,): v for k, v in partial.items()}
                     continue
-                powers = [Scalar(1)]
+                powers = [ONE]
                 for _ in range(ei):
                     powers.append(powers[-1] * ci)
                 # the keys k + (j,) are distinct, and ci != 0 keeps every product nonzero
@@ -329,13 +329,6 @@ class SuperPoly:
         for (e, m), c in self.terms.items():
             w = sum(e) + (d - 1) * m.bit_count()
             out.setdefault(w, SuperPoly(self.n)).terms[(e, m)] = c
-        return out
-
-    def xdeg_split(self) -> dict[int, "SuperPoly"]:
-        """Split by total x-degree, ignoring xi content."""
-        out: dict[int, SuperPoly] = {}
-        for (e, m), c in self.terms.items():
-            out.setdefault(sum(e), SuperPoly(self.n)).terms[(e, m)] = c
         return out
 
     # -- rendering ------------------------------------------------------------------

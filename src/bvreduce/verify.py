@@ -16,7 +16,7 @@ from .errors import EngineError, NotGenericAtWeight, SingularMatrix
 from .hbar import isserlis_moment
 from .linalg import invert
 from .reduce import jac_basis, jac_rank_check, reduce_full, wick
-from .scalars import Scalar, q
+from .scalars import ZERO, Scalar, q
 from .superpoly import SuperPoly, monomials_of_degree
 
 @dataclass
@@ -183,10 +183,10 @@ def isserlis_wick(a: Action, f: SuperPoly) -> Scalar:
     s2, s1, _ = a.quad
     s2inv = invert(s2).inverse()
     n = a.n
-    crit = [-sum((s2inv[i][j] * s1[j] for j in range(n)), Scalar(0)) for i in range(n)]
+    crit = [-sum((s2inv[i][j] * s1[j] for j in range(n)), ZERO) for i in range(n)]
     cov = tuple(tuple(-s2inv[i][j] for j in range(n)) for i in range(n))
     g = f.shift(crit)
-    total = Scalar(0)
+    total = ZERO
     for (e, mask), c in g.terms.items():
         if mask:
             raise ValueError("degree-0 observables only")

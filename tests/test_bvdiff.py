@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -14,15 +15,17 @@ from bvreduce import (
     q,
 )
 from bvreduce.bvdiff import _contract, contraction_terms
-from bvreduce.verify import random_action, random_degree1
+from bvreduce.scalars import ONE
+from bvreduce.verify import random_action, random_degree1, random_rational
 
 
 def test_action_build_1d():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3 + x)
     assert a.d == 3
-    assert set(a.parts) == {3, 1}
-    assert a.parts[3] == x**3
+    assert a.diag == x**3
+    assert a.mix.is_zero
+    assert a.low == x
     assert a.diag_coeffs == (Scalar(6),)
 
 
@@ -43,6 +46,45 @@ def test_action_build_failure_quartic_split():
     assert a.diag == x**4 + y**4
     assert a.mix == 2 * (x**3 * y) + 2 * (x * y**3)
     assert a.diag_coeffs == (Scalar(24), Scalar(24))
+
+
+def test_one_pass_split_reads_s_term_by_term():
+    """s = diag + mix + low with each term in its place, a_i = d! [x_i^d]s, and quad is s's normal form for d = 2."""
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(60):
+        n, d = rng.randint(1, 3), rng.randint(2, 4)
+        terms = dict(random_action(rng, n, d).s.terms)
+        if trial % 3 == 0 and n > 1:
+            # a_0 = 0, with a mixed term of degree d so that d stays the degree
+            del terms[((d,) + (0,) * (n - 1), 0)]
+            terms[((1, d - 1) + (0,) * (n - 2), 0)] = ONE
+        complexified = trial % 2 == 1
+        if complexified:
+            terms = {key: c * (ONE + Scalar(0, 1) * random_rational(rng)) for key, c in terms.items()}
+        s = SuperPoly(n, terms)
+        a = action_build(s)
+        assert a.d == d
+        assert a.diag + a.mix + a.low == s
+        assert all(not mask and sum(e) == d and sum(1 for p in e if p) == 1 for e, mask in a.diag.terms)
+        assert all(not mask and sum(e) == d and sum(1 for p in e if p) >= 2 for e, mask in a.mix.terms)
+        assert all(not mask and sum(e) < d for e, mask in a.low.terms)
+        fact = factorial(d)
+        assert a.diag_coeffs == tuple(fact * s.coeff(tuple(d * (j == i) for j in range(n))) for i in range(n))
+        if d == 2:
+            assert "quad" not in vars(a)  # built on first access
+            s2, s1, s0 = a.quad
+            x = [SuperPoly.x(n, i) for i in range(n)]
+            form = SuperPoly.const(n, s0)
+            for i in range(n):
+                form = form + x[i].scale(s1[i])
+                for j in range(n):
+                    form = form + (x[i] * x[j]).scale(s2[i][j] * Scalar(q(1, 2)))
+            assert form == s
+        else:
+            assert a.quad is None
+        seen.add((complexified, not all(a.diag_coeffs)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_action_build_rejects_constant_and_linear():
@@ -105,7 +147,7 @@ def test_d_diag_d_mix_split():
     n = 2
     x, y = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
     a = action_build(x**3 + 2 * (x**2 * y) + y**3)
-    d_mix, d_top = _contraction(a.mix), _contraction(a.top)
+    d_mix, d_top = _contraction(a.mix), _contraction(a.diag + a.mix)
     xi0 = SuperPoly.xi(n, 0)
     assert d_diag(a, xi0) == 3 * x**2
     assert d_mix(xi0) == 4 * (x * y)
@@ -136,7 +178,7 @@ def test_weight_behavior():
     for _ in range(15):
         n, d = rng.randint(1, 3), rng.randint(2, 4)
         a = random_action(rng, n, d)
-        d_top, d_low = _contraction(a.top), _contraction(a.low)
+        d_top, d_low = _contraction(a.diag + a.mix), _contraction(a.low)
         v = random_degree1(rng, n, d, 7)
         w = v.max_weight(d)
         t = d_top(v)

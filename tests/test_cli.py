@@ -59,6 +59,20 @@ def test_reduce_without_mix_solves_no_slice(tmp_path, monkeypatch, action):
     assert calls == []
 
 
+def test_full_result_round_trips_at_n7_d5():
+    """A full n = 7, d = 5 result, 4^7 coefficients, reads back; each basis check is O(n), not a scan."""
+    from bvreduce import JacClass, Scalar, SuperPoly, action_build, jac_basis, q
+    from bvreduce.cli import result_to_json
+
+    n, d = 7, 5
+    basis = jac_basis(n, d)
+    jc = JacClass(basis, {m: Scalar(q(i + 1, 7), -i) for i, m in enumerate(basis.monomials)})
+    assert len(jc.coeffs) == 4**7
+    action = action_build(sum((SuperPoly.x(n, i, d) for i in range(n)), SuperPoly.zero(n)))
+    data = json.loads(json.dumps(result_to_json(action, jc, {})))
+    assert result_from_json(data) == jc
+
+
 def test_reduce_round_trip_byte_stable(tmp_path):
     inp = write(tmp_path / "p.json", CUBIC_PROBLEM)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -206,8 +220,13 @@ def test_verify_counts_nongeneric_instances_as_skipped(capsys):
     assert (rep.checks, rep.skipped, rep.failures) == (199, 1, [])
     assert main(["verify", "--trials", "200", "--seed", "42"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "verify[wick-agreement]: 199 checks, 1 skipped, 0 failures ... pass" in out
-    assert "verify[exactness]: 200 checks, 0 failures ... pass" in out
+    assert out.splitlines() == [
+        "verify: trials=200 seed=42 n<=3 d<=4 maxdeg=8",
+        "verify[exactness]: 200 checks, 0 failures ... pass",
+        "verify[section]: 310 checks, 0 failures ... pass",
+        "verify[wick-agreement]: 199 checks, 1 skipped, 0 failures ... pass",
+        "verify[rank-counts]: 20 checks, 0 failures ... pass",
+    ]
 
 
 def test_verify_zero_trials(capsys):

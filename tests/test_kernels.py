@@ -112,8 +112,12 @@ def eta_diag_ref(v: SuperPoly, action) -> SuperPoly:
 
 def hbar_eta_ref(v: SuperPoly, m: HbarModel) -> SuperPoly:
     n = m.n
+    # the homogeneous parts of v by total x-degree
+    parts: dict[int, SuperPoly] = {}
+    for (e, mask), c in v.terms.items():
+        parts.setdefault(sum(e), SuperPoly(n)).terms[(e, mask)] = c
     out = SuperPoly.zero(n)
-    for ell, part in v.xdeg_split().items():
+    for ell, part in parts.items():
         if ell:
             piece = SuperPoly.zero(n)
             for i in range(n):

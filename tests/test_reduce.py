@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -35,6 +36,29 @@ def test_jac_basis_n2_d3():
     b = jac_basis(2, 3)
     assert b.monomials == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert len(b) == 4
+
+
+def test_basis_membership_matches_the_monomial_scan():
+    """`m in basis` is an O(n) rule that accepts and rejects exactly what a scan of the monomials does."""
+    for n, d in ((1, 2), (2, 3), (3, 4)):
+        basis = jac_basis(n, d)
+        words = [w for size in (n - 1, n, n + 1) for w in itertools.product(range(-1, d + 1), repeat=size)]
+        for w in words + [list(basis.monomials[-1]), None, 0, (1.0,) * n, (True,) * n]:
+            assert (w in basis) == (w in basis.monomials)
+
+
+def test_classes_and_sections_reject_words_outside_the_basis():
+    """A wrong-length word and a word with exponent d - 1 are refused by JacClass and by a section correction."""
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    basis = jac_basis(2, 3)
+    a = action_build(x0**3 + x1**3)
+    for word in ((0,), (0, 0, 0), (2, 0), (1, 2)):
+        with pytest.raises(ValueError, match="is not a basis monomial"):
+            JacClass(basis, {word: 1})
+        with pytest.raises(InputError, match="is not a basis monomial"):
+            ReduceSession(a, phi_correction={word: x0**3 * x1**3})
+    assert JacClass(basis, {(1, 1): 1}).coeffs == {(1, 1): Scalar(1)}
+    ReduceSession(a, phi_correction={(1, 1): x0**3 * x1**3})
 
 
 def test_jac_basis_n1_d2():
