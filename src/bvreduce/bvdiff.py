@@ -1,8 +1,8 @@
-"""The action data type and the differentials d_cl, div, d_bv.
+"""The action data type and the differentials d_cl, div, d_bv and d_diag.
 
 An Action packages a polynomial s with its split s = diag + mix + low, the
 gradients the reduction reads, and the quadratic normal form when d = 2.  The
-differentials act on SuperPoly values and never mutate shared state.
+differentials are calls of one integer kernel, `_contract`, and mutate nothing.
 """
 from __future__ import annotations
 
@@ -123,43 +123,18 @@ def _gradients(p: SuperPoly):
     return contraction_terms([p.dx(i) for i in range(p.n)])
 
 
-def _contract(gterms, v: SuperPoly) -> SuperPoly:
-    """sum_i grads[i] * dxi(v, i): the odd contraction common to all d_* maps.
+def _contract(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:
+    """sum_i grads[i] * dxi(v, i), plus the divergence sum_i d/dx_i dxi(v, i) if div: every d_* map.
 
-    gterms is `contraction_terms(grads)`, which an Action and an HbarModel
-    build once.  Every gradient must be xi-free, as theirs are, so each
-    product carries the sign of dxi alone.  v is cleared to Gaussian
-    integers over one L, so every product lies over L * G.
+    gterms is `contraction_terms(grads)`, one row per variable of v, which an
+    Action and an HbarModel build once.  Every gradient must be xi-free, as
+    theirs are, so each contribution carries the sign of dxi alone.  v is
+    cleared to Gaussian integers over one L, so every product lies over L * G,
+    and each divergence contribution is scaled by G to lie there too.
     """
     rows, gden = gterms
-    pairs, den = clear_denominators(v.terms.values())
-
-    def contributions():
-        for (e, m), (ca, cb) in zip(v.terms, pairs):
-            rest = m
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                gt = rows[bit.bit_length() - 1]
-                if not gt:
-                    continue
-                sa, sb = (-ca, -cb) if (m & (bit - 1)).bit_count() & 1 else (ca, cb)
-                mask = m ^ bit
-                for ge, ga, gb in gt:
-                    yield (tuple(map(add, e, ge)), mask), ga * sa - gb * sb, ga * sb + gb * sa
-
-    return sum_pairs(v.n, contributions(), den * gden)
-
-
-def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
-    """Koszul differential sum_i (ds/dx_i) d/dxi_i; lowers homological degree by 1."""
-    if v.n != a.n:
+    if len(rows) != v.n:
         raise ValueError("variable count mismatch")
-    return _contract(a.cgrad, v)
-
-
-def d_div(v: SuperPoly) -> SuperPoly:
-    """Divergence sum_i d^2/(dx_i dxi_i); lowers weight by exactly d on xi terms."""
     pairs, den = clear_denominators(v.terms.values())
 
     def contributions():
@@ -169,19 +144,33 @@ def d_div(v: SuperPoly) -> SuperPoly:
                 bit = rest & -rest
                 rest ^= bit
                 i = bit.bit_length() - 1
-                p = e[i]
-                if not p:
+                gt = rows[i]
+                p = e[i] * gden if div else 0
+                if not gt and not p:
                     continue
-                if (m & (bit - 1)).bit_count() & 1:
-                    p = -p
-                yield (e[:i] + (e[i] - 1,) + e[i + 1:], m ^ bit), ca * p, cb * p
+                sa, sb = (-ca, -cb) if (m & (bit - 1)).bit_count() & 1 else (ca, cb)
+                mask = m ^ bit
+                for ge, ga, gb in gt:
+                    yield (tuple(map(add, e, ge)), mask), ga * sa - gb * sb, ga * sb + gb * sa
+                if p:
+                    yield (e[:i] + (e[i] - 1,) + e[i + 1:], mask), sa * p, sb * p
 
-    return sum_pairs(v.n, contributions(), den)
+    return sum_pairs(v.n, contributions(), den * gden)
+
+
+def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
+    """Koszul differential sum_i (ds/dx_i) d/dxi_i; lowers homological degree by 1."""
+    return _contract(a.cgrad, v)
+
+
+def d_div(v: SuperPoly) -> SuperPoly:
+    """Divergence sum_i d^2/(dx_i dxi_i); lowers weight by exactly d on xi terms."""
+    return _contract((((),) * v.n, 1), v, div=True)
 
 
 def d_bv(a: Action, v: SuperPoly) -> SuperPoly:
-    """The full differential d_cl + div."""
-    return d_cl(a, v) + d_div(v)
+    """The full differential d_cl + div, in one pass."""
+    return _contract(a.cgrad, v, div=True)
 
 
 def d_diag(a: Action, v: SuperPoly) -> SuperPoly:

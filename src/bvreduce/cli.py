@@ -22,6 +22,7 @@ from .errors import (
     ToleranceNotReached,
     read_json,
 )
+from .hpl import MAX_OBSERVABLE_WEIGHT, MAX_SLICE_ROWS, slice_rows
 from .reduce import JacClass, jac_basis, session_for, wick
 from .scalars import Scalar, q
 from .superpoly import SuperPoly, add_term
@@ -274,6 +275,13 @@ def cmd_verify(args) -> int:
     if args.maxdeg < args.d - 1:
         # the lightest degree-1 element, xi_i, already has weight d - 1
         raise InputError(f"--maxdeg must be at least d - 1 = {args.d - 1}, got {args.maxdeg}")
+    # the heaviest input the suites sweep: a boundary source, or a section suite basis monomial
+    w = max(args.maxdeg, args.n * (args.d - 2))
+    if w > MAX_OBSERVABLE_WEIGHT:
+        raise InputError(f"verify would sweep weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
+    k = slice_rows(args.n, args.d, 0, w)
+    if k > MAX_SLICE_ROWS:
+        raise InputError(f"verify would reach a slice of {k} rows at weight {w}, over the budget of {MAX_SLICE_ROWS}")
     print(f"verify: trials={args.trials} seed={args.seed} n<={args.n} d<={args.d} maxdeg={args.maxdeg}")
     if args.trials == 0:
         print("verify: 0 checks run (trials=0)")

@@ -17,7 +17,8 @@ Transferring across delta1 and then delta2 gives the same tau as one
 transfer across delta1 + delta2, so the caller perturbs once by the whole
 deformation, split by weight into keep, which preserves weight exactly, and
 drop, which strictly lowers it.  A SliceSolver applies (id - delta o eta)^{-1}
-by one sweep from the top weight down, `neumann_apply`.  Only keep o eta
+by one sweep, `neumann_apply`, over one bucket per (weight, homological
+degree), from the top weight down.  Only keep o eta
 needs an exact inverse, and the solver sees it as a column kernel: the image
 -keep(eta(x^key)) of each basis monomial of a finite (homological degree,
 weight) slice, as a term map.  Each slice the sweep reaches is assembled from
@@ -50,39 +51,39 @@ def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map, solve=None) -> Supe
     assembly checks, and drop o eta strictly lowers weight.  Then
     (id - delta o eta)^{-1} = sum_k (S drop eta)^k S with S = (id - keep o
     eta)^{-1}, a Neumann series that ends because weight is a non-negative
-    integer.  The sweep groups it by weight: at weight w it sets y =
-    S(bucket w) by solve(h, w, terms), adds y to the output and hands
-    drop(eta(y)) on to the lower buckets.  Without keep, S = id and no
-    solve is given.  An image at or above w is a
+    integer.  The sweep keeps one bucket per (weight, homological degree)
+    and takes the largest key each step: at (w, h) it sets y = S(bucket) by
+    solve(h, w, terms), writes y to the output and hands drop(eta(y)) on to
+    the buckets of each image term's own weight and degree.  Without keep,
+    S = id and no solve is given.  An image at or above w is a
     NonTerminating error, never a silent truncation.
     """
     if v.is_zero:
         return v
     n = v.n
     out: dict[Key, Scalar] = {}
-    # group the input by degree, then sweep each degree top weight down
-    by_h: dict[int, dict[int, dict[Key, Scalar]]] = {}
+    pending: dict[tuple[int, int], dict[Key, Scalar]] = {}
     for key, c in v.terms.items():
-        by_h.setdefault(key[1].bit_count(), {}).setdefault(term_weight(key, d), {})[key] = c
-    for h, pending in by_h.items():
-        while pending:
-            w = max(pending)
-            y_terms = pending.pop(w)
-            if solve is not None:
-                y_terms = solve(h, w, y_terms)
-            for key, c in y_terms.items():
-                add_term(out, key, c)
-            e = eta(SuperPoly._wrap(n, y_terms))
-            if e.is_zero:
-                continue
-            for key, c in drop(e).terms.items():
-                ww = term_weight(key, d)
-                if ww >= w:
-                    raise NonTerminating(f"the weight-dropping part sent weight {w} to weight {ww}")
-                bucket = pending.setdefault(ww, {})
-                add_term(bucket, key, c)
-                if not bucket:
-                    pending.pop(ww, None)
+        pending.setdefault((term_weight(key, d), key[1].bit_count()), {})[key] = c
+    while pending:
+        w, h = top = max(pending)
+        y_terms = pending.pop(top)
+        if solve is not None:
+            y_terms = solve(h, w, y_terms)
+        # each bucket is swept once and its keys are in no other bucket, so levels never share a key
+        out.update(y_terms)
+        e = eta(SuperPoly._wrap(n, y_terms))
+        if e.is_zero:
+            continue
+        for key, c in drop(e).terms.items():
+            ww = term_weight(key, d)
+            if ww >= w:
+                raise NonTerminating(f"the weight-dropping part sent weight {w} to weight {ww}")
+            lower = (ww, key[1].bit_count())
+            bucket = pending.setdefault(lower, {})
+            add_term(bucket, key, c)
+            if not bucket:
+                del pending[lower]
     return SuperPoly._wrap(n, out)
 
 
@@ -98,6 +99,12 @@ def slice_basis(n: int, d: int, h: int, w: int) -> list[Key]:
                 keys.append((e, mask))
     keys.sort()
     return keys
+
+
+def slice_rows(n: int, d: int, h: int, w: int) -> int:
+    """The size of slice_basis(n, d, h, w), counted before anything is built."""
+    xdeg = w - (d - 1) * h
+    return comb(n, h) * comb(xdeg + n - 1, n - 1) if xdeg >= 0 else 0
 
 
 MAX_SLICE_ROWS = 256
@@ -163,9 +170,7 @@ class SliceSolver:
         with self._lock:
             if (h, w) in cache:
                 return cache[(h, w)]
-            # the size of slice_basis(n, d, h, w), counted before anything is built
-            xdeg = w - (self.d - 1) * h
-            k = comb(self.n, h) * comb(xdeg + self.n - 1, self.n - 1) if xdeg >= 0 else 0
+            k = slice_rows(self.n, self.d, h, w)
             if k > MAX_SLICE_ROWS:
                 raise InputError(
                     f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"

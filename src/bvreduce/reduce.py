@@ -27,8 +27,7 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
-from . import bvdiff
-from .bvdiff import Action, _contract, d_div
+from .bvdiff import Action, _contract, d_cl
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import SliceSolver
 from .linalg import invert, rank
@@ -281,10 +280,8 @@ class ReduceSession:
             if not c.is_zero:
                 correction[m] = c
         _units(action)
-        # every lower part loses at least d minus its degree in weight, the divergence d
-        drop = d_div
-        if action.has_lower():
-            drop = lambda v: _contract(action.cgrad_low, v) + d_div(v)
+        # lowers weight by at least d - deg(low); with no low, cgrad_low's rows are empty and drop is the divergence
+        drop = lambda v: _contract(action.cgrad_low, v, div=True)
         column = keep_columns(action) if action.has_mix() else None
         self.solver = SliceSolver(n, d, lambda v: eta_diag(v, action), column, drop)
         self._correction = correction
@@ -407,7 +404,7 @@ def jac_rank_check(action: Action, w_max: int) -> list[int]:
         if xdeg >= 0:
             for i in range(n):
                 for e in monomials_of_degree(n, xdeg):
-                    img = bvdiff.d_cl(action, SuperPoly(n, {(e, 1 << i): ONE}))
+                    img = d_cl(action, SuperPoly(n, {(e, 1 << i): ONE}))
                     if any(mask for _, mask in img.terms):
                         raise AssertionError("image of a degree-1 element must be xi-free")
                     images.append(img.terms)

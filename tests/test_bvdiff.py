@@ -137,6 +137,18 @@ def test_d_bv_example_and_constants():
     assert d_bv(a, SuperPoly.const(1, 7)).is_zero
 
 
+@pytest.mark.parametrize("kernel", [d_cl, d_diag, d_bv])
+def test_differentials_refuse_another_variable_count(kernel):
+    """v in n - 1 or n + 1 variables is a ValueError, never a truncated or out-of-range exponent word."""
+    n = 2
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    a = action_build(x0**3 + 2 * (x0 * x1**2) + x1**3 + x0)
+    for m in (n - 1, n + 1):
+        v = SuperPoly.x(m, 0, 2) * SuperPoly.xi(m, 0)
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            kernel(a, v)
+
+
 def _contraction(p):
     """v -> sum_i dp/dx_i * dxi(v, i), the contraction with the gradient of a xi-free p."""
     gterms = contraction_terms([p.dx(i) for i in range(p.n)])

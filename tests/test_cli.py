@@ -339,6 +339,9 @@ def _contour(**fields):
         (["verify", "--trials", "-1"], None, {}),
         (["verify", "--maxdeg", "-5"], None, {}),
         (["verify", "--d", "4", "--maxdeg", "2"], None, {}),
+        # refused before the header: the suites would sweep weight 129, or reach a slice of 417225900 rows at weight 24
+        (["verify", "--maxdeg", "129"], None, {}),
+        (["verify", "--n", "12"], None, {}),
     ],
     ids=["basis-negative-n", "K-string", "K-float", "vertices-list", "vertex-degree-03", "vertex-degree-space",
          "contour-int", "contour-missing", "contour-malformed", "contour-nan-ray", "contour-nan-waypoint",
@@ -346,7 +349,8 @@ def _contour(**fields):
          "n-true", "exp-true", "re-true", "not-utf8", "int-over-digit-limit", "nested-100k",
          "contour-one-direction", "contour-three-directions", "contour-none",
          "contour-ray-string", "contour-ray-true", "contour-waypoint-false", "verify-n-zero",
-         "verify-d-one", "verify-trials-negative", "verify-maxdeg-negative", "verify-maxdeg-below-d"],
+         "verify-d-one", "verify-trials-negative", "verify-maxdeg-negative", "verify-maxdeg-below-d",
+         "verify-maxdeg-over-weight-budget", "verify-n-over-slice-budget"],
 )
 def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
     if problem is not None:
@@ -358,7 +362,9 @@ def test_hostile_input_exit_3(tmp_path, capsys, argv, problem, files):
             (tmp_path / name).write_text(content)
     argv = [a.format(p=tmp_path / "p.json", dir=tmp_path) for a in argv]
     assert main(argv) == EXIT_INVALID
-    assert capsys.readouterr().err.startswith("error: invalid input:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid input:")
+    assert captured.out == ""
 
 
 def test_unwritable_output_exit_3(tmp_path, capsys):

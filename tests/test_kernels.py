@@ -205,6 +205,7 @@ def test_kernels_match_references_over_wide_denominators(data):
         assume(False)
     for got, want in [
         (_contract(contraction_terms(grads), v), contract_ref(grads, v)),
+        (_contract(contraction_terms(grads), v, div=True), contract_ref(grads, v) + d_div_ref(v)),
         (d_div(v), d_div_ref(v)),
         (eta_diag(v, action), eta_diag_ref(v, action)),
         (hbar_eta(f, m), hbar_eta_ref(f, m)),
