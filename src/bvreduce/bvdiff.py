@@ -7,7 +7,7 @@ differentials are calls of one integer kernel, `_contract`, and mutate nothing.
 from __future__ import annotations
 
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd
 from operator import add
 
 from .errors import InputError
@@ -120,7 +120,22 @@ def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
 
 
 def _gradients(p: SuperPoly):
-    return contraction_terms([p.dx(i) for i in range(p.n)])
+    """contraction_terms([p.dx(i) for i in range(p.n)]) of a xi-free p, from one integer pass over its terms.
+
+    p is cleared over one L, each term e[i] * x^(e - 1_i) is written to row
+    i, and one gcd of L and every entry takes the rows to the lowest common
+    denominator, as `contraction_terms` gives them.
+    """
+    rows = tuple([] for _ in range(p.n))
+    pairs, den = clear_denominators(p.terms.values())
+    for (e, _), (a, b) in zip(p.terms, pairs):
+        for i, k in enumerate(e):
+            if k:
+                rows[i].append((e[:i] + (k - 1,) + e[i + 1:], a * k, b * k))
+    g = gcd(den, *[x for row in rows for _, a, b in row for x in (a, b)])
+    if g > 1:
+        rows = tuple([(e, a // g, b // g) for e, a, b in row] for row in rows)
+    return rows, den // g
 
 
 def _contract(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:

@@ -244,35 +244,54 @@ def feynman_rules(m: HbarModel, terms: dict, den: int, deg: int, room: int):
               x-degree deg + l - 2 at the same order;
       loop    (out, den): sum_i d_i y_i, of x-degree deg - 2 at the next order.
 
-    Each out maps exponent words to [a, b] lists, zeros not dropped.  The
+    Each out maps exponent words to [a, b] lists, summed in place as the
+    contributions arrive, zeros not dropped (`_gather` drops them).  The
     vertex outputs sum to _contract(grad U, y) and the loop output is
     d_div(y).
     """
     cols, aden = m.cainv
-
-    def legs():
-        for e, (ca, cb) in terms.items():
-            for j, p in enumerate(e):
-                if p:
-                    f = e[:j] + (p - 1,) + e[j + 1:]
-                    fa, fb = p * ca, p * cb
-                    for i, ta, tb in cols[j]:
-                        yield (f, i), ta * fa - tb * fb, ta * fb + tb * fa
-
-    def joined(rows):
+    y: dict = {}
+    for e, (ca, cb) in terms.items():
+        for j, p in enumerate(e):
+            if p:
+                f = e[:j] + (p - 1,) + e[j + 1:]
+                fa, fb = p * ca, p * cb
+                for i, ta, tb in cols[j]:
+                    a, b = ta * fa - tb * fb, ta * fb + tb * fa
+                    s = y.get((f, i))
+                    if s is None:
+                        y[(f, i)] = [a, b]
+                    else:
+                        s[0] += a
+                        s[1] += b
+    yden = den * aden * deg
+    vertex = []
+    for l, (rows, gden) in m.cgrad_vertices:
+        if deg + l - 2 > room:
+            continue
+        out: dict = {}
         for (f, i), (ya, yb) in y.items():
             for ge, ga, gb in rows[i]:
-                yield tuple(map(add, f, ge)), ga * ya - gb * yb, ga * yb + gb * ya
-
-    def closed():
-        for (f, i), (ya, yb) in y.items():
-            if p := f[i]:
-                yield f[:i] + (p - 1,) + f[i + 1:], p * ya, p * yb
-
-    y = add_pairs(legs())
-    yden = den * aden * deg
-    vertex = [(l, add_pairs(joined(rows)), yden * gden) for l, (rows, gden) in m.cgrad_vertices if deg + l - 2 <= room]
-    return vertex, (add_pairs(closed()), yden)
+                key = tuple(map(add, f, ge))
+                a, b = ga * ya - gb * yb, ga * yb + gb * ya
+                s = out.get(key)
+                if s is None:
+                    out[key] = [a, b]
+                else:
+                    s[0] += a
+                    s[1] += b
+        vertex.append((l, out, yden * gden))
+    loop: dict = {}
+    for (f, i), (ya, yb) in y.items():
+        if p := f[i]:
+            key = f[:i] + (p - 1,) + f[i + 1:]
+            s = loop.get(key)
+            if s is None:
+                loop[key] = [p * ya, p * yb]
+            else:
+                s[0] += p * ya
+                s[1] += p * yb
+    return vertex, (loop, yden)
 
 
 def _gather(parts: list) -> tuple[dict, int]:

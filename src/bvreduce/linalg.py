@@ -66,7 +66,8 @@ def _forward_eliminate(m: list[list[int]]):
     factors piv / prev of the steps a row skips telescope, so its next update
     divides exactly by the pivot of its own last step, and a pivot row is
     brought up to date first.  Sparse slices and the block-sparse complex
-    embedding cost only the rows touched.
+    embedding cost only the rows touched, and within a row an entry whose
+    two operands are 0 stays 0 and a division by 1 is not made.
 
     steps[t] is (i, lc, prev, piv, ups): the original index i of the pivot
     row, the pivot of the last step applied to it, the previous pivot, the
@@ -84,8 +85,10 @@ def _forward_eliminate(m: list[list[int]]):
     for c in range(width):
         if r == rows:
             break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
@@ -94,7 +97,7 @@ def _forward_eliminate(m: list[list[int]]):
         lc = last[ids[r]]
         if lc != prev:
             # bring the pivot row through the steps it skipped
-            row[c:] = [x * prev // lc for x in row[c:]]
+            row[c:] = [x * prev // lc if x else 0 for x in row[c:]]
         piv = row[c]
         tail = row[c + 1:]
         ups = []
@@ -104,7 +107,10 @@ def _forward_eliminate(m: list[list[int]]):
             if mic:
                 o = ids[i]
                 d = last[o]
-                row_i[c + 1:] = [(piv * x - mic * y) // d for x, y in zip(row_i[c + 1:], tail)]
+                if d == 1:
+                    row_i[c + 1:] = [piv * x - mic * y if x or y else 0 for x, y in zip(row_i[c + 1:], tail)]
+                else:
+                    row_i[c + 1:] = [(piv * x - mic * y) // d if x or y else 0 for x, y in zip(row_i[c + 1:], tail)]
                 last[o] = piv
                 ups.append((o, mic, d))
         steps.append((ids[r], lc, prev, piv, ups))

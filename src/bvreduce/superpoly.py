@@ -319,18 +319,6 @@ class SuperPoly:
                 add_term(acc, (k, m), v)
         return SuperPoly._wrap(self.n, acc)
 
-    # -- gradings ------------------------------------------------------------------
-
-    def weight_split(self, d: int) -> dict[int, "SuperPoly"]:
-        """Split into weight-homogeneous parts for deg(x_i)=1, deg(xi_i)=d-1."""
-        if d < 2:
-            raise ValueError("weight grading needs d >= 2")
-        out: dict[int, SuperPoly] = {}
-        for (e, m), c in self.terms.items():
-            w = sum(e) + (d - 1) * m.bit_count()
-            out.setdefault(w, SuperPoly(self.n)).terms[(e, m)] = c
-        return out
-
     # -- rendering ------------------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[Key, Scalar]]:

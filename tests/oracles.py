@@ -1,8 +1,9 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and reference helpers used by the test suite.
 
 These deliberately avoid the engine's homotopy machinery: the moment
 recursion below only uses the integration-by-parts identity
-integral (g' + g s') e^s = 0, eliminating moments from the top down.
+integral (g' + g s') e^s = 0, eliminating moments from the top down.  The
+weight split reads the grading off each term and nothing else.
 """
 from __future__ import annotations
 
@@ -39,3 +40,14 @@ def ibp_moments(action: Action, k_max: int) -> list[list[Scalar]]:
                     acc[t] = acc[t] + c[i] * vecs[j + i][t]
         vecs.append([-a / c[d - 1] for a in acc])
     return vecs
+
+
+def weight_split(p: SuperPoly, d: int) -> dict[int, SuperPoly]:
+    """Split p into weight-homogeneous parts for deg(x_i) = 1, deg(xi_i) = d - 1."""
+    if d < 2:
+        raise ValueError("weight grading needs d >= 2")
+    out: dict[int, SuperPoly] = {}
+    for (e, m), c in p.terms.items():
+        w = sum(e) + (d - 1) * m.bit_count()
+        out.setdefault(w, SuperPoly(p.n)).terms[(e, m)] = c
+    return out

@@ -14,9 +14,10 @@ from bvreduce import (
     d_div,
     q,
 )
-from bvreduce.bvdiff import _contract, contraction_terms
+from bvreduce.bvdiff import _contract, _gradients, contraction_terms
 from bvreduce.scalars import ONE
 from bvreduce.verify import random_action, random_degree1, random_rational
+from oracles import weight_split
 
 
 def test_action_build_1d():
@@ -155,6 +156,41 @@ def _contraction(p):
     return lambda v: _contract(gterms, v)
 
 
+def _as_rational_rows(gterms):
+    """Contraction rows (rows, G) as one {exponent word: Scalar} map per variable."""
+    rows, den = gterms
+    maps = []
+    for row in rows:
+        out = {}
+        for e, a, b in row:
+            assert e not in out
+            out[e] = Scalar(q(a, den), q(b, den))
+        maps.append(out)
+    return maps
+
+
+def test_gradients_match_contraction_terms_of_dx():
+    """_gradients(p), one integer pass, is contraction_terms of the n partial derivatives of p."""
+    rng = random.Random(71)
+    cases = [SuperPoly.zero(n) for n in (1, 2, 3, 4)] + [SuperPoly.const(2, Scalar(q(3, 7), q(-1, 2)))]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        p = SuperPoly.zero(n)
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, 4) for _ in range(n))
+            c = random_rational(rng, 6)
+            if rng.random() < 0.5:
+                c = c + random_rational(rng, 6) * Scalar(0, 1)
+            p = p + SuperPoly.monomial(n, e, coeff=c)
+        cases.append(p)
+    for p in cases:
+        got, want = _gradients(p), contraction_terms([p.dx(i) for i in range(p.n)])
+        assert len(got[0]) == p.n and got[1] > 0
+        assert _as_rational_rows(got) == _as_rational_rows(want)
+    assert any(c.b for p in cases for c in p.terms.values())
+    assert _gradients(SuperPoly.zero(3)) == (([], [], []), 1)
+
+
 def test_d_diag_d_mix_split():
     n = 2
     x, y = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
@@ -197,16 +233,16 @@ def test_weight_behavior():
         if not t.is_zero:
             assert t.max_weight(d) <= w
             # the top contraction is weight-preserving on each graded piece
-            for ww, part in v.weight_split(d).items():
+            for ww, part in weight_split(v, d).items():
                 tp = d_top(part)
                 if not tp.is_zero:
-                    assert set(tp.weight_split(d)) == {ww}
+                    assert set(weight_split(tp, d)) == {ww}
         dv = d_div(v)
         if not dv.is_zero:
-            for ww, part in v.weight_split(d).items():
+            for ww, part in weight_split(v, d).items():
                 dp = d_div(part)
                 if not dp.is_zero:
-                    assert set(dp.weight_split(d)) == {ww - d}
+                    assert set(weight_split(dp, d)) == {ww - d}
         lo = d_low(v)
         if not lo.is_zero:
             assert lo.max_weight(d) < w

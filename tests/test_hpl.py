@@ -402,6 +402,13 @@ def test_slice_without_weight_keeping_image_is_built_once(monkeypatch):
     assert len(calls) == built
 
 
+def test_slice_basis_is_built_once_per_shape():
+    basis = slice_basis(3, 4, 1, 7)
+    assert isinstance(basis, tuple) and basis == tuple(sorted(basis)) and len(basis) == hpl.slice_rows(3, 4, 1, 7)
+    assert slice_basis(3, 4, 1, 7) is basis
+    assert slice_basis(2, 3, 3, 9) == ()
+
+
 def test_slice_solver_solves_only_the_columns_apply_reaches():
     n = 2
     keep, drop = _degree0_op(_mixing_images)
@@ -411,7 +418,7 @@ def test_slice_solver_solves_only_the_columns_apply_reaches():
     assert y - keep(y) - drop(y) == v
     factor = solver._slice(0, 4)
     basis = factor.keys
-    assert basis == slice_basis(n, 3, 0, 4)
+    assert tuple(basis) == slice_basis(n, 3, 0, 4)
     # each slice's first bucket is one substitution of the bucket itself: no column is memoized
     assert all(col is None for f in solver._cache.values() if f for col in f.columns.values())
     # the second apply memoizes exactly the columns its top bucket touches
@@ -454,7 +461,7 @@ def _factored_slices_invert_their_blocks(session, eta):
         if factor is None:
             assert not any(c for row in block for c in row)
             continue
-        assert factor.keys == basis
+        assert tuple(factor.keys) == basis
         k = len(basis)
         det = Scalar(factor.det)
         for j, key in enumerate(basis):

