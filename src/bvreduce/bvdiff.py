@@ -25,8 +25,8 @@ class Action:
                     mix monomial involves at least two variables
       low           the terms of degree below d, so s = diag + mix + low
       diag_coeffs   the sequence a_1..a_n (d! times the x_i^d coefficient)
-      cgrad_mix     the gradients of mix as `contraction_terms`, the
-                    weight-keeping contraction in d_bv - d_diag
+      cgrad_mix     the gradient rows of mix as `_gradients` writes them,
+                    the weight-keeping contraction in d_bv - d_diag
       cgrad_low     the same for low, its weight-dropping contraction
       cgrad         the same for s, for d_cl, built on first use
       cgrad_diag    the same for diag, for d_diag, built on first use
@@ -112,19 +112,13 @@ def action_build(s: SuperPoly) -> Action:
     return Action(s)
 
 
-def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
-    """The xi-free gradients as (rows, G) for `_contract`: rows[i] has (e, a, b) per term (a + b*i)/G x^e."""
-    pairs, den = clear_denominators([c for gi in grads for c in gi.terms.values()])
-    flat = iter(pairs)
-    return tuple([(e, *next(flat)) for e, _ in gi.terms] for gi in grads), den
+def _gradients(p: SuperPoly) -> tuple[tuple[list[tuple], ...], int]:
+    """The gradient of a xi-free p as (rows, G), the rows `_contract` reads, in one integer pass over its terms.
 
-
-def _gradients(p: SuperPoly):
-    """contraction_terms([p.dx(i) for i in range(p.n)]) of a xi-free p, from one integer pass over its terms.
-
-    p is cleared over one L, each term e[i] * x^(e - 1_i) is written to row
-    i, and one gcd of L and every entry takes the rows to the lowest common
-    denominator, as `contraction_terms` gives them.
+    rows[i] lists (e, a, b) per term (a + b*i)/G x^e of dp/dx_i, in the order
+    of p's terms.  p is cleared over one L, each term e[i] * x^(e - 1_i) is
+    written to row i, and one gcd of L and every entry leaves G the lowest
+    common denominator.
     """
     rows = tuple([] for _ in range(p.n))
     pairs, den = clear_denominators(p.terms.values())
@@ -141,8 +135,9 @@ def _gradients(p: SuperPoly):
 def _contract(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:
     """sum_i grads[i] * dxi(v, i), plus the divergence sum_i d/dx_i dxi(v, i) if div: every d_* map.
 
-    gterms is `contraction_terms(grads)`, one row per variable of v, which an
-    Action and an HbarModel build once.  Every gradient must be xi-free, as
+    gterms is (rows, G) as `_gradients` writes it, one row per variable of v:
+    rows[i] lists (e, a, b) per term (a + b*i)/G x^e of grads[i].  An Action
+    and an HbarModel build theirs once.  Every gradient must be xi-free, as
     theirs are, so each contribution carries the sign of dxi alone.  v is
     cleared to Gaussian integers over one L, so every product lies over L * G,
     and each divergence contribution is scaled by G to lie there too.

@@ -36,12 +36,11 @@ those constants become Scalars.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from heapq import heappop, heappush
 from math import factorial, gcd, lcm
 from operator import add
 
-from .bvdiff import _contract, _gradients, contraction_terms, d_div
+from .bvdiff import _gradients
 from .errors import InputError
 from .linalg import invert
 from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
@@ -105,40 +104,27 @@ class HbarModel:
             verts[deg] = p
         self.vertices = verts
         self.u = sum(verts.values(), SuperPoly.zero(n))
-        # (degree, contraction_terms of its gradient) per vertex, by degree, for the vertex rule
+        # (degree, the gradient rows of `_gradients`) per vertex, by degree, for the vertex rule
         self.cgrad_vertices = tuple((deg, _gradients(verts[deg])) for deg in sorted(verts))
         self.max_vertex_degree = max(verts) if verts else 0
 
 
 class HbarSeries:
-    """Coefficients of hbar^0 .. hbar^K; arithmetic drops orders beyond K."""
+    """The Scalar coefficients of hbar^0 .. hbar^K."""
 
     __slots__ = ("n", "K", "coeffs")
 
-    def __init__(self, n: int, K: int, coeffs=None):
+    def __init__(self, n: int, K: int, coeffs):
         if K < 0:
             raise InputError("truncation order must be non-negative")
         self.n = n
         self.K = K
-        if coeffs is None:
-            self.coeffs = [SuperPoly.zero(n) for _ in range(K + 1)]
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != K + 1:
-                raise InputError("need exactly K+1 coefficients")
-            self.coeffs = coeffs
-
-    @staticmethod
-    def of_scalars(n: int, K: int, values) -> "HbarSeries":
-        return HbarSeries(n, K, [SuperPoly.const(n, Scalar.of(v)) for v in values])
+        self.coeffs = [Scalar.of(c) for c in coeffs]
+        if len(self.coeffs) != K + 1:
+            raise InputError("need exactly K+1 coefficients")
 
     def scalars(self) -> list[Scalar]:
-        out = []
-        for p in self.coeffs:
-            if any(e != (0,) * self.n or m for (e, m) in p.terms):
-                raise ValueError("series has non-constant coefficients")
-            out.append(p.coeff((0,) * self.n))
-        return out
+        return list(self.coeffs)
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         if other.K != self.K or other.n != self.n:
@@ -154,24 +140,10 @@ class HbarSeries:
         return hash((self.n, self.K, tuple(self.coeffs)))
 
     def text(self) -> str:
-        return " ; ".join(f"h^{k}: {p.text()}" for k, p in enumerate(self.coeffs))
+        return " ; ".join(f"h^{k}: ({c.text()})" if c else f"h^{k}: 0" for k, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"HbarSeries({self.text()})"
-
-
-def model_differential(m: HbarModel, v: SuperPoly, K: int) -> HbarSeries:
-    """Apply L - B - hbar*div to a polynomial, as a truncated series."""
-    n = m.n
-    # L - B = sum_j (sum_i a_ij x_i - dU/dx_j) d/dxi_j
-    grad_lb = [
-        sum((SuperPoly.x(n, i) * m.a[i][j] for i in range(n)), SuperPoly.zero(n)) - m.u.dx(j) for j in range(n)
-    ]
-    out = HbarSeries(n, K)
-    out.coeffs[0] = _contract(contraction_terms(grad_lb), v)
-    if K >= 1:
-        out.coeffs[1] = -d_div(v)
-    return out
 
 
 def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
@@ -223,12 +195,52 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     bucket of order k is the hbar^k coefficient.  hbar_reduce(1) == 1
     exactly.
     """
-    return _walk(m, K, [f])
+    if K < 0:
+        raise InputError("truncation order must be non-negative")
+    # checked before anything of size K is allocated
+    vdeg = max(2, m.max_vertex_degree)
+    if K * vdeg > MAX_HBAR_ORDER_DEGREE:
+        raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
+    if f.n != m.n:
+        raise ValueError("variable count mismatch")
+    if any(mask for _, mask in f.terms):
+        raise InputError("observables must be xi-free")
+    # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
+    buckets: dict[tuple[int, int], list] = {}
+    # every live pair once, negated, so the heap pops the largest
+    heap: list[tuple[int, int]] = []
 
+    def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
+        if not terms or deg > 2 * (K - k):
+            return  # nothing, or it reaches the constants only past order K
+        pair = (2 * (K - k) - deg, deg)
+        if pair >= below:
+            raise AssertionError("rewriting step does not descend; this is a bug")
+        parts = buckets.get(pair)
+        if parts is None:
+            parts = buckets[pair] = []
+            heappush(heap, (-pair[0], -deg))
+        parts.append((terms, den))
 
-def hbar_reduce_series(series: HbarSeries, m: HbarModel) -> HbarSeries:
-    """Linear extension of hbar_reduce to truncated series inputs: coefficient k enters at order k."""
-    return _walk(m, series.K, series.coeffs)
+    for (e, _), c in f.terms.items():
+        push(0, sum(e), {e: (c.a, c.b)}, c.den)
+    result = [ZERO] * (K + 1)
+    while heap:
+        r, deg = heappop(heap)
+        pair = r, deg = -r, -deg
+        k = K - (r + deg) // 2
+        terms, den = _gather(buckets.pop(pair))
+        if not terms:
+            continue
+        if not deg:
+            (a, b), = terms.values()
+            result[k] = gauss(a, b, den)
+            continue
+        vertex, (loop, lden) = feynman_rules(m, terms, den, deg, 2 * (K - k))
+        for l, out, vden in vertex:
+            push(k, deg + l - 2, out, vden, pair)
+        push(k + 1, deg - 2, loop, lden, pair)
+    return HbarSeries(m.n, K, result)
 
 
 def feynman_rules(m: HbarModel, terms: dict, den: int, deg: int, room: int):
@@ -305,70 +317,22 @@ def _gather(parts: list) -> tuple[dict, int]:
     return {e: (a // g, b // g) for e, (a, b) in terms.items() if a or b}, den // g
 
 
-def _walk(m: HbarModel, K: int, coeffs: list[SuperPoly]) -> HbarSeries:
-    """Reduce sum_k hbar^k coeffs[k] by one pass over the buckets, largest (2(K - k) - deg, deg) first."""
-    if K < 0:
-        raise InputError("truncation order must be non-negative")
-    # checked before anything of size K is allocated
-    vdeg = max(2, m.max_vertex_degree)
-    if K * vdeg > MAX_HBAR_ORDER_DEGREE:
-        raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
-    if any(p.n != m.n for p in coeffs):
-        raise ValueError("variable count mismatch")
-    if any(mask for p in coeffs for _, mask in p.terms):
-        raise InputError("observables must be xi-free")
-    # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
-    buckets: dict[tuple[int, int], list] = {}
-    # every live pair once, negated, so the heap pops the largest
-    heap: list[tuple[int, int]] = []
-
-    def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
-        if not terms or deg > 2 * (K - k):
-            return  # nothing, or it reaches the constants only past order K
-        pair = (2 * (K - k) - deg, deg)
-        if pair >= below:
-            raise AssertionError("rewriting step does not descend; this is a bug")
-        parts = buckets.get(pair)
-        if parts is None:
-            parts = buckets[pair] = []
-            heappush(heap, (-pair[0], -deg))
-        parts.append((terms, den))
-
-    for k, p in enumerate(coeffs):
-        for (e, _), c in p.terms.items():
-            push(k, sum(e), {e: (c.a, c.b)}, c.den)
-    result = [ZERO] * (K + 1)
-    while heap:
-        r, deg = heappop(heap)
-        pair = r, deg = -r, -deg
-        k = K - (r + deg) // 2
-        terms, den = _gather(buckets.pop(pair))
-        if not terms:
-            continue
-        if not deg:
-            (a, b), = terms.values()
-            result[k] = gauss(a, b, den)
-            continue
-        vertex, (loop, lden) = feynman_rules(m, terms, den, deg, 2 * (K - k))
-        for l, out, vden in vertex:
-            push(k, deg + l - 2, out, vden, pair)
-        push(k + 1, deg - 2, loop, lden, pair)
-    return HbarSeries.of_scalars(m.n, K, result)
-
-
 def isserlis_moment(cov_rows, alpha: tuple[int, ...]) -> Scalar:
     """Gaussian moment E[x^alpha] for a covariance matrix, by pair recursion."""
     cov = tuple(tuple(Scalar.of(v) for v in row) for row in cov_rows)
-    return _isserlis(cov, tuple(alpha))
+    return _isserlis(cov, tuple(alpha), {})
 
 
-@lru_cache(maxsize=None)
-def _isserlis(cov, alpha: tuple[int, ...]) -> Scalar:
+def _isserlis(cov, alpha: tuple[int, ...], memo: dict) -> Scalar:
+    """E[x^alpha] for cov; memo holds the moments of cov found so far, so a caller keeps one per matrix."""
     total_deg = sum(alpha)
     if total_deg == 0:
         return ONE
     if total_deg % 2:
         return ZERO
+    got = memo.get(alpha)
+    if got is not None:
+        return got
     i = next(k for k, a in enumerate(alpha) if a > 0)
     beta = list(alpha)
     beta[i] -= 1
@@ -377,7 +341,8 @@ def _isserlis(cov, alpha: tuple[int, ...]) -> Scalar:
         if bj and cov[i][j]:
             gamma = list(beta)
             gamma[j] -= 1
-            acc = acc + cov[i][j] * bj * _isserlis(cov, tuple(gamma))
+            acc = acc + cov[i][j] * bj * _isserlis(cov, tuple(gamma), memo)
+    memo[alpha] = acc
     return acc
 
 
@@ -392,6 +357,7 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     if any(mask for _, mask in f.terms):
         raise InputError("observables must be xi-free")
     cov = tuple(tuple(v for v in row) for row in m.ainv)
+    memo: dict = {}
     u = m.u
 
     def bracket(g: SuperPoly) -> list[Scalar]:
@@ -412,7 +378,7 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
                     raise AssertionError("negative hbar power; vertex degrees < 3?")
                 if p > K:
                     continue
-                mom = _isserlis(cov, e)
+                mom = _isserlis(cov, e, memo)
                 if mom:
                     out[p] = out[p] + c * inv_fact * mom
             if r < rmax:
@@ -429,4 +395,4 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
         for j in range(k):
             acc = acc - ratio[j] * den[k - j]
         ratio[k] = acc / den[0]
-    return HbarSeries.of_scalars(m.n, K, ratio)
+    return HbarSeries(m.n, K, ratio)

@@ -60,13 +60,6 @@ class ContourSpec:
     def with_ray_length(self, r: float) -> "ContourSpec":
         return ContourSpec(self.waypoints, self.end_directions, r)
 
-    def to_json(self) -> dict:
-        return {
-            "waypoints": [[w.real, w.imag] for w in self.waypoints],
-            "end_directions": [[u.real, u.imag] for u in self.end_directions],
-            "ray_length": self.ray_length,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ContourSpec":
         try:

@@ -67,7 +67,8 @@ MAX_BASIS_ENTRIES = 1 << 22
 """Budget on the exponents a basis stores, n * (d-1)^n; a larger basis is an InputError."""
 
 
-@lru_cache(maxsize=None)
+# bounded: classes compare bases by value, so a basis rebuilt after eviction equals the one it replaces
+@lru_cache(maxsize=256)
 def jac_basis(n: int, d: int) -> JacBasis:
     if d < 2:
         raise InputError("Jacobian basis needs d >= 2")

@@ -1,13 +1,21 @@
 """Independent oracles and reference helpers used by the test suite.
 
-These deliberately avoid the engine's homotopy machinery: the moment
-recursion below only uses the integration-by-parts identity
-integral (g' + g s') e^s = 0, eliminating moments from the top down.  The
-weight split reads the grading off each term and nothing else.
+These deliberately avoid the engine's homotopy machinery and kernels:
+- the moment recursion only uses the integration-by-parts identity
+  integral (g' + g s') e^s = 0, eliminating moments from the top down;
+- the weight split reads the grading off each term and nothing else;
+- `contraction_terms` clears a list of gradients over one denominator, the
+  reference that `bvdiff._gradients` is tested against, and builds the rows
+  `_contract` reads from arbitrary gradients;
+- `model_differential` applies the hbar model's L - B - hbar*div with
+  SuperPoly derivatives and products alone;
+- `result_from_json` reads a `bvreduce reduce` result back into a JacClass.
 """
 from __future__ import annotations
 
-from bvreduce import Action, Scalar, SuperPoly
+from bvreduce import Action, HbarModel, InputError, JacClass, Scalar, SuperPoly, jac_basis
+from bvreduce.cli import _is_int, _scalar_from_json
+from bvreduce.scalars import clear_denominators
 
 
 def ibp_moments(action: Action, k_max: int) -> list[list[Scalar]]:
@@ -51,3 +59,39 @@ def weight_split(p: SuperPoly, d: int) -> dict[int, SuperPoly]:
         w = sum(e) + (d - 1) * m.bit_count()
         out.setdefault(w, SuperPoly(p.n)).terms[(e, m)] = c
     return out
+
+
+def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
+    """The xi-free gradients as (rows, G) for `_contract`: rows[i] has (e, a, b) per term (a + b*i)/G x^e."""
+    pairs, den = clear_denominators([c for gi in grads for c in gi.terms.values()])
+    flat = iter(pairs)
+    return tuple([(e, *next(flat)) for e, _ in gi.terms] for gi in grads), den
+
+
+def model_differential(m: HbarModel, v: SuperPoly, K: int) -> list[SuperPoly]:
+    """L - B - hbar*div applied to v, as its K+1 coefficients of hbar^0 .. hbar^K.
+
+    L - B = sum_j g_j d/dxi_j with g_j = sum_i a_ij x_i - dU/dx_j, and div =
+    sum_j d/dx_j d/dxi_j.
+    """
+    n = m.n
+    zero = SuperPoly.zero(n)
+    out = [zero] * (K + 1)
+    grads = [sum((SuperPoly.x(n, i) * m.a[i][j] for i in range(n)), zero) - m.u.dx(j) for j in range(n)]
+    out[0] = sum((g * v.dxi(j) for j, g in enumerate(grads)), zero)
+    if K >= 1:
+        out[1] = -sum((v.dxi(j).dx(j) for j in range(n)), zero)
+    return out
+
+
+def result_from_json(data) -> JacClass:
+    """The class in a `bvreduce reduce` result; InputError when the document does not describe one."""
+    if not isinstance(data, dict) or not all(_is_int(data.get(k)) for k in ("n", "d")):
+        raise InputError("result must be an object with integer 'n' and 'd' fields")
+    basis = jac_basis(data["n"], data["d"])
+    if data.get("basis") != [list(m) for m in basis.monomials]:
+        raise InputError("basis in result file does not match n, d")
+    coeffs = data.get("coefficients")
+    if not isinstance(coeffs, list) or len(coeffs) != len(basis):
+        raise InputError(f"'coefficients' must be a list of {len(basis)} scalars, one per basis monomial")
+    return JacClass(basis, {m: _scalar_from_json(c) for m, c in zip(basis.monomials, coeffs)})

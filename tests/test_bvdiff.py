@@ -14,10 +14,10 @@ from bvreduce import (
     d_div,
     q,
 )
-from bvreduce.bvdiff import _contract, _gradients, contraction_terms
+from bvreduce.bvdiff import _contract, _gradients
 from bvreduce.scalars import ONE
 from bvreduce.verify import random_action, random_degree1, random_rational
-from oracles import weight_split
+from oracles import contraction_terms, weight_split
 
 
 def test_action_build_1d():

@@ -11,7 +11,8 @@ import pytest
 
 import bvreduce
 import bvreduce.verify as verify_mod
-from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main, result_from_json
+from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main
+from oracles import result_from_json
 
 
 def write(path, obj):

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bvreduce import InputError, JacClass, Scalar, SuperPoly, action_build, jac_basis
-from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main, result_from_json, result_to_json
+from bvreduce.cli import EXIT_INVALID, EXIT_NOT_GENERIC, EXIT_OK, EXIT_VERIFY_FAILED, main, result_to_json
+from oracles import result_from_json
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_NOT_GENERIC, EXIT_INVALID, EXIT_VERIFY_FAILED}
 

@@ -15,11 +15,12 @@ from bvreduce import (
     q,
     tau_diag,
 )
-from bvreduce.bvdiff import _contract, contraction_terms, d_div
+from bvreduce.bvdiff import _contract, d_div
 from bvreduce.hpl import SliceSolver, slice_basis
 from bvreduce.reduce import JacClass, ReduceSession, jac_basis
 from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
+from oracles import contraction_terms
 
 
 def _zero(v):

@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvreduce import HbarModel, JacClass, Scalar, SuperPoly, action_build, eta_diag, hbar_eta, jac_basis
-from bvreduce.bvdiff import _contract, contraction_terms, d_div
+from bvreduce.bvdiff import _contract, d_div
 from bvreduce.errors import SingularMatrix
 from bvreduce.hpl import SliceSolver
+from oracles import contraction_terms
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 

@@ -1,4 +1,5 @@
 """The package namespace: every public name resolves on first use to the object its home module defines."""
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -55,3 +56,43 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
     for out, comment in zip(printed, comments):
         # a comment gives the printed line, optionally followed by a gloss after a space
         assert comment == out or comment.startswith(out + " "), (out, comment)
+
+
+# Module-level functions that stay in src with no src caller and no public name.
+ALLOWED_UNREFERENCED = {
+    "solve_square",  # linalg: the benchmark tracer hooks it by name (perfbench/tracing.py)
+}
+
+
+def test_every_src_function_has_a_caller_or_a_public_name():
+    """A module-level function in src is referenced by other src code, public, or allowlisted above."""
+    src = Path(bvreduce.__file__).resolve().parent
+    defined, referenced = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            # dunder functions (the package's __getattr__ and __dir__) are called by the interpreter
+            if own and not own.startswith("__"):
+                defined.append((path.name, own))
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name and name != own:  # a function's own body (recursion) is no caller
+                    referenced.add(name)
+    keep = referenced | set(bvreduce.__all__) | ALLOWED_UNREFERENCED
+    assert [f"{module}:{name}" for module, name in defined if name not in keep] == []
+
+
+def test_every_src_cache_is_bounded():
+    """Every functools cache in src has a fixed size: an unbounded one keeps each key for the life of the process."""
+    src = Path(bvreduce.__file__).resolve().parent
+    sizes = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"bvreduce.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                sizes[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"hpl.slice_basis", "reduce.jac_basis"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size is None} == {}

@@ -71,6 +71,17 @@ def test_jac_basis_n2_d4():
     assert all(max(m) <= 2 for m in b.monomials)
 
 
+def test_jac_basis_cache_is_bounded_and_an_evicted_basis_still_compares_equal():
+    old = jac_basis(1, 3)
+    cls = JacClass(old, {(1,): 2})
+    for d in range(2, 302):  # more shapes than the cache holds
+        jac_basis(1, d)
+    assert jac_basis.cache_info().currsize <= 256
+    fresh = jac_basis(1, 3)
+    assert fresh is not old
+    assert fresh == old and JacClass(fresh, {(1,): 2}) == cls
+
+
 def test_jac_basis_rejects_small_d():
     with pytest.raises(InputError):
         jac_basis(2, 1)
