@@ -2,7 +2,8 @@
 
 An Action packages a polynomial s with its split s = diag + mix + low, the
 gradients the reduction reads, and the quadratic normal form when d = 2.  The
-differentials are calls of one integer kernel, `_contract`, and mutate nothing.
+differentials are calls of one integer kernel, `_contract`, which takes and
+returns Gaussian integers, and mutate nothing.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from math import factorial, gcd
 from operator import add
 
 from .errors import InputError
-from .scalars import ZERO, clear_denominators
-from .superpoly import SuperPoly, sum_pairs
+from .scalars import ZERO, clear_denominators, gauss
+from .superpoly import SuperPoly, add_pairs
 
 
 class Action:
@@ -66,7 +67,7 @@ class Action:
         self.cgrad_low = _gradients(self.low)
 
         self._session = None  # lazily built reduction session (reduce module)
-        self._neg_inv_diag = None  # lazily built Scalars -(d-1)!/a_i (reduce.eta_diag)
+        self._neg_inv_diag = None  # lazily built -(d-1)!/a_i over one denominator (reduce._units)
 
     @cached_property
     def quad(self):
@@ -132,23 +133,22 @@ def _gradients(p: SuperPoly) -> tuple[tuple[list[tuple], ...], int]:
     return rows, den // g
 
 
-def _contract(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:
-    """sum_i grads[i] * dxi(v, i), plus the divergence sum_i d/dx_i dxi(v, i) if div: every d_* map.
+def _contract(gterms, terms: dict, div: bool = False) -> dict:
+    """sum_i grads[i] * dxi(v, i), plus the divergence sum_i d/dx_i dxi(v, i) if div, in Gaussian integers.
 
-    gterms is (rows, G) as `_gradients` writes it, one row per variable of v:
+    v is given cleared over some denominator L: terms maps each key of v to
+    (a, b), the term (a + b*i)/L.  The result maps each key to [a, b] over
+    L * G, one sum per key, and a sum that cancels stays as [0, 0].  gterms
+    is (rows, G) as `_gradients` writes it, one row per variable of v:
     rows[i] lists (e, a, b) per term (a + b*i)/G x^e of grads[i].  An Action
     and an HbarModel build theirs once.  Every gradient must be xi-free, as
-    theirs are, so each contribution carries the sign of dxi alone.  v is
-    cleared to Gaussian integers over one L, so every product lies over L * G,
-    and each divergence contribution is scaled by G to lie there too.
+    theirs are, so each contribution carries the sign of dxi alone, and each
+    divergence contribution is scaled by G to lie over L * G too.
     """
     rows, gden = gterms
-    if len(rows) != v.n:
-        raise ValueError("variable count mismatch")
-    pairs, den = clear_denominators(v.terms.values())
 
     def contributions():
-        for (e, m), (ca, cb) in zip(v.terms, pairs):
+        for (e, m), (ca, cb) in terms.items():
             rest = m
             while rest:
                 bit = rest & -rest
@@ -165,23 +165,33 @@ def _contract(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:
                 if p:
                     yield (e[:i] + (e[i] - 1,) + e[i + 1:], mask), sa * p, sb * p
 
-    return sum_pairs(v.n, contributions(), den * gden)
+    return add_pairs(contributions())
+
+
+def _contract_poly(gterms, v: SuperPoly, div: bool = False) -> SuperPoly:
+    """`_contract` on a SuperPoly: v cleared over one L, and each surviving sum reduced once over L * G."""
+    if len(gterms[0]) != v.n:
+        raise ValueError("variable count mismatch")
+    pairs, den = clear_denominators(v.terms.values())
+    den *= gterms[1]
+    acc = _contract(gterms, dict(zip(v.terms, pairs)), div)
+    return SuperPoly._wrap(v.n, {key: gauss(a, b, den) for key, (a, b) in acc.items() if a or b})
 
 
 def d_cl(a: Action, v: SuperPoly) -> SuperPoly:
     """Koszul differential sum_i (ds/dx_i) d/dxi_i; lowers homological degree by 1."""
-    return _contract(a.cgrad, v)
+    return _contract_poly(a.cgrad, v)
 
 
 def d_div(v: SuperPoly) -> SuperPoly:
     """Divergence sum_i d^2/(dx_i dxi_i); lowers weight by exactly d on xi terms."""
-    return _contract((((),) * v.n, 1), v, div=True)
+    return _contract_poly((((),) * v.n, 1), v, div=True)
 
 
 def d_bv(a: Action, v: SuperPoly) -> SuperPoly:
     """The full differential d_cl + div, in one pass."""
-    return _contract(a.cgrad, v, div=True)
+    return _contract_poly(a.cgrad, v, div=True)
 
 
 def d_diag(a: Action, v: SuperPoly) -> SuperPoly:
-    return _contract(a.cgrad_diag, v)
+    return _contract_poly(a.cgrad_diag, v)

@@ -18,15 +18,17 @@ transfer across delta1 + delta2, so the caller perturbs once by the whole
 deformation, split by weight into keep, which preserves weight exactly, and
 drop, which strictly lowers it.  A SliceSolver applies (id - delta o eta)^{-1}
 by one sweep, `neumann_apply`, over one bucket per (weight, homological
-degree), from the top weight down.  Only keep o eta
-needs an exact inverse, and the solver sees it as a column kernel: the image
--keep(eta(x^key)) of each basis monomial of a finite (homological degree,
-weight) slice, as a term map.  Each slice the sweep reaches is assembled from
-one kernel call per basis monomial and factored once by fraction-free
-Gaussian elimination; a slice used once is then solved by one substitution.
-drop o eta, a plain SuperPoly -> SuperPoly map, feeds the lower slices: a
-Neumann series that ends because weight is a non-negative integer.  Without
-a kernel no slice is built.  Nothing about the kernel or drop is taken on
+degree), from the top weight down.  Only keep o eta needs an exact inverse,
+and the solver sees it as a column kernel: the image -keep(eta(x^key)) of
+each basis monomial of a finite (homological degree, weight) slice, as a term
+map.  Each slice the sweep reaches is assembled from one kernel call per
+basis monomial and factored once by fraction-free Gaussian elimination; a
+slice used once is then solved by one substitution.  drop o eta feeds the
+lower slices: a Neumann series that ends because weight is a non-negative
+integer.  The solver sees it as one integer step, Gaussian integers over a
+denominator in and out, so a level of the sweep clears its bucket once and
+stays in integers from the slice solve to the terms it hands down.  Without
+a kernel no slice is built.  Nothing about the kernel or the step is taken on
 trust: an image off the slice or weight the split allows is a NonTerminating
 error, never a silent truncation.
 """
@@ -39,50 +41,60 @@ from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import Factor, invert
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
-Map = Callable[[SuperPoly], SuperPoly]
+Step = Callable[[dict, int], tuple[dict, int]]
 
 
-def neumann_apply(v: SuperPoly, d: int, eta: Map, drop: Map, solve=None) -> SuperPoly:
+def neumann_apply(n: int, d: int, pending: dict, step: Step, slice_factor=None) -> SuperPoly:
     """(id - delta o eta)^{-1} v for delta = keep + drop, swept from the top weight down.
 
     keep o eta stays in its (homological degree, weight) slice, as slice
     assembly checks, and drop o eta strictly lowers weight.  Then
     (id - delta o eta)^{-1} = sum_k (S drop eta)^k S with S = (id - keep o
     eta)^{-1}, a Neumann series that ends because weight is a non-negative
-    integer.  The sweep keeps one bucket per (weight, homological degree)
-    and takes the largest key each step: at (w, h) it sets y = S(bucket) by
-    solve(h, w, terms), writes y to the output and hands drop(eta(y)) on to
-    the buckets of each image term's own weight and degree.  Without keep,
-    S = id and no solve is given.  An image at or above w is a
+    integer.  The sweep starts from pending, the input's Scalar terms in one
+    bucket per (weight, homological degree) as `SliceSolver.apply` sorts
+    them, and empties it, taking the largest key each step.  At (w, h) it
+    clears the bucket to Gaussian integers g over one L and sets y = S(g / L)
+    by the slice's `Factor`, slice_factor(h, w), as X g over L * det; where
+    there is no factor, S is the identity and y is g over L.  y is written
+    to the output, one Scalar per term, and drop(eta(y)) = step(y, its
+    denominator), in Gaussian integers over a denominator of the step's own,
+    goes to the buckets of each image term's own weight and degree, one
+    Scalar per term.
+    Without keep no slice_factor is given.  An image at or above w is a
     NonTerminating error, never a silent truncation.
     """
-    if v.is_zero:
-        return v
-    n = v.n
+    d1 = d - 1  # weights are computed inline, as term_weight does: this loop is the hot path
     out: dict[Key, Scalar] = {}
-    pending: dict[tuple[int, int], dict[Key, Scalar]] = {}
-    for key, c in v.terms.items():
-        pending.setdefault((term_weight(key, d), key[1].bit_count()), {})[key] = c
     while pending:
         w, h = top = max(pending)
-        y_terms = pending.pop(top)
-        if solve is not None:
-            y_terms = solve(h, w, y_terms)
+        bucket = pending.pop(top)
+        g, den = clear_denominators(bucket.values())
+        f = None if slice_factor is None else slice_factor(h, w)
         # each bucket is swept once and its keys are in no other bucket, so levels never share a key
-        out.update(y_terms)
-        e = eta(SuperPoly._wrap(n, y_terms))
-        if e.is_zero:
-            continue
-        for key, c in drop(e).terms.items():
-            ww = term_weight(key, d)
+        if f is None:
+            out.update(bucket)
+            y = dict(zip(bucket, g))
+        else:
+            yr, yi = f.solve_cleared(bucket, g)
+            den *= f.det
+            y = {key: (a, b) for key, a, b in zip(f.keys, yr, yi) if a or b}
+            for key, (a, b) in y.items():
+                out[key] = gauss(a, b, den)
+        terms, den = step(y, den)
+        for key, (a, b) in terms.items():
+            if not (a or b):
+                continue
+            hh = key[1].bit_count()
+            ww = sum(key[0]) + d1 * hh
             if ww >= w:
                 raise NonTerminating(f"the weight-dropping part sent weight {w} to weight {ww}")
-            lower = (ww, key[1].bit_count())
+            lower = (ww, hh)
             bucket = pending.setdefault(lower, {})
-            add_term(bucket, key, c)
+            add_term(bucket, key, gauss(a, b, den))
             if not bucket:
                 del pending[lower]
     return SuperPoly._wrap(n, out)
@@ -119,43 +131,45 @@ it is built with.  The sweep visits every weight level from the input's
 weight down (`neumann_apply`), applying the perturbation at each and
 solving a slice at each when it has a weight-keeping part, so the cost
 grows with the weight, and faster with n: at this budget n = 2 x0^128 on
-x0^3 + x1^3 + x0 x1^2 - x0 takes about 0.2 s of CPU time, and about 3 s
-with the complex coefficients 1 + i/2 on x1^3 and 1 + i on x0 x1^2,
-without building a slice over MAX_SLICE_ROWS.
+x0^3 + x1^3 + x0 x1^2 - x0 takes about 0.18 s of CPU time, and about 3.3 s
+with the complex coefficients 1 + i/2 on x1^3 and 1 + i on x0 x1^2
+(Python 3.11.7 on a 2-vCPU VM), without building a slice over
+MAX_SLICE_ROWS.
 """
 
 
 class SliceSolver:
     """Applies (id - delta o eta)^{-1} for a perturbation delta = keep + drop.
 
-    eta and drop are plain SuperPoly -> SuperPoly maps; drop strictly lowers
-    weight and undoes the homological degree that eta adds.  keep, which
-    preserves weight exactly, is given as its column kernel: column(key) is
-    -keep(eta(x^key)) for a basis monomial as a fresh term map, which the
-    solver keeps.  The sweep checks every image it uses and raises
-    NonTerminating on one the split rules out.  `apply` is the
-    `neumann_apply` sweep from the top weight down.  Without a kernel the
-    sweep is the plain Neumann series: no slice is built and drop o eta runs
-    once per weight level.
+    drop o eta is given as one integer `step`: step(y, L) takes a term map
+    y of Gaussian integers (a, b) meaning (a + b*i)/L and returns drop(eta(y
+    / L)) the same way, as (term map, its denominator); drop strictly lowers
+    weight.  keep, which preserves weight exactly, is given as its column
+    kernel: column(key) is -keep(eta(x^key)) for a basis monomial as a fresh
+    term map of Scalars, which the solver keeps.  The sweep checks every
+    image it uses and raises NonTerminating on one the split rules out.
+    `apply` sorts its input into the sweep's buckets, refuses one over the
+    weight budget, and runs the `neumann_apply` sweep from the top weight
+    down.  Without a kernel the sweep is the plain Neumann series: no slice
+    is built and the step runs once per weight level.
 
     With a kernel, each (degree, weight) slice the sweep reaches is solved
     against id - keep o eta: `_slice` calls the kernel once per basis
     monomial, checks that every image stays in the slice, adds e_key and
     hands the k columns to one `linalg.invert`.  The slice is memoized as
     its `Factor`, keyed by the basis monomials, or as None where keep o eta
-    vanishes on the slice.  A bucket is solved by `Factor.solve`: the first
-    bucket a slice sees is one substitution, and later ones go through
-    memoized columns, each solved once on first use.  Concurrent readers see
-    a consistent cache: slices are populated single-flight under the
-    solver's lock, columns under the factor's own.
+    vanishes on the slice.  A bucket is solved by `Factor.solve_cleared`:
+    the first bucket a slice sees is one substitution, and later ones go
+    through memoized columns, each solved once on first use.  Concurrent
+    readers see a consistent cache: slices are populated single-flight under
+    the solver's lock, columns under the factor's own.
     """
 
-    def __init__(self, n: int, d: int, eta: Map, column: Callable[[Key], dict] | None, drop: Map):
+    def __init__(self, n: int, d: int, column: Callable[[Key], dict] | None, step: Step):
         self.n = n
         self.d = d
-        self.eta = eta
         self.column = column
-        self.drop = drop
+        self.step = step
         self._cache: dict[tuple[int, int], Factor | None] = {}
         self._lock = threading.Lock()
 
@@ -197,12 +211,13 @@ class SliceSolver:
             return factor
 
     def apply(self, v: SuperPoly) -> SuperPoly:
-        w = v.max_weight(self.d)
+        # the terms by (weight, degree), the sweep's buckets: the largest key gives the weight the budget reads
+        d1 = self.d - 1
+        pending: dict[tuple[int, int], dict[Key, Scalar]] = {}
+        for key, c in v.terms.items():
+            h = key[1].bit_count()
+            pending.setdefault((sum(key[0]) + d1 * h, h), {})[key] = c
+        w = max(pending)[0] if pending else -1
         if w > MAX_OBSERVABLE_WEIGHT:
             raise InputError(f"the observable has weight {w}, over the budget of {MAX_OBSERVABLE_WEIGHT}")
-        return neumann_apply(v, self.d, self.eta, self.drop, None if self.column is None else self._solve)
-
-    def _solve(self, h: int, w: int, vec_terms: dict[Key, Scalar]) -> dict[Key, Scalar]:
-        """(id - keep o eta)^{-1} applied to the terms of one (h, w) bucket, by the slice's `Factor.solve`."""
-        factor = self._slice(h, w)
-        return vec_terms if factor is None else factor.solve(vec_terms)
+        return neumann_apply(v.n, self.d, pending, self.step, None if self.column is None else self._slice)

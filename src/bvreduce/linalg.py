@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .errors import SingularMatrix
-from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss
+from .scalars import ZERO, Scalar, clear_denominators, gauss
 
 
 def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
@@ -143,9 +143,10 @@ class Factor:
     X = det * A^{-1} = D (det * M^{-1}) as well.  `keys` lists the column
     keys of A in the caller's order, which key its rows too.
 
-    `solve(r)` applies A^{-1} to a sparse Scalar vector r, cleared to
-    Gaussian integers g over one denominator L: X g is found in integers and
-    each nonzero entry divided once, by L * det.  The factor's first solve
+    `solve_cleared(keys, g)` finds X g in integers for Gaussian integers g,
+    the caller's vector r cleared over one denominator L, so that A^{-1} r =
+    X g / (L * det); `solve(r)` clears a sparse Scalar vector r and divides
+    each nonzero entry of X g once, by L * det.  The factor's first solve
     substitutes g itself through `_solve_int` ([Re g; Im g] for a realified
     M, Re g and Im g apart for a real one) and memoizes nothing; later solves
     sum X g over memoized columns.  `columns[key]` is that column of X as
@@ -189,9 +190,12 @@ class Factor:
             for r, mic, d in ups:
                 yr = y[r]
                 if yc:
-                    y[r] = (piv * yr - mic * yc) // d
+                    yr = piv * yr - mic * yc
                 elif yr:
-                    y[r] = piv * yr // d
+                    yr *= piv
+                else:
+                    continue
+                y[r] = yr if d == 1 else yr // d
         det = self.det
         size = len(z)
         x = [0] * size
@@ -208,52 +212,57 @@ class Factor:
             with self._lock:
                 col = self.columns[key]
                 if col is None:
-                    xr, xi = self._substitute({key: ONE}, [(1, 0)])
+                    xr, xi = self._substitute((key,), [(1, 0)])
                     col = self.columns[key] = [(i, a, b) for i, (a, b) in enumerate(zip(xr, xi)) if a or b]
         return col
 
     def solve(self, rhs: dict) -> dict:
-        """A^{-1} r for a sparse Scalar vector r given as {key: r_key}, returned the same way, zeros omitted.
-
-        The factor's first solve substitutes r itself and memoizes nothing;
-        every later one solves only the columns of X that r touches.
-        """
+        """A^{-1} r for a sparse Scalar vector r given as {key: r_key}, returned the same way, zeros omitted."""
         g, den = clear_denominators(rhs.values())
+        yr, yi = self.solve_cleared(rhs, g)
+        # r = g / den, so A^{-1} r = X g / (den * det)
+        scale = den * self.det
+        return {key: gauss(a, b, scale) for key, a, b in zip(self.keys, yr, yi) if a or b}
+
+    def solve_cleared(self, keys, g: list) -> tuple[list[int], list[int]]:
+        """X g for Gaussian integers g, g[j] at keys[j], as (re, im) lists in the order of `self.keys`.
+
+        A right-hand side r cleared to g over L has A^{-1} r = X g / (L * det).
+        The factor's first solve substitutes g itself and memoizes nothing;
+        every later one sums only the columns of X that g touches.
+        """
         first = False
         if not self._used:
             # under the lock, so exactly one caller takes the first solve
             with self._lock:
                 first, self._used = not self._used, True
         if first:
-            yr, yi = self._substitute(rhs, g)
-        else:
-            k = self.k
-            cols = self.columns
-            yr = [0] * k
-            yi = [0] * k
-            for key, (ar, ai) in zip(rhs, g):
-                col = cols[key]
-                if col is None:
-                    col = self.column(key)
-                if ai:
-                    for i, xr, xi in col:
-                        yr[i] += xr * ar - xi * ai
-                        yi[i] += xr * ai + xi * ar
-                else:
-                    for i, xr, xi in col:
-                        yr[i] += xr * ar
-                        yi[i] += xi * ar
-        # r = g / den, so A^{-1} r = X g / (den * det)
-        scale = den * self.det
-        return {key: gauss(a, b, scale) for key, a, b in zip(self.keys, yr, yi) if a or b}
+            return self._substitute(keys, g)
+        k = self.k
+        cols = self.columns
+        yr = [0] * k
+        yi = [0] * k
+        for key, (ar, ai) in zip(keys, g):
+            col = cols[key]
+            if col is None:
+                col = self.column(key)
+            if ai:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar - xi * ai
+                    yi[i] += xr * ai + xi * ar
+            else:
+                for i, xr, xi in col:
+                    yr[i] += xr * ar
+                    yi[i] += xi * ar
+        return yr, yi
 
-    def _substitute(self, rhs: dict, g: list) -> tuple[list[int], list[int]]:
+    def _substitute(self, keys, g: list) -> tuple[list[int], list[int]]:
         """X g as (re, im) lists in key order, by substituting g itself: [re; im] for a realified M."""
         k = self.k
         index = {key: i for i, key in enumerate(self.keys)}
         br = [0] * k
         bi = [0] * k
-        for key, (a, b) in zip(rhs, g):
+        for key, (a, b) in zip(keys, g):
             i = index[key]
             br[i] = a
             bi[i] = b

@@ -31,7 +31,7 @@ from .bvdiff import Action, _contract, d_cl
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
 from .hpl import SliceSolver
 from .linalg import invert, rank
-from .scalars import ONE, ZERO, Scalar, gauss, q
+from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
 
 
@@ -163,29 +163,46 @@ def eta_diag(v: SuperPoly, action: Action) -> SuperPoly:
     xi_i xi^S, with no sign since every index of S lies above i; otherwise,
     and when there is no such i, it is 0.  Distinct terms have distinct
     images.  d_diag o eta_diag + eta_diag o d_diag = phi o tau_diag - id and
-    eta_diag o eta_diag = 0.
+    eta_diag o eta_diag = 0.  v is cleared over one L for the integer core
+    `_eta`, and each image reduced once.
     """
-    units = action._neg_inv_diag or _units(action)
-    d1 = action.d - 1
-    out: dict[Key, Scalar] = {}
-    for (e, mask), c in v.terms.items():
+    units, uden = _units(action)
+    pairs, den = clear_denominators(v.terms.values())
+    den *= uden
+    out = _eta(dict(zip(v.terms, pairs)), units, action.d - 1)
+    return SuperPoly._wrap(v.n, {key: gauss(a, b, den) for key, (a, b) in out.items()})
+
+
+def _eta(terms: dict, units: tuple, d1: int) -> dict:
+    """eta_diag in Gaussian integers: terms over L, each key to (a, b), go to their images over L * U.
+
+    units is the first entry of `_units` and d1 = d - 1.  Distinct terms
+    have distinct images, so nothing is summed and no image is zero.
+    """
+    out = {}
+    for (e, mask), (a, b) in terms.items():
         for i, p in enumerate(e):
             if mask >> i & 1:
                 break
             if p >= d1:
-                out[(e[:i] + (p - d1,) + e[i + 1:], mask | 1 << i)] = c * units[i]
+                ua, ub = units[i]
+                out[(e[:i] + (p - d1,) + e[i + 1:], mask | 1 << i)] = a * ua - b * ub, a * ub + b * ua
                 break
-    return SuperPoly._wrap(v.n, out)
+    return out
 
 
-def _units(action: Action) -> tuple[Scalar, ...]:
-    """The Scalars -(d-1)!/a_i of eta_diag, built once per action; a zero a_i is NonDiagonalizableAction(i)."""
+def _units(action: Action) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The -(d-1)!/a_i of eta_diag cleared once per action, as (Gaussian integers, U).
+
+    A zero a_i is NonDiagonalizableAction(i).
+    """
     units = action._neg_inv_diag
     if units is None:
         for i, a in enumerate(action.diag_coeffs):
             if not a:
                 raise NonDiagonalizableAction(i)
-        units = action._neg_inv_diag = tuple(-factorial(action.d - 1) / a for a in action.diag_coeffs)
+        pairs, uden = clear_denominators([-factorial(action.d - 1) / a for a in action.diag_coeffs])
+        units = action._neg_inv_diag = tuple(pairs), uden
     return units
 
 
@@ -201,15 +218,17 @@ def keep_columns(action: Action):
     summed.
     """
     rows, gden = action.cgrad_mix
-    units = _units(action)
+    units, uden = _units(action)
+    den = uden * gden
     d1 = action.d - 1
     products: dict[tuple[int, int], list] = {}
 
     def product(i: int, j: int) -> list:
         # (row term, coefficient under an even sign of dxi_j, under an odd one)
         out = products[(i, j)] = []
+        ua, ub = units[i]
         for ge, ga, gb in rows[j]:
-            c = units[i] * gauss(ga, gb, gden)
+            c = gauss(ua * ga - ub * gb, ua * gb + ub * ga, den)
             out.append((ge, -c, c))
         return out
 
@@ -247,9 +266,12 @@ class ReduceSession:
     The solver applies (id - delta o eta_diag)^{-1} for delta = d_bv - d_diag,
     split by weight: keep is the contraction with the mixed top gradients,
     handed over as its column kernel `keep_columns`, and drop the
-    contraction with the lower-order gradients plus the divergence.
-    The transferred projection is tau' = tau_diag o solver.apply, and the
-    transferred homotopy eta_diag o solver.apply; phi' = phi.
+    contraction with the lower-order gradients plus the divergence.  drop o
+    eta_diag is handed over as one integer step: `_eta` and `_contract`
+    (cgrad_low, div=True) on Gaussian integers, the units of eta_diag
+    cleared once per action.  The transferred projection is tau' = tau_diag
+    o solver.apply, and the transferred homotopy eta_diag o solver.apply;
+    phi' = phi.
 
     phi_correction optionally replaces the monomial-inclusion section by
     phi(x^m) = x^m + c_m, for a map from basis monomials m to xi-free
@@ -280,11 +302,18 @@ class ReduceSession:
                 raise InputError("corrections must vanish under tau_diag")
             if not c.is_zero:
                 correction[m] = c
-        _units(action)
-        # lowers weight by at least d - deg(low); with no low, cgrad_low's rows are empty and drop is the divergence
-        drop = lambda v: _contract(action.cgrad_low, v, div=True)
+        units, uden = _units(action)
+        # drop lowers weight by at least d - deg(low); with no low, cgrad_low's rows are empty and drop is div
+        cgrad_low = action.cgrad_low
+        scale = uden * cgrad_low[1]
+
+        def step(y, den):
+            # eta_diag lifts y from den to den * U, and the drop contraction lifts that by G
+            e = _eta(y, units, d - 1)
+            return _contract(cgrad_low, e, div=True) if e else e, den * scale
+
         column = keep_columns(action) if action.has_mix() else None
-        self.solver = SliceSolver(n, d, lambda v: eta_diag(v, action), column, drop)
+        self.solver = SliceSolver(n, d, column, step)
         self._correction = correction
         self._change = None
         if correction:

@@ -168,12 +168,6 @@ class SuperPoly:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def max_weight(self, d: int) -> int:
-        """Largest weight (x-degree + (d-1) * xi-count); -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(sum(e) + (d - 1) * m.bit_count() for e, m in self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, SuperPoly):
             return NotImplemented

@@ -7,6 +7,10 @@ These deliberately avoid the engine's homotopy machinery and kernels:
 - `contraction_terms` clears a list of gradients over one denominator, the
   reference that `bvdiff._gradients` is tested against, and builds the rows
   `_contract` reads from arbitrary gradients;
+- `contract` runs the integer kernel `_contract` on a SuperPoly as the d_*
+  maps do, and `step_map` and `map_solver` turn the integer step of a
+  `SliceSolver` into a SuperPoly map and back, so tests state maps on
+  SuperPoly values;
 - `model_differential` applies the hbar model's L - B - hbar*div with
   SuperPoly derivatives and products alone;
 - `result_from_json` reads a `bvreduce reduce` result back into a JacClass.
@@ -14,8 +18,10 @@ These deliberately avoid the engine's homotopy machinery and kernels:
 from __future__ import annotations
 
 from bvreduce import Action, HbarModel, InputError, JacClass, Scalar, SuperPoly, jac_basis
+from bvreduce.bvdiff import _contract_poly
 from bvreduce.cli import _is_int, _scalar_from_json
-from bvreduce.scalars import clear_denominators
+from bvreduce.hpl import SliceSolver
+from bvreduce.scalars import clear_denominators, gauss
 
 
 def ibp_moments(action: Action, k_max: int) -> list[list[Scalar]]:
@@ -66,6 +72,32 @@ def contraction_terms(grads) -> tuple[tuple[list[tuple], ...], int]:
     pairs, den = clear_denominators([c for gi in grads for c in gi.terms.values()])
     flat = iter(pairs)
     return tuple([(e, *next(flat)) for e, _ in gi.terms] for gi in grads), den
+
+
+# `_contract(gterms, terms, div)` on a SuperPoly v: v cleared over one L, each surviving sum reduced over L * G
+contract = _contract_poly
+
+
+def step_map(n: int, step):
+    """An integer step (y, L) -> (terms, L') as a SuperPoly map: v cleared over one L, each surviving sum reduced."""
+
+    def apply(v: SuperPoly) -> SuperPoly:
+        pairs, den = clear_denominators(v.terms.values())
+        terms, den = step(dict(zip(v.terms, pairs)), den)
+        return SuperPoly(n, {key: gauss(a, b, den) for key, (a, b) in terms.items() if a or b})
+
+    return apply
+
+
+def map_solver(n: int, d: int, eta, column, drop) -> SliceSolver:
+    """A SliceSolver whose step is drop o eta for SuperPoly maps eta and drop."""
+
+    def step(y, den):
+        img = drop(eta(SuperPoly(n, {key: gauss(a, b, den) for key, (a, b) in y.items()})))
+        pairs, lden = clear_denominators(img.terms.values())
+        return dict(zip(img.terms, pairs)), lden
+
+    return SliceSolver(n, d, column, step)
 
 
 def model_differential(m: HbarModel, v: SuperPoly, K: int) -> list[SuperPoly]:

@@ -18,13 +18,13 @@ from bvreduce import (
     q,
     wick,
 )
-from bvreduce.bvdiff import _contract, d_div
+from bvreduce.bvdiff import d_div
 from bvreduce.hbar import feynman_rules
 from bvreduce.linalg import invert
 from bvreduce.scalars import clear_denominators, gauss
 from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
-from oracles import contraction_terms, model_differential
+from oracles import contract, contraction_terms, model_differential
 
 
 def _model1(vertices=None):
@@ -171,7 +171,7 @@ def _as_poly(n, out, den):
 
 
 def test_feynman_rules_match_eta_contract_and_div():
-    """The bucket kernel equals (_contract(grad U, e), d_div(e)) with e = -hbar_eta(p), on homogeneous p."""
+    """The bucket kernel equals (contract(grad U, e), d_div(e)) with e = -hbar_eta(p), on homogeneous p."""
     rng = random.Random(76)
     i = Scalar(0, 1)
     pairings = [
@@ -209,7 +209,7 @@ def test_feynman_rules_match_eta_contract_and_div():
             vertex, (loop, lden) = feynman_rules(m, terms, den, deg, deg + 2)
             assert [l for l, _, _ in vertex] == [3, 4]
             leg = -hbar_eta(p, m)
-            assert sum((_as_poly(n, out, d) for _, out, d in vertex), SuperPoly.zero(n)) == _contract(cgrad_u, leg)
+            assert sum((_as_poly(n, out, d) for _, out, d in vertex), SuperPoly.zero(n)) == contract(cgrad_u, leg)
             assert _as_poly(n, loop, lden) == d_div(leg)
             # room for the cubic vertex only: the quartic one is not applied
             assert [l for l, _, _ in feynman_rules(m, terms, den, deg, deg + 1)[0]] == [3]

@@ -15,12 +15,12 @@ from bvreduce import (
     q,
     tau_diag,
 )
-from bvreduce.bvdiff import _contract, d_div
+from bvreduce.bvdiff import d_div
 from bvreduce.hpl import SliceSolver, slice_basis
 from bvreduce.reduce import JacClass, ReduceSession, jac_basis
 from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
-from oracles import contraction_terms
+from oracles import contract, contraction_terms, map_solver, step_map
 
 
 def _zero(v):
@@ -40,7 +40,7 @@ def _eta(a):
 def _contraction(grads):
     """The degree -1 map contracting with the given xi-free gradients."""
     gterms = contraction_terms(grads)
-    return lambda v: _contract(gterms, v)
+    return lambda v: contract(gterms, v)
 
 
 def _parts(a):
@@ -68,7 +68,7 @@ def test_neumann_zero_delta_identity():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
     v = x**5 + 2 * x - 3
-    solver = SliceSolver(1, 3, _eta(a), None, _zero)
+    solver = map_solver(1, 3, _eta(a), None, _zero)
     assert solver.apply(v) == v
     assert _dropping_solver_builds_nothing(solver)
 
@@ -77,7 +77,7 @@ def test_neumann_one_term_series():
     # s = x^3, delta = div: (id - div eta)^{-1}(x^3) = x^3 - 1/3
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    solver = SliceSolver(1, 3, _eta(a), None, d_div)
+    solver = map_solver(1, 3, _eta(a), None, d_div)
     assert solver.apply(x**3) == x**3 - SuperPoly.const(1, Scalar(q(1, 3)))
     assert _dropping_solver_builds_nothing(solver)
     # div(eta(x^3)) computed by hand is -1/3
@@ -90,7 +90,7 @@ def test_weight_solve_failure_quartic():
     a = action_build(x**4 + 2 * (x**3 * y) + 2 * (x * y**3) + y**4)
     delta, _, _ = _parts(a)
     with pytest.raises(NotGenericAtWeight) as exc:
-        SliceSolver(n, 4, _eta(a), _columns(_eta(a), delta), _zero).apply(x**2 * y**2)
+        map_solver(n, 4, _eta(a), _columns(_eta(a), delta), _zero).apply(x**2 * y**2)
     assert exc.value.weight == 4
 
 
@@ -98,18 +98,18 @@ def test_nonterminating_guard():
     x = SuperPoly.x(1, 0)
     # a drop whose image stays at the weight it came from
     with pytest.raises(NonTerminating, match="weight-dropping part sent weight 2 to weight 2"):
-        SliceSolver(1, 3, _id, None, lambda v: v).apply(x**2)
+        map_solver(1, 3, _id, None, lambda v: v).apply(x**2)
     # ... or climbs one weight
     with pytest.raises(NonTerminating, match="weight-dropping part sent weight 2 to weight 3"):
-        SliceSolver(1, 3, _id, None, lambda v: v * x).apply(x**2)
+        map_solver(1, 3, _id, None, lambda v: v * x).apply(x**2)
     # a keep whose image leaves its slice upward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 3"):
-        SliceSolver(1, 3, _id, _columns(_id, lambda v: v * x), _zero).apply(x**2)
+        map_solver(1, 3, _id, _columns(_id, lambda v: v * x), _zero).apply(x**2)
     # ... or downward
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
-        SliceSolver(1, 3, _id, _columns(_id, lambda v: v.dx(0)), _zero).apply(x**2)
+        map_solver(1, 3, _id, _columns(_id, lambda v: v.dx(0)), _zero).apply(x**2)
     # an eta that lowers weight cannot have its slice solved: its column images leave the slice
-    lowering = SliceSolver(1, 3, lambda v: v.dx(0), _columns(lambda v: v.dx(0), _id), _zero)
+    lowering = map_solver(1, 3, lambda v: v.dx(0), _columns(lambda v: v.dx(0), _id), _zero)
     with pytest.raises(NonTerminating, match="weight-keeping part sent weight 2 to weight 1"):
         lowering._slice(0, 2)
     with pytest.raises(NonTerminating):
@@ -120,7 +120,7 @@ def test_nonterminating_guard():
 def test_perturb_zero_delta_keeps_tau():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    solver = SliceSolver(1, 3, _eta(a), None, _zero)
+    solver = map_solver(1, 3, _eta(a), None, _zero)
     for f in [x**3, x**5 + x, SuperPoly.one(1)]:
         assert tau_diag(solver.apply(f), 3) == tau_diag(f, 3)
 
@@ -128,7 +128,7 @@ def test_perturb_zero_delta_keeps_tau():
 def test_perturb_diagonal_by_div_matches_known_class():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
-    solver = SliceSolver(1, 3, _eta(a), None, d_div)
+    solver = map_solver(1, 3, _eta(a), None, d_div)
     got = tau_diag(solver.apply(x**3), 3)
     basis = jac_basis(1, 3)
     assert got == JacClass(basis, {(0,): Scalar(q(-1, 3))})
@@ -234,7 +234,7 @@ def test_two_perturbations_equal_combined():
             staged = []
             eta = _eta(a)
             for k, dr in stages:
-                solver = SliceSolver(n, d, eta, None if k is None else _columns(eta, k), dr)
+                solver = map_solver(n, d, eta, None if k is None else _columns(eta, k), dr)
                 staged.append(solver)
                 eta = _compose(eta, solver.apply)
 
@@ -245,7 +245,7 @@ def test_two_perturbations_equal_combined():
 
             combined_drop = div if len(drops) == 1 else (lambda v: low(v) + div(v))
             kernel = None if keep is None else _columns(_eta(a), keep)
-            combined = SliceSolver(n, d, _eta(a), kernel, combined_drop)
+            combined = map_solver(n, d, _eta(a), kernel, combined_drop)
             session = ReduceSession(a)
             assert len(staged) == len(stages)
             assert isinstance(session.solver, SliceSolver)
@@ -279,7 +279,8 @@ def _assert_grading(op, v, d, degree_shift, weight_change, exact):
 def test_declared_gradings_hold_at_runtime():
     """The split the sweep relies on, with the shifts worked out here from the action: eta
     raises degree by 1 and keeps weight, the column kernel -keep o eta keeps both, drop
-    lowers degree by 1 and weight by at least d - deg(low), or by d with no lower part.
+    lowers degree by 1 and weight by at least d - deg(low), or by d with no lower part,
+    and the session's integer step drop o eta keeps degree and lowers weight as drop does.
     Checked on random inputs of every homological degree."""
     rng = random.Random(53)
     kinds = set()
@@ -294,8 +295,9 @@ def test_declared_gradings_hold_at_runtime():
         for h in range(n + 1):
             for _ in range(2):
                 v = _random_of_degree(rng, n, d, h, max_weight=12)
-                _assert_grading(solver.eta, v, d, 1, 0, exact=True)
-                _assert_grading(solver.drop, v, d, -1, drop_change, exact=False)
+                _assert_grading(_eta(a), v, d, 1, 0, exact=True)
+                _assert_grading(lambda p: contract(a.cgrad_low, p, div=True), v, d, -1, drop_change, exact=False)
+                _assert_grading(step_map(n, solver.step), v, d, 0, drop_change, exact=False)
                 if solver.column is not None:
                     _assert_grading(lambda p: SuperPoly(p.n, solver.column(*p.terms)), v, d, 0, 0, exact=True)
     assert len(kinds) == 4
@@ -353,7 +355,7 @@ def _triangular_images(a, b):
 def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     n = 2
     keep, drop = _degree0_op(images)
-    solver = SliceSolver(n, 3, _id, _columns(_id, keep), drop)
+    solver = map_solver(n, 3, _id, _columns(_id, keep), drop)
     builds = []
     hpl_invert = hpl.invert
 
@@ -393,7 +395,7 @@ def test_slice_without_weight_keeping_image_is_built_once(monkeypatch):
         calls.append(key)
         return zero_columns(key)
 
-    solver = SliceSolver(2, 3, _id, counting_columns, lambda v: v.dx(0))
+    solver = map_solver(2, 3, _id, counting_columns, lambda v: v.dx(0))
     v = x**3 + x * y
     out = solver.apply(v)
     assert calls and solver.solved_weights() == [0, 1, 2, 3]
@@ -413,7 +415,7 @@ def test_slice_basis_is_built_once_per_shape():
 def test_slice_solver_solves_only_the_columns_apply_reaches():
     n = 2
     keep, drop = _degree0_op(_mixing_images)
-    solver = SliceSolver(n, 3, _id, _columns(_id, keep), drop)
+    solver = map_solver(n, 3, _id, _columns(_id, keep), drop)
     v = SuperPoly(n, {((3, 1), 0): Scalar(q(2, 3), q(-1, 6)), ((0, 4), 0): Scalar(q(-5, 4))})
     y = solver.apply(v)
     assert y - keep(y) - drop(y) == v
@@ -550,7 +552,7 @@ def test_slice_columns_match_the_definition(monkeypatch):
         for cols in seen:
             for key, col in cols.items():
                 e = SuperPoly(n, {key: Scalar(1)})
-                assert col == (e - _contract(a.cgrad_mix, eta_diag(e, a))).terms
+                assert col == (e - contract(a.cgrad_mix, eta_diag(e, a))).terms
                 checked += 1
                 complex_checked += t % 2
     assert checked and complex_checked

@@ -16,10 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvreduce import HbarModel, JacClass, Scalar, SuperPoly, action_build, eta_diag, hbar_eta, jac_basis
-from bvreduce.bvdiff import _contract, d_div
+from bvreduce.bvdiff import d_div
 from bvreduce.errors import SingularMatrix
-from bvreduce.hpl import SliceSolver
-from oracles import contraction_terms
+from bvreduce.reduce import ReduceSession
+from bvreduce.scalars import clear_denominators, gauss
+from bvreduce.superpoly import monomials_of_degree
+from oracles import contract, contraction_terms, map_solver, step_map
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -134,7 +136,7 @@ def test_contract_is_sum_of_gradient_times_dxi(data):
     n = data.draw(st.integers(1, 3))
     grads = [data.draw(polys(n, xi=False, max_exp=2)) for _ in range(n)]
     v = data.draw(polys(n, xi=True))
-    got = _contract(contraction_terms(grads), v)
+    got = contract(contraction_terms(grads), v)
     assert got == contract_ref(grads, v)
     assert_canonical(got)
 
@@ -164,6 +166,43 @@ def test_eta_diag_term_by_term(data):
     got = eta_diag(v, action)
     assert got == eta_diag_ref(v, action)
     assert_canonical(got)
+
+
+@SETTINGS
+@given(st.data())
+def test_session_step_is_drop_of_eta_diag(data):
+    """The sweep's integer step is the weight-dropping contraction of eta_diag, both on SuperPoly values.
+
+    drop is the contraction with the lower-order gradients plus the
+    divergence.  The step is checked against it and against the plain
+    references, on actions with real and complex coefficients, with and
+    without a mixed and a lower part, and on y handed over unreduced, over
+    a negative denominator as a negative slice det leaves it.
+    """
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(2, 4))
+    s = SuperPoly.zero(n)
+    for i in range(n):
+        s = s + SuperPoly.x(n, i, d) * data.draw(nonzero_scalars)
+    if n > 1:
+        s = s + SuperPoly.monomial(n, (1, d - 1) + (0,) * (n - 2), coeff=data.draw(scalars))
+    lower = data.draw(st.booleans())
+    if lower:
+        s = s + SuperPoly.x(n, 0) * data.draw(nonzero_scalars)
+        for e in (e for deg in range(d) for e in monomials_of_degree(n, deg)):
+            s = s + SuperPoly.monomial(n, e, coeff=data.draw(scalars))
+    action = action_build(s)
+    assert action.has_lower() == lower
+    step = ReduceSession(action).solver.step
+    y = data.draw(polys(n, xi=True, max_exp=6))
+    got = step_map(n, step)(y)
+    assert got == contract(action.cgrad_low, eta_diag(y, action), div=True)
+    e = eta_diag_ref(y, action)
+    assert got == contract_ref([action.low.dx(i) for i in range(n)], e) + d_div_ref(e)
+    assert_canonical(got)
+    pairs, den = clear_denominators(y.terms.values())
+    terms, tden = step({key: (-3 * a, -3 * b) for key, (a, b) in zip(y.terms, pairs)}, -3 * den)
+    assert SuperPoly(n, {key: gauss(a, b, tden) for key, (a, b) in terms.items() if a or b}) == got
 
 
 @SETTINGS
@@ -205,8 +244,8 @@ def test_kernels_match_references_over_wide_denominators(data):
     except SingularMatrix:
         assume(False)
     for got, want in [
-        (_contract(contraction_terms(grads), v), contract_ref(grads, v)),
-        (_contract(contraction_terms(grads), v, div=True), contract_ref(grads, v) + d_div_ref(v)),
+        (contract(contraction_terms(grads), v), contract_ref(grads, v)),
+        (contract(contraction_terms(grads), v, div=True), contract_ref(grads, v) + d_div_ref(v)),
         (d_div(v), d_div_ref(v)),
         (eta_diag(v, action), eta_diag_ref(v, action)),
         (hbar_eta(f, m), hbar_eta_ref(f, m)),
@@ -229,7 +268,7 @@ def _xi(i):
     "kernel, v, expected",
     [
         # x0 * x1 - x1 * x0: every contribution cancels
-        (lambda v: _contract(contraction_terms((_x(0), _x(1))), v), _x(1) * _xi(0) - _x(0) * _xi(1), SuperPoly.zero(2)),
+        (lambda v: contract(contraction_terms((_x(0), _x(1))), v), _x(1) * _xi(0) - _x(0) * _xi(1), SuperPoly.zero(2)),
         # x1 - x1 from two different terms
         (d_div, _x(0) * _x(1) * _xi(0) - (_x(1) ** 2 * _xi(1)).scale(Scalar(Fraction(1, 2))), SuperPoly.zero(2)),
         # ainv = [[1, 1], [1, 2]]: the x0*xi0 contributions of the two terms cancel
@@ -465,6 +504,6 @@ def test_slice_solver_apply_matches_reference(data):
     y = data.draw(polys(2, xi=True))
     # v = y - t(y): the leak of each solved slice cancels the matching terms of v
     v = ref_sum([*ref(y).items(), *ref_neg(keep_ref(ref(y))).items(), *ref_neg(drop_ref(ref(y))).items()])
-    got = SliceSolver(2, 3, lambda v: v, column, drop).apply(from_ref(2, v))
+    got = map_solver(2, 3, lambda v: v, column, drop).apply(from_ref(2, v))
     assert ref(got) == ref(y)
     assert_canonical(got)

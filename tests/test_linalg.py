@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
 from bvreduce.linalg import Factor, _forward_eliminate, invert, rank, solve_square
+from bvreduce.scalars import clear_denominators, gauss
 
 
 def _rand_scalar(rng, height=6, complex_part=True):
@@ -370,6 +371,38 @@ def test_factor_solve_sparse_rhs_matches_fraction_reference():
             assert g.solve(single) == _dense_fraction_solve(a, single)
             assert _solved_columns(g) == solved
         assert g.solve({}) == {}
+
+
+def test_solve_cleared_is_solve_before_its_division():
+    """`solve_cleared` gives X g, and X g / (L * det) is what `solve` returns, for r cleared to g over L.
+
+    Checked on the first solve, which substitutes g, and on later ones over
+    memoized columns, for a real factor and a realified one.
+    """
+    rng = random.Random(29)
+    k = 6
+    rhss = [
+        {1: _frac_scalar(Fraction(2, 3)), 3: _frac_scalar(Fraction(-5, 4)), 5: _frac_scalar(7)},
+        {4: _frac_scalar(0, Fraction(3, 7)), 0: _frac_scalar(1, Fraction(-1, 2))},
+        {2: _frac_scalar(Fraction(3, 5), 1), 3: _frac_scalar(Fraction(1, 6))},
+        {1: _frac_scalar(Fraction(-2, 9))},
+    ]
+    for complex_matrix in (False, True):
+        while True:
+            a = _mat(rng, k, k, complex_part=complex_matrix)
+            if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
+                break
+        cleared, reference = invert(a), invert(a)
+        assert (len(cleared._upper) > k) == complex_matrix
+        for t, rhs in enumerate(rhss):
+            g, den = clear_denominators(rhs.values())
+            yr, yi = cleared.solve_cleared(list(rhs), g)
+            assert all(isinstance(x, int) for x in yr + yi)
+            got = {key: gauss(re, im, den * cleared.det) for key, re, im in zip(cleared.keys, yr, yi) if re or im}
+            assert got == reference.solve(rhs) == _dense_fraction_solve(a, rhs)
+            # the first solve memoizes nothing, and later ones solve the columns they touch
+            assert (_solved_columns(cleared) == []) == (t == 0)
+        assert _solved_columns(cleared) == [0, 1, 2, 3, 4]
 
 
 def test_factor_solves_each_column_once_across_threads(monkeypatch):
