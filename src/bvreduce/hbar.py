@@ -36,7 +36,6 @@ those constants become Scalars.
 from __future__ import annotations
 
 import re
-from heapq import heappop, heappush
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -207,8 +206,6 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
         raise InputError("observables must be xi-free")
     # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
     buckets: dict[tuple[int, int], list] = {}
-    # every live pair once, negated, so the heap pops the largest
-    heap: list[tuple[int, int]] = []
 
     def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
         if not terms or deg > 2 * (K - k):
@@ -216,18 +213,13 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
         pair = (2 * (K - k) - deg, deg)
         if pair >= below:
             raise AssertionError("rewriting step does not descend; this is a bug")
-        parts = buckets.get(pair)
-        if parts is None:
-            parts = buckets[pair] = []
-            heappush(heap, (-pair[0], -deg))
-        parts.append((terms, den))
+        buckets.setdefault(pair, []).append((terms, den))
 
     for (e, _), c in f.terms.items():
         push(0, sum(e), {e: (c.a, c.b)}, c.den)
     result = [ZERO] * (K + 1)
-    while heap:
-        r, deg = heappop(heap)
-        pair = r, deg = -r, -deg
+    while buckets:
+        r, deg = pair = max(buckets)
         k = K - (r + deg) // 2
         terms, den = _gather(buckets.pop(pair))
         if not terms:

@@ -285,18 +285,9 @@ class Factor:
         return rows
 
 
-def solve_square(a: list[list[Scalar]], rhs_cols: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Solve A X = B for square A; columns of B are given as rhs_cols, and X is returned the same way.
-
-    Raises SingularMatrix when A is rank-deficient.  A is factored once by
-    `invert`, and each column is solved by `Factor.solve`.
-    """
-    f = invert(a)
-    out = []
-    for col in rhs_cols:
-        x = f.solve({j: c for j, c in enumerate(col) if c})
-        out.append([x.get(i, ZERO) for i in range(f.k)])
-    return out
+# perfbench/tracing.py times back-substitution by this name, and its traced smoke test requires every hook
+# target to resolve; the alias goes when the tracer reads counters instead of hooking names.  Nothing calls it.
+solve_square = Factor.solve
 
 
 def invert(a) -> Factor:

@@ -354,10 +354,14 @@ def verify_reduction(
     """Check |I(f) - sum_m tau(f)_m I(phi(m))| <= tol * scale on every contour.
 
     The representatives phi(m) are the session's section of the basis classes,
-    which is plain monomial inclusion for the default session.
+    which is plain monomial inclusion for the default session.  contours
+    defaults to `default_contours`; an empty list, which would check
+    nothing, is an InputError.
     """
     if action.n != 1:
         raise InputError("verify_reduction handles one variable")
+    if contours is not None and not contours:
+        raise InputError("the contour list holds no contour")
     sess = session or session_for(action)
     jc = sess.reduce(f)
     coeffs = jc.vector()

@@ -124,6 +124,8 @@ class SuperPoly:
     def x(n: int, i: int, power: int = 1) -> "SuperPoly":
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
+        if power < 0:
+            raise ValueError(f"power {power} is negative")
         exps = tuple(power if j == i else 0 for j in range(n))
         return SuperPoly(n, {(exps, 0): ONE})
 

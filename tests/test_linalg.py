@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvreduce import Scalar, SingularMatrix, q
-from bvreduce.linalg import Factor, _forward_eliminate, invert, rank, solve_square
+from bvreduce.linalg import Factor, _forward_eliminate, invert, rank
 from bvreduce.scalars import clear_denominators, gauss
 
 
@@ -97,7 +97,7 @@ def test_rank_matches_fraction_oracle():
         assert rank(m) == _fraction_gauss_rank(m)
 
 
-def test_solve_square_random():
+def test_invert_solve_random():
     rng = random.Random(22)
     for _ in range(20):
         k = rng.randint(1, 6)
@@ -107,8 +107,8 @@ def test_solve_square_random():
                 break
         x_true = [_rand_scalar(rng) for _ in range(k)]
         b = [sum((a[i][j] * x_true[j] for j in range(k)), Scalar(0)) for i in range(k)]
-        (x,) = solve_square(a, [b])
-        assert x == x_true
+        x = invert(a).solve(dict(enumerate(b)))
+        assert [x.get(i, Scalar(0)) for i in range(k)] == x_true
 
 
 def test_invert_round_trip():
@@ -129,7 +129,7 @@ def test_invert_round_trip():
 def test_singular_detected():
     a = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]
     with pytest.raises(SingularMatrix):
-        solve_square(a, [[Scalar(1), Scalar(0)]])
+        invert(a).solve({0: Scalar(1)})
 
 
 def _frac_scalar(re, im=0):
@@ -141,7 +141,7 @@ def _as_scalars(pairs):
     return [_frac_scalar(re, im) for re, im in pairs]
 
 
-def test_solve_square_row_swap_complex_mixed_denominators():
+def test_invert_solve_row_swap_complex_mixed_denominators():
     # a zero leading entry forces a row swap; each row has its own denominator
     a = [
         [_frac_scalar(0), _frac_scalar(Fraction(2, 3), 1), _frac_scalar(Fraction(-1, 3))],
@@ -149,7 +149,8 @@ def test_solve_square_row_swap_complex_mixed_denominators():
         [_frac_scalar(Fraction(5, 7)), _frac_scalar(Fraction(-1, 7), Fraction(2, 7)), _frac_scalar(Fraction(6, 7), 1)],
     ]
     b = [_frac_scalar(1, Fraction(-1, 2)), _frac_scalar(Fraction(3, 4)), _frac_scalar(0, Fraction(5, 6))]
-    (x,) = solve_square(a, [b])
+    x = invert(a).solve(dict(enumerate(b)))
+    x = [x.get(i, Scalar(0)) for i in range(3)]
     assert x == _as_scalars(_fraction_gauss_solve(a, b))
     assert [sum((a[i][j] * x[j] for j in range(3)), Scalar(0)) for i in range(3)] == b
     inv = invert(a).inverse()
@@ -488,7 +489,7 @@ def test_first_and_memoized_solves_match_fraction_reference():
     assert len(kinds) == 4
 
 
-def test_solve_square_gate_sized_slice():
+def test_invert_solve_gate_sized_slice():
     # the size of the n = 3, d = 4, weight-8 slices: id - t with a sparse t
     rng = random.Random(25)
     k = 48
@@ -498,9 +499,10 @@ def test_solve_square_gate_sized_slice():
             a[i][j] = a[i][j] - _rand_scalar(rng)
     assert rank(a) == k
     rhs = [[_rand_scalar(rng) for _ in range(k)] for _ in range(2)]
-    sols = solve_square(a, rhs)
-    for b, x in zip(rhs, sols):
-        assert x == _as_scalars(_fraction_gauss_solve(a, b))
+    f = invert(a)
+    for b in rhs:
+        x = f.solve(dict(enumerate(b)))
+        assert [x.get(i, Scalar(0)) for i in range(k)] == _as_scalars(_fraction_gauss_solve(a, b))
 
 
 def test_rank_skips_a_column_without_pivot():

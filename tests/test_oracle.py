@@ -146,6 +146,12 @@ def test_oracle_rejects_multivariable():
         verify_reduction(action_build(s), SuperPoly.one(n))
 
 
+def test_verify_reduction_refuses_an_empty_contour_list():
+    # all() of no checks is True, so an empty list would pass with nothing checked
+    with pytest.raises(InputError, match="the contour list holds no contour"):
+        verify_reduction(action_build(X**3), X**6, contours=[])
+
+
 def test_separable_two_variable_recipe():
     """Documented n = 2 recipe: separable actions factor into 1-D integrals.
 

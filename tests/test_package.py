@@ -58,14 +58,8 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
         assert comment == out or comment.startswith(out + " "), (out, comment)
 
 
-# Module-level functions that stay in src with no src caller and no public name.
-ALLOWED_UNREFERENCED = {
-    "solve_square",  # linalg: the benchmark tracer hooks it by name (perfbench/tracing.py)
-}
-
-
 def test_every_src_function_has_a_caller_or_a_public_name():
-    """A module-level function in src is referenced by other src code, public, or allowlisted above."""
+    """A module-level function in src is referenced by other src code or is public."""
     src = Path(bvreduce.__file__).resolve().parent
     defined, referenced = [], set()
     for path in sorted(src.glob("*.py")):
@@ -79,7 +73,7 @@ def test_every_src_function_has_a_caller_or_a_public_name():
                 name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
                 if name and name != own:  # a function's own body (recursion) is no caller
                     referenced.add(name)
-    keep = referenced | set(bvreduce.__all__) | ALLOWED_UNREFERENCED
+    keep = referenced | set(bvreduce.__all__)
     assert [f"{module}:{name}" for module, name in defined if name not in keep] == []
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import bvreduce.hpl as hpl
+import bvreduce.reduce as reduce_mod
 from bvreduce import (
     InputError,
     JacClass,
@@ -513,7 +514,9 @@ def test_section_correction_over_the_weight_budget_is_refused_before_the_sweep(m
     """A correction is swept once when the session is built, so it has the budget of an observable."""
     x = SuperPoly.x(1, 0)
     ReduceSession(action_build(x**3), phi_correction={(0,): x**128})  # at the budget
-    monkeypatch.setattr(hpl, "neumann_apply", lambda *args: pytest.fail("the sweep ran"))
+    # every sweep level runs the step, whose first call is eta_diag's integer core, and solves its slice
+    monkeypatch.setattr(reduce_mod, "_eta", lambda *args: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(hpl.SliceSolver, "_slice", lambda *args: pytest.fail("a slice was built"))
     with pytest.raises(InputError, match="the observable has weight 129, over the budget of 128"):
         ReduceSession(action_build(x**3), phi_correction={(0,): x**129})
     x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)

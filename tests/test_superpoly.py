@@ -31,6 +31,13 @@ def test_add_rejects_mismatched_n():
         sp_x(1, 0) + sp_x(2, 0)
 
 
+def test_x_rejects_a_negative_power():
+    # x0^-2 is no monomial: reduced, it would be a class with a key outside the basis
+    with pytest.raises(ValueError, match="power -2 is negative"):
+        SuperPoly.x(1, 0, -2)
+    assert SuperPoly.x(1, 0, 0) == SuperPoly.one(1)
+
+
 def test_mul_koszul_sign_single_transposition():
     n = 2
     xi0, xi1 = SuperPoly.xi(n, 0), SuperPoly.xi(n, 1)
