@@ -32,18 +32,57 @@ many paths of different lengths reach it; the constant of bucket (k, 0) is
 the hbar^k coefficient.  A bucket is held as Gaussian integers over one
 denominator, content-reduced by one gcd before it is rewritten, and only
 those constants become Scalars.
+
+The walk keys its terms by packed exponent words: exponent e_j sits in bits
+SLOT_BITS * j and up of one int, so multiplying two monomials is one integer
+addition and a derivative in x_j is one subtraction.  Every exponent the
+walk holds is at most 2K, which the budget on K keeps inside a slot.
 """
 from __future__ import annotations
 
 import re
 from math import factorial, gcd, lcm
-from operator import add
 
 from .bvdiff import _gradients
 from .errors import InputError
 from .linalg import invert
 from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
-from .superpoly import SuperPoly, add_pairs, sum_pairs
+from .superpoly import SuperPoly, sum_pairs
+
+MAX_HBAR_ORDER_DEGREE = 48
+"""Budget on K * max(2, largest vertex degree) in hbar_reduce and hbar_oracle; a larger product is an InputError.
+
+The walk rewrites at most (K + 1)^2 buckets, but a bucket's term count grows
+with the number of variables, which the budget does not read.
+"""
+
+SLOT_BITS = MAX_HBAR_ORDER_DEGREE.bit_length()
+"""Bits per exponent in a packed word: enough for 2K, the largest exponent the walk holds, under the budget."""
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+
+
+def _pack(e) -> int:
+    """The exponent tuple e as one word, e_j in bits SLOT_BITS * j and up; each e_j must fit its slot."""
+    word = 0
+    for j, p in enumerate(e):
+        word += p << (SLOT_BITS * j)
+    return word
+
+
+def _check_order(K) -> None:
+    """A truncation order is an int (not a bool) >= 0; anything else is an InputError."""
+    if isinstance(K, bool) or not isinstance(K, int):
+        raise InputError(f"truncation order {K!r} is not an integer")
+    if K < 0:
+        raise InputError("truncation order must be non-negative")
+
+
+def _check_budget(K, m: "HbarModel") -> None:
+    """K as a truncation order for m: `_check_order`, and K * max(2, vertex degree) within MAX_HBAR_ORDER_DEGREE."""
+    _check_order(K)
+    vdeg = max(2, m.max_vertex_degree)
+    if K * vdeg > MAX_HBAR_ORDER_DEGREE:
+        raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
 
 
 def _degree(key) -> int:
@@ -103,8 +142,14 @@ class HbarModel:
             verts[deg] = p
         self.vertices = verts
         self.u = sum(verts.values(), SuperPoly.zero(n))
-        # (degree, the gradient rows of `_gradients`) per vertex, by degree, for the vertex rule
-        self.cgrad_vertices = tuple((deg, _gradients(verts[deg])) for deg in sorted(verts))
+        # (degree, rows, G) per vertex, by degree, for the vertex rule: the gradient rows of `_gradients` with
+        # each x^e packed.  A vertex degree past the budget only passes it at K = 0, where no vertex is applied,
+        # so a packed word that overflows its slot is never read.
+        grads = []
+        for deg in sorted(verts):
+            rows, gden = _gradients(verts[deg])
+            grads.append((deg, tuple([(_pack(e), a, b) for e, a, b in row] for row in rows), gden))
+        self.cgrad_vertices = tuple(grads)
         self.max_vertex_degree = max(verts) if verts else 0
 
 
@@ -114,8 +159,7 @@ class HbarSeries:
     __slots__ = ("n", "K", "coeffs")
 
     def __init__(self, n: int, K: int, coeffs):
-        if K < 0:
-            raise InputError("truncation order must be non-negative")
+        _check_order(K)
         self.n = n
         self.K = K
         self.coeffs = [Scalar.of(c) for c in coeffs]
@@ -177,14 +221,6 @@ def hbar_eta(v: SuperPoly, m: HbarModel) -> SuperPoly:
     return sum_pairs(m.n, contributions(), den * aden * lell)
 
 
-MAX_HBAR_ORDER_DEGREE = 48
-"""Budget on K * max(2, largest vertex degree) in hbar_reduce; a larger product is an InputError.
-
-The walk rewrites at most (K + 1)^2 buckets, but a bucket's term count grows
-with the number of variables, which the budget does not read.
-"""
-
-
 def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """The class of f modulo the truncated differential, as a Scalar series.
 
@@ -194,17 +230,13 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     bucket of order k is the hbar^k coefficient.  hbar_reduce(1) == 1
     exactly.
     """
-    if K < 0:
-        raise InputError("truncation order must be non-negative")
-    # checked before anything of size K is allocated
-    vdeg = max(2, m.max_vertex_degree)
-    if K * vdeg > MAX_HBAR_ORDER_DEGREE:
-        raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
+    _check_budget(K, m)  # before anything of size K is allocated
     if f.n != m.n:
         raise ValueError("variable count mismatch")
     if any(mask for _, mask in f.terms):
         raise InputError("observables must be xi-free")
-    # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg
+    # buckets[(2(K - k) - deg, deg)] lists the parts (terms, den) of hbar order k and x-degree deg, terms keyed by
+    # packed exponent words
     buckets: dict[tuple[int, int], list] = {}
 
     def push(k: int, deg: int, terms: dict, den: int, below=(2 * K + 1, 0)) -> None:
@@ -216,7 +248,9 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
         buckets.setdefault(pair, []).append((terms, den))
 
     for (e, _), c in f.terms.items():
-        push(0, sum(e), {e: (c.a, c.b)}, c.den)
+        deg = sum(e)
+        if deg <= 2 * K:  # packed only once it survives the cut: a dropped term's exponent may not fit a slot
+            push(0, deg, {_pack(e): [c.a, c.b]}, c.den)
     result = [ZERO] * (K + 1)
     while buckets:
         r, deg = pair = max(buckets)
@@ -238,73 +272,95 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
 def feynman_rules(m: HbarModel, terms: dict, den: int, deg: int, room: int):
     """One rewrite of a bucket sum_e terms[e] x^e / den, xi-free and homogeneous of x-degree deg > 0, in integers.
 
-    terms maps exponent words to Gaussian integers (a, b).  The propagator
-    leg y = sum_ij (a^-1)_ij xi_i d_j p / deg, which is -hbar_eta(p), is kept
-    as integers y[(f, i)] for x^f xi_i, with 1/deg in the denominator (the
-    bucket is homogeneous).  Returns (vertex, loop):
+    terms maps packed exponent words to Gaussian integers (a, b).  The
+    propagator leg y = sum_ij (a^-1)_ij xi_i d_j p / deg, which is
+    -hbar_eta(p), is kept as integers y[i][f] for x^f xi_i, with 1/deg in the
+    denominator (the bucket is homogeneous).  Returns (vertex, loop):
 
       vertex  (l, out, den) per vertex degree l with deg + l - 2 <= room:
               y contracted with the gradient of the degree-l vertex, of
               x-degree deg + l - 2 at the same order;
       loop    (out, den): sum_i d_i y_i, of x-degree deg - 2 at the next order.
 
-    Each out maps exponent words to [a, b] lists, summed in place as the
+    Each out maps packed words to [a, b] lists, summed in place as the
     contributions arrive, zeros not dropped (`_gather` drops them).  The
     vertex outputs sum to _contract(grad U, y) and the loop output is
-    d_div(y).
+    d_div(y).  Every word read or made has x-degree at most room, so no slot
+    carries into the next.
     """
     cols, aden = m.cainv
-    y: dict = {}
+    lanes = [(SLOT_BITS * j, 1 << (SLOT_BITS * j)) for j in range(m.n)]
+    y = [{} for _ in lanes]
     for e, (ca, cb) in terms.items():
-        for j, p in enumerate(e):
-            if p:
-                f = e[:j] + (p - 1,) + e[j + 1:]
+        for (shift, unit), col in zip(lanes, cols):
+            if p := (e >> shift) & _SLOT_MASK:
+                f = e - unit
                 fa, fb = p * ca, p * cb
-                for i, ta, tb in cols[j]:
+                for i, ta, tb in col:
                     a, b = ta * fa - tb * fb, ta * fb + tb * fa
-                    s = y.get((f, i))
+                    yi = y[i]
+                    s = yi.get(f)
                     if s is None:
-                        y[(f, i)] = [a, b]
+                        yi[f] = [a, b]
                     else:
                         s[0] += a
                         s[1] += b
     yden = den * aden * deg
     vertex = []
-    for l, (rows, gden) in m.cgrad_vertices:
+    for l, rows, gden in m.cgrad_vertices:
         if deg + l - 2 > room:
             continue
         out: dict = {}
-        for (f, i), (ya, yb) in y.items():
-            for ge, ga, gb in rows[i]:
-                key = tuple(map(add, f, ge))
-                a, b = ga * ya - gb * yb, ga * yb + gb * ya
-                s = out.get(key)
-                if s is None:
-                    out[key] = [a, b]
-                else:
-                    s[0] += a
-                    s[1] += b
+        for yi, row in zip(y, rows):
+            for f, (ya, yb) in yi.items():
+                for ge, ga, gb in row:
+                    key = f + ge
+                    a, b = ga * ya - gb * yb, ga * yb + gb * ya
+                    s = out.get(key)
+                    if s is None:
+                        out[key] = [a, b]
+                    else:
+                        s[0] += a
+                        s[1] += b
         vertex.append((l, out, yden * gden))
     loop: dict = {}
-    for (f, i), (ya, yb) in y.items():
-        if p := f[i]:
-            key = f[:i] + (p - 1,) + f[i + 1:]
-            s = loop.get(key)
-            if s is None:
-                loop[key] = [p * ya, p * yb]
-            else:
-                s[0] += p * ya
-                s[1] += p * yb
+    for (shift, unit), yi in zip(lanes, y):
+        for f, (ya, yb) in yi.items():
+            if p := (f >> shift) & _SLOT_MASK:
+                key = f - unit
+                s = loop.get(key)
+                if s is None:
+                    loop[key] = [p * ya, p * yb]
+                else:
+                    s[0] += p * ya
+                    s[1] += p * yb
     return vertex, (loop, yden)
 
 
 def _gather(parts: list) -> tuple[dict, int]:
     """The parts (terms, den) of one bucket over one denominator, zeros dropped and the content divided out.
 
-    The content is the gcd of the denominator and every integer, found by one gcd call.
+    The parts are merged in place into the first, whose values are [a, b]
+    lists; a single part is neither rescaled nor merged.  The content is the
+    gcd of the denominator and every integer, found by one gcd call.
     """
-    den = lcm(*[d for _, d in parts])
-    terms = add_pairs((e, a * (den // d), b * (den // d)) for part, d in parts for e, (a, b) in part.items())
+    terms, den = parts[0]
+    if len(parts) > 1:
+        first, den = den, lcm(*[d for _, d in parts])
+        if den > first:
+            s = den // first
+            for ab in terms.values():
+                ab[0] *= s
+                ab[1] *= s
+        for part, d in parts[1:]:
+            s = den // d
+            for e, (a, b) in part.items():
+                t = terms.get(e)
+                if t is None:
+                    terms[e] = [a * s, b * s]
+                else:
+                    t[0] += a * s
+                    t[1] += b * s
     g = gcd(den, *[x for ab in terms.values() for x in ab])
     return {e: (a // g, b // g) for e, (a, b) in terms.items() if a or b}, den // g
 
@@ -342,10 +398,10 @@ def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """Perturbative Gaussian check: <f e^U> / <e^U> with propagator hbar * a^{-1}.
 
     Independent of the rewriting route: vertex factors are expanded as
-    polynomial powers and all moments evaluated by Isserlis pairings.
+    polynomial powers and all moments evaluated by Isserlis pairings.  K is
+    held to the walk's budget, MAX_HBAR_ORDER_DEGREE.
     """
-    if K < 0:
-        raise InputError("truncation order must be non-negative")
+    _check_budget(K, m)  # before any vertex power is expanded
     if any(mask for _, mask in f.terms):
         raise InputError("observables must be xi-free")
     cov = tuple(tuple(v for v in row) for row in m.ainv)

@@ -12,7 +12,9 @@ These deliberately avoid the engine's homotopy machinery and kernels:
   `SliceSolver` into a SuperPoly map and back, so tests state maps on
   SuperPoly values;
 - `model_differential` applies the hbar model's L - B - hbar*div with
-  SuperPoly derivatives and products alone;
+  SuperPoly derivatives and products alone, and `pack_exponents` and
+  `unpack_exponents` turn exponent tuples into the packed words the hbar
+  walk keys its terms by and back;
 - `result_from_json` reads a `bvreduce reduce` result back into a JacClass.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from bvreduce import Action, HbarModel, InputError, JacClass, Scalar, SuperPoly, jac_basis
 from bvreduce.bvdiff import _contract_poly
 from bvreduce.cli import _is_int, _scalar_from_json
+from bvreduce.hbar import SLOT_BITS
 from bvreduce.hpl import SliceSolver
 from bvreduce.scalars import clear_denominators, gauss
 
@@ -114,6 +117,18 @@ def model_differential(m: HbarModel, v: SuperPoly, K: int) -> list[SuperPoly]:
     if K >= 1:
         out[1] = -sum((v.dxi(j).dx(j) for j in range(n)), zero)
     return out
+
+
+def pack_exponents(e) -> int:
+    """The exponent tuple e as a packed word of the hbar walk: e_j in bits SLOT_BITS * j and up."""
+    assert all(0 <= p < 1 << SLOT_BITS for p in e), f"{e} does not fit {SLOT_BITS}-bit slots"
+    return sum(p << (SLOT_BITS * j) for j, p in enumerate(e))
+
+
+def unpack_exponents(word: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed word with n slots; nothing may be set past the n-th slot."""
+    assert 0 <= word < 1 << (SLOT_BITS * n), f"word {word} has more than {n} slots"
+    return tuple((word >> (SLOT_BITS * j)) & ((1 << SLOT_BITS) - 1) for j in range(n))
 
 
 def result_from_json(data) -> JacClass:

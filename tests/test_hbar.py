@@ -19,12 +19,12 @@ from bvreduce import (
     wick,
 )
 from bvreduce.bvdiff import d_div
-from bvreduce.hbar import feynman_rules
+from bvreduce.hbar import MAX_HBAR_ORDER_DEGREE, SLOT_BITS, feynman_rules
 from bvreduce.linalg import invert
 from bvreduce.scalars import clear_denominators, gauss
 from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
-from oracles import contract, contraction_terms, model_differential
+from oracles import contract, contraction_terms, model_differential, pack_exponents, unpack_exponents
 
 
 def _model1(vertices=None):
@@ -158,6 +158,8 @@ def test_each_bucket_is_rewritten_once(monkeypatch):
     calls = []
 
     def counted(model, terms, den, deg, room):
+        # every bucket is homogeneous: each packed key reads back as an exponent tuple of x-degree deg
+        assert {sum(unpack_exponents(e, n)) for e in terms} == {deg}
         calls.append(deg)
         return feynman_rules(model, terms, den, deg, room)
 
@@ -167,7 +169,7 @@ def test_each_bucket_is_rewritten_once(monkeypatch):
 
 
 def _as_poly(n, out, den):
-    return SuperPoly(n, {(e, 0): gauss(a, b, den) for e, (a, b) in out.items() if a or b})
+    return SuperPoly(n, {(unpack_exponents(e, n), 0): gauss(a, b, den) for e, (a, b) in out.items() if a or b})
 
 
 def test_feynman_rules_match_eta_contract_and_div():
@@ -205,7 +207,7 @@ def test_feynman_rules_match_eta_contract_and_div():
         for deg in (1, 2, 3, 4):
             p = homogeneous(deg)
             pairs, den = clear_denominators(p.terms.values())
-            terms = {e: ab for (e, _), ab in zip(p.terms, pairs)}
+            terms = {pack_exponents(e): ab for (e, _), ab in zip(p.terms, pairs)}
             vertex, (loop, lden) = feynman_rules(m, terms, den, deg, deg + 2)
             assert [l for l, _, _ in vertex] == [3, 4]
             leg = -hbar_eta(p, m)
@@ -290,6 +292,66 @@ def test_model_validation():
         HbarModel(2, [[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(InputError):
         hbar_reduce(x, _model1(), -1)
+
+
+def test_truncation_order_must_be_an_int():
+    # a bool or a float is no truncation order, as it is no vertex degree, even when it is whole
+    x = SuperPoly.x(1, 0)
+    m = _model1({3: x**3})
+    for K in (True, 2.0, "2", None):
+        for call in (lambda: hbar_reduce(x**2, m, K), lambda: hbar_oracle(x**2, m, K),
+                     lambda: HbarSeries(1, K, [0, 0])):
+            with pytest.raises(InputError, match="truncation order .* is not an integer"):
+                call()
+    assert hbar_reduce(x**2, m, 1) == hbar_oracle(x**2, m, 1)
+
+
+def test_oracle_keeps_the_walk_budget():
+    # past the budget the oracle's vertex powers take seconds; both routes refuse such a K before any work
+    n = 2
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    m = HbarModel(n, [[2, 1], [1, 3]], {4: x0**4 + x0 * x1**3})
+    for K in (13, 24):
+        for route in (hbar_reduce, hbar_oracle):
+            with pytest.raises(InputError, match=f"order K={K} times vertex degree 4 is over the budget of 48"):
+                route(x0**2, m, K)
+
+
+def test_slot_width_follows_the_budget():
+    """A packed slot holds 2K, the largest exponent the walk holds, for the largest K the budget admits."""
+    assert SLOT_BITS == MAX_HBAR_ORDER_DEGREE.bit_length()
+    assert 2 * (MAX_HBAR_ORDER_DEGREE // 2) < 1 << SLOT_BITS
+
+
+@pytest.mark.parametrize("e", [(MAX_HBAR_ORDER_DEGREE,), (16, 16, 16)])
+def test_largest_exponent_in_a_slot(e):
+    """No vertex and K = MAX_HBAR_ORDER_DEGREE / 2: the observable's exponents fill their slots to 2K."""
+    n, K = len(e), MAX_HBAR_ORDER_DEGREE // 2
+    a = [[2, 1, 0], [1, 3, 0], [0, 0, 1]] if n == 3 else [[3]]
+    m = HbarModel(n, a)
+    f = SuperPoly.monomial(n, e, coeff=Scalar(q(2, 3)))
+    got = hbar_reduce(f, m, K)
+    assert got == hbar_oracle(f, m, K)
+    assert got.scalars()[sum(e) // 2]
+
+
+def test_quartic_model_at_the_budget():
+    n, K = 2, 12  # K * 4 = MAX_HBAR_ORDER_DEGREE
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    m = HbarModel(n, [[2, 1], [1, 3]], {4: x0**4 * Scalar(q(1, 24)) - x0 * x1**3 * Scalar(q(1, 6))})
+    f = x0**2 + x0 * x1 * Scalar(q(1, 2))
+    got = hbar_reduce(f, m, K)
+    assert got == hbar_oracle(f, m, K)
+    assert all(got.scalars()[1:])
+
+
+def test_term_past_the_cut_is_dropped_before_it_is_packed():
+    # x0^64 would overflow its slot into x1's; it reaches the constants only past K, so it must not count at all
+    n, K = 2, 3
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    m = HbarModel(n, [[2, 1], [1, 3]], {3: x0**3 + x0 * x1**2})
+    assert hbar_reduce(x0**64 + x1**2, m, K) == hbar_reduce(x1**2, m, K)
+    assert hbar_reduce(x1**2, m, K) == hbar_oracle(x1**2, m, K)
 
 
 def test_vertex_keys_name_one_degree_each():
