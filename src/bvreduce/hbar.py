@@ -78,11 +78,18 @@ def _check_order(K) -> None:
 
 
 def _check_budget(K, m: "HbarModel") -> None:
-    """K as a truncation order for m: `_check_order`, and K * max(2, vertex degree) within MAX_HBAR_ORDER_DEGREE."""
+    """K as a truncation order for m: `_check_order`, K * max(2, vertex degree) within MAX_HBAR_ORDER_DEGREE, and 2K
+    inside a slot.
+
+    SLOT_BITS is fixed when the module is imported, so a budget raised at run
+    time cannot let an exponent of the walk carry into the next slot.
+    """
     _check_order(K)
     vdeg = max(2, m.max_vertex_degree)
     if K * vdeg > MAX_HBAR_ORDER_DEGREE:
         raise InputError(f"order K={K} times vertex degree {vdeg} is over the budget of {MAX_HBAR_ORDER_DEGREE}")
+    if 2 * K >= 1 << SLOT_BITS:
+        raise InputError(f"order K={K} holds exponents up to {2 * K}, past the {SLOT_BITS}-bit slot of a packed word")
 
 
 def _degree(key) -> int:

@@ -28,7 +28,7 @@ from typing import Callable
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import Factor, invert
-from .scalars import ONE, Scalar, clear_denominators, gauss
+from .scalars import Scalar, clear_denominators, gauss
 from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
 
 Step = Callable[[dict, int], tuple[dict, int]]
@@ -78,8 +78,10 @@ class SliceSolver:
     y of Gaussian integers (a, b) meaning (a + b*i)/L and returns drop(eta(y
     / L)) the same way, as (term map, its denominator); drop strictly lowers
     weight.  keep, which preserves weight exactly, is given as its column
-    kernel: column(key) is -keep(eta(x^key)) for a basis monomial as a fresh
-    term map of Scalars, which the solver keeps.
+    kernel: column(key) is -keep(eta(x^key)) for a basis monomial as
+    (terms, den), a fresh term map of Gaussian integers (a, b) meaning (a +
+    b*i)/den, which the solver keeps.  A kernel that reduces each column by
+    its content hands the elimination its smallest integers.
 
     keep o eta stays in its (homological degree, weight) slice and drop o
     eta strictly lowers weight, so (id - delta o eta)^{-1} = sum_k (S drop
@@ -97,8 +99,9 @@ class SliceSolver:
     plain Neumann series, the step run once per weight level.
 
     With a kernel, each slice the sweep reaches is solved against id - keep
-    o eta: `_slice` calls the kernel once per basis monomial, adds e_key and
-    hands the k columns to one `linalg.invert`.  The slice is memoized as
+    o eta: `_slice` calls the kernel once per basis monomial, adds e_key to
+    each column in integers, as den at key, and hands the k cleared columns
+    with their denominators to one `linalg.invert`.  The slice is memoized as
     its `Factor`, keyed by the basis monomials, or as None where keep o eta
     vanishes on the slice.  A bucket is solved by `Factor.solve_cleared`:
     the first bucket a slice sees is one substitution, and later ones go
@@ -136,21 +139,25 @@ class SliceSolver:
                 raise InputError(
                     f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"
                 )
-            # the columns e_key - keep(eta(e_key)), keyed by the basis monomials in basis order
+            # the columns e_key - keep(eta(e_key)), keyed by the basis monomials in basis order, column j over dens[j]
             cols = dict.fromkeys(slice_basis(self.n, self.d, h, w))
+            dens = []
             nontrivial = False
             for key in cols:
-                col = cols[key] = self.column(key)
+                col, den = self.column(key)
                 nontrivial = nontrivial or bool(col)
                 for kk in col:
                     if kk not in cols:
                         ww = term_weight(kk, self.d)
                         raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {ww}")
-                add_term(col, key, ONE)
+                a, b = col.get(key, (0, 0))
+                col[key] = a + den, b
+                cols[key] = col
+                dens.append(den)
             factor = None
             if nontrivial:
                 try:
-                    factor = invert(cols)
+                    factor = invert(cols, dens)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
             cache[(h, w)] = factor

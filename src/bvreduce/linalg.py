@@ -2,11 +2,13 @@
 
 This module owns the matrix format.  A matrix is handed over as sparse
 vectors {key: Scalar} in the caller's keys, a dense list of Scalar rows being
-the same matrix keyed by position, and answers come back in those keys.
-`_gaussian_columns` alone clears columns to Gaussian integers, one by one; a
-matrix with an imaginary part B + iC is then replaced by its real embedding
-[[B, -C], [C, B]], so one elimination on plain ints, `_forward_eliminate`,
-serves every matrix.  It uses the one-step Bareiss recurrence, whose
+the same matrix keyed by position, and answers come back in those keys; a
+caller that builds its columns in integers hands them to `invert` already
+cleared, as Gaussian integers over one denominator each.
+`_gaussian_columns` clears Scalar columns to Gaussian integers, one by one,
+and `_embed` replaces a matrix with an imaginary part B + iC by its real
+embedding [[B, -C], [C, B]], so one elimination on plain ints,
+`_forward_eliminate`, serves every matrix.  It uses the one-step Bareiss recurrence, whose
 divisions are exact in any integral domain.  Everything stays in big integers
 until a single division at the end, which keeps intermediate entries at
 minor-determinant size instead of letting rational numerators blow up.
@@ -18,43 +20,50 @@ the same elimination on a rectangular matrix, halved for a complex one.
 from __future__ import annotations
 
 import threading
-from math import lcm
 from operator import mul
 
 from .errors import SingularMatrix
 from .scalars import ZERO, Scalar, clear_denominators, gauss
 
 
-def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
-    """Sparse columns {row key: Scalar} cleared to Gaussian integers one by one, as (m, realified, dens).
+def _embed(cols, row_keys) -> tuple[list[list[int]], bool]:
+    """Sparse Gaussian-integer columns {row key: (a, b)} as one integer matrix, (m, realified).
 
-    Rows follow the order of row_keys, and column j is cleared over dens[j]
-    to B + iC.  m is B for a real matrix and otherwise its real embedding
-    [[B, -C], [C, B]], of twice the size and rank.  A row key not in
-    row_keys is a ValueError.
+    Rows follow the order of row_keys, and the columns B + iC give m = B for
+    a real matrix and otherwise its real embedding [[B, -C], [C, B]], of
+    twice the size and rank.  A row key not in row_keys is a ValueError.
     """
     width = len(cols)
     re = {key: [0] * width for key in row_keys}
     im = None
-    dens = []
     for j, col in enumerate(cols):
-        # a list, not a generator: lcm(*<genexpr>) in a hot loop grows the process's memory
-        den = lcm(*[s.den for s in col.values()])
-        dens.append(den)
-        for key, s in col.items():
-            f = den // s.den
+        for key, (a, b) in col.items():
             try:
-                re[key][j] = s.a * f
+                re[key][j] = a
             except KeyError:
                 raise ValueError(f"row key {key!r} is not a column key") from None
-            if s.b:
+            if b:
                 if im is None:
                     im = {key: [0] * width for key in re}
-                im[key][j] = s.b * f
+                im[key][j] = b
     if im is None:
-        return list(re.values()), False, dens
+        return list(re.values()), False
     pairs = list(zip(re.values(), im.values()))
-    return [b + [-x for x in c] for b, c in pairs] + [c + b for b, c in pairs], True, dens
+    return [b + [-x for x in c] for b, c in pairs] + [c + b for b, c in pairs], True
+
+
+def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
+    """Sparse columns {row key: Scalar} cleared to Gaussian integers one by one, as (m, realified, dens).
+
+    Column j is cleared over dens[j], and the cleared columns go to `_embed`.
+    """
+    cleared = []
+    dens = []
+    for col in cols:
+        g, den = clear_denominators(col.values())
+        cleared.append(dict(zip(col, g)))
+        dens.append(den)
+    return (*_embed(cleared, row_keys), dens)
 
 
 def _forward_eliminate(m: list[list[int]]):
@@ -149,9 +158,11 @@ class Factor:
     each nonzero entry of X g once, by L * det.  The factor's first solve
     substitutes g itself through `_solve_int` ([Re g; Im g] for a realified
     M, Re g and Im g apart for a real one) and memoizes nothing; later solves
-    sum X g over memoized columns.  `columns[key]` is that column of X as
-    its nonzero entries (i, re, im), i a position in `keys`, or None until
-    `column(key)` substitutes e_j through `_substitute`.  The first
+    sum X g over memoized columns.  A real M has a real X, so there the sum
+    reads only the real part of each column: Re g times it, and Im g times it
+    only for an entry of g with an imaginary part.  `columns[key]` is that
+    column of X as its nonzero entries (i, re, im), i a position in `keys`,
+    or None until `column(key)` substitutes e_j through `_substitute`.  The first
     solve and each column are taken under the factor's lock, so racing
     callers substitute directly once and solve each column once.
     """
@@ -229,7 +240,8 @@ class Factor:
 
         A right-hand side r cleared to g over L has A^{-1} r = X g / (L * det).
         The factor's first solve substitutes g itself and memoizes nothing;
-        every later one sums only the columns of X that g touches.
+        every later one sums only the columns of X that g touches, and for a
+        real factor only their real parts.
         """
         first = False
         if not self._used:
@@ -242,6 +254,18 @@ class Factor:
         cols = self.columns
         yr = [0] * k
         yi = [0] * k
+        if len(self._upper) == k:
+            # a real M: every column's im part is 0, so X g = (X Re g, X Im g)
+            for key, (ar, ai) in zip(keys, g):
+                col = cols[key]
+                if col is None:
+                    col = self.column(key)
+                for i, xr, _ in col:
+                    yr[i] += xr * ar
+                if ai:
+                    for i, xr, _ in col:
+                        yi[i] += xr * ai
+            return yr, yi
         for key, (ar, ai) in zip(keys, g):
             col = cols[key]
             if col is None:
@@ -290,12 +314,15 @@ class Factor:
 solve_square = Factor.solve
 
 
-def invert(a) -> Factor:
+def invert(a, dens: list[int] | None = None) -> Factor:
     """The fraction-free LU `Factor` of a square matrix over Q(i).
 
     a is given as its sparse columns {key: {row key: Scalar}}, in the
     caller's order; every row key must be a column key.  A dense list of
-    Scalar rows is the same matrix keyed by position.
+    Scalar rows is the same matrix keyed by position.  With dens, the
+    columns come cleared: column j maps each row key to a Gaussian integer
+    (a, b), and its entries are (a + b*i) / dens[j].  They are embedded as
+    they are, with no Scalar built.
 
     The factor is computed once; columns of det * a^{-1} are solved on
     first use, and `inverse()` gives the whole inverse as Scalar rows.  det
@@ -308,4 +335,6 @@ def invert(a) -> Factor:
         if any(len(row) != len(a) for row in a):
             raise ValueError(f"a dense matrix of {len(a)} rows is not square")
         a = {j: {i: row[j] for i, row in enumerate(a)} for j in range(len(a))}
-    return Factor(a, *_gaussian_columns(a.values(), a))
+    if dens is None:
+        return Factor(a, *_gaussian_columns(a.values(), a))
+    return Factor(a, *_embed(a.values(), a), dens)

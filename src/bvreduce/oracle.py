@@ -17,7 +17,7 @@ import cmath
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .bvdiff import Action
 from .errors import InputError, NotAllowable, ToleranceNotReached, read_json
@@ -28,34 +28,66 @@ RAY_RE_CUTOFF = -30.0
 _RAY_SAMPLES = (1.0, 1.25, 1.5, 2.0, 4.0)
 
 
-@dataclass(frozen=True)
-class ContourSpec:
+class _Frozen:
+    """An immutable value whose fields are its __slots__: compared, hashed, copied and pickled by them."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back object.__getstate__()'s (None, {slot: value}) as it was, unvalidated
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ContourSpec(_Frozen):
     """A polyline with two outgoing end rays.
 
     The path runs in from waypoints[0] + ray_length*end_directions[0], through
     the waypoints in order, and back out to waypoints[-1] +
-    ray_length*end_directions[1].
+    ray_length*end_directions[1].  The waypoints are stored as complex
+    numbers and the end directions scaled to unit length.
     """
 
-    waypoints: tuple[complex, ...]
-    end_directions: tuple[complex, complex]
-    ray_length: float
+    __slots__ = ("waypoints", "end_directions", "ray_length")
 
-    def __post_init__(self):
-        if not self.waypoints:
+    def __init__(self, waypoints: tuple[complex, ...], end_directions: tuple[complex, complex], ray_length: float):
+        if not waypoints:
             raise InputError("a contour needs at least one waypoint")
-        if not all(cmath.isfinite(w) for w in (*self.waypoints, *self.end_directions)):
+        if not all(cmath.isfinite(w) for w in (*waypoints, *end_directions)):
             raise InputError("waypoints and end directions must be finite")
-        if not (math.isfinite(self.ray_length) and self.ray_length > 0):
+        if not (math.isfinite(ray_length) and ray_length > 0):
             raise InputError("ray length must be positive and finite")
         dirs = []
-        for u in self.end_directions:
+        for u in end_directions:
             r = abs(u)
             if r == 0:
                 raise InputError("end directions must be nonzero")
             dirs.append(u / r)
-        object.__setattr__(self, "end_directions", (dirs[0], dirs[1]))
-        object.__setattr__(self, "waypoints", tuple(complex(w) for w in self.waypoints))
+        self._set(tuple(complex(w) for w in waypoints), (dirs[0], dirs[1]), ray_length)
 
     def with_ray_length(self, r: float) -> "ContourSpec":
         return ContourSpec(self.waypoints, self.end_directions, r)
@@ -77,10 +109,13 @@ class ContourSpec:
             raise InputError(f"bad contour description: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ComplexEstimate:
-    value: complex
-    err: float
+class ComplexEstimate(_Frozen):
+    """A complex integral estimate and its error bound; estimates add field by field."""
+
+    __slots__ = ("value", "err")
+
+    def __init__(self, value: complex, err: float):
+        self._set(value, err)
 
     def __add__(self, other: "ComplexEstimate") -> "ComplexEstimate":
         return ComplexEstimate(self.value + other.value, self.err + other.err)
@@ -323,21 +358,19 @@ def default_contours(d: int, s: SuperPoly | None = None) -> list[ContourSpec]:
     return out
 
 
-@dataclass
-class ContourCheck:
-    contour: ContourSpec
-    value_f: complex
-    values_basis: list[complex]
-    residual: float
-    bound: float
-    passed: bool
+# one contour of `verify_reduction`: I(f), each I(phi(m)), the residual, its bound and the verdict
+ContourCheck = namedtuple("ContourCheck", "contour value_f values_basis residual bound passed")
 
 
-@dataclass
 class ReductionReport:
-    coefficients: list
-    representatives: list[SuperPoly]
-    checks: list[ContourCheck] = field(default_factory=list)
+    """The class `verify_reduction` checked, its representatives and one ContourCheck per contour."""
+
+    __slots__ = ("coefficients", "representatives", "checks")
+
+    def __init__(self, coefficients: list, representatives: list[SuperPoly]):
+        self.coefficients = coefficients
+        self.representatives = representatives
+        self.checks: list[ContourCheck] = []
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import threading
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from operator import add
 
 from .bvdiff import Action, _contract, d_cl
@@ -142,12 +142,9 @@ class JacClass:
 
 def tau_diag(v: SuperPoly, d: int) -> JacClass:
     """Project onto the basis monomials: keep degree-0 terms with all exponents <= d-2."""
-    basis = jac_basis(v.n, d)
-    out = JacClass(basis)
+    out = JacClass(jac_basis(v.n, d))
     cut = d - 1
-    for (e, mask), c in v.terms.items():
-        if mask == 0 and all(p < cut for p in e):
-            out.coeffs[e] = c
+    out.coeffs = {e: c for (e, mask), c in v.terms.items() if not mask and max(e) < cut}
     return out
 
 
@@ -209,41 +206,47 @@ def _units(action: Action) -> tuple[tuple[tuple[int, int], ...], int]:
 def keep_columns(action: Action):
     """The column kernel of id - keep o eta_diag for `SliceSolver`, keep being the contraction with cgrad_mix.
 
-    column(key) is -keep(eta_diag(x^key)) as a fresh term map.  eta_diag
-    sends x^e xi^S to at most one term, units[i] x^e' xi^(S+i), and keep
-    contracts it with the Gaussian-integer rows of cgrad_mix: xi_j goes to
-    the sign of dxi_j times row j.  The products -units[i] * row j are made
-    Scalars once, on first use, so a column costs tuple additions and no
-    arithmetic.  Distinct (j, row term) give distinct keys, so nothing is
-    summed.
+    column(key) is -keep(eta_diag(x^key)) as a fresh term map of Gaussian
+    integers over one denominator, (terms, den).  eta_diag sends x^e xi^S to
+    at most one term, units[i] x^e' xi^(S+i), and keep contracts it with the
+    Gaussian-integer rows of cgrad_mix: xi_j goes to the sign of dxi_j times
+    row j.  The products -units[i] * row j are made once, on first use, as
+    integers over U * G, so a column costs tuple additions and one gcd and
+    builds no Scalar.  Distinct (j, row term) give distinct keys, so nothing
+    is summed.  A column is reduced by its own content, which keeps the
+    integers the elimination sees small.
     """
     rows, gden = action.cgrad_mix
     units, uden = _units(action)
     den = uden * gden
     d1 = action.d - 1
-    products: dict[tuple[int, int], list] = {}
+    products: dict[tuple[int, int], tuple] = {}
 
-    def product(i: int, j: int) -> list:
-        # (row term, coefficient under an even sign of dxi_j, under an odd one)
-        out = products[(i, j)] = []
+    def product(i: int, j: int) -> tuple:
+        # ((exponents, coefficient under an even sign of dxi_j, under an odd one) per row term, content)
         ua, ub = units[i]
+        out = []
+        content = den
         for ge, ga, gb in rows[j]:
-            c = gauss(ua * ga - ub * gb, ua * gb + ub * ga, den)
-            out.append((ge, -c, c))
-        return out
+            a, b = ua * ga - ub * gb, ua * gb + ub * ga
+            out.append((ge, (-a, -b), (a, b)))
+            content = gcd(content, a, b)
+        prod = products[(i, j)] = out, content
+        return prod
 
-    def column(key: Key) -> dict[Key, Scalar]:
+    def column(key: Key) -> tuple[dict[Key, tuple[int, int]], int]:
         e, mask = key
         for i, p in enumerate(e):
             if mask >> i & 1:
-                return {}
+                return {}, 1
             if p >= d1:
                 break
         else:
-            return {}
+            return {}, 1
         e = e[:i] + (p - d1,) + e[i + 1:]
         mask |= 1 << i
         out = {}
+        g = den
         rest = mask
         while rest:
             bit = rest & -rest
@@ -253,9 +256,13 @@ def keep_columns(action: Action):
             prod = products.get((i, j))
             if prod is None:
                 prod = product(i, j)
-            for ge, plus, minus in prod:
+            terms, content = prod
+            g = gcd(g, content)
+            for ge, plus, minus in terms:
                 out[(tuple(map(add, e, ge)), mask ^ bit)] = minus if odd else plus
-        return out
+        if g == 1:
+            return out, den
+        return {kk: (a // g, b // g) for kk, (a, b) in out.items()}, den // g
 
     return column
 

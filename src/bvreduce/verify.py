@@ -8,7 +8,6 @@ reported as JSON-able dicts with the seed, so every run is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import reduce as reduce_mod
 from .bvdiff import Action, action_build, d_bv
@@ -19,12 +18,16 @@ from .reduce import jac_basis, jac_rank_check, reduce_full, wick
 from .scalars import ZERO, Scalar, q
 from .superpoly import SuperPoly, monomials_of_degree
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: int = 0
-    skipped: int = 0  # instances the engine rejected as non-generic; not counted as checks
-    failures: list[dict] = field(default_factory=list)
+    """One suite's count of checks, of skipped instances and its failures."""
+
+    __slots__ = ("name", "checks", "skipped", "failures")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.skipped = 0  # instances the engine rejected as non-generic; not counted as checks
+        self.failures: list[dict] = []
 
     @property
     def passed(self) -> bool:

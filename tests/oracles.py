@@ -8,9 +8,10 @@ These deliberately avoid the engine's homotopy machinery and kernels:
   reference that `bvdiff._gradients` is tested against, and builds the rows
   `_contract` reads from arbitrary gradients;
 - `contract` runs the integer kernel `_contract` on a SuperPoly as the d_*
-  maps do, and `step_map` and `map_solver` turn the integer step of a
-  `SliceSolver` into a SuperPoly map and back, so tests state maps on
-  SuperPoly values;
+  maps do, `step_map` and `map_solver` turn the integer step of a
+  `SliceSolver` into a SuperPoly map and back, and `map_columns` and
+  `column_poly` do the same for its integer column kernel, so tests state
+  maps on SuperPoly values;
 - `model_differential` applies the hbar model's L - B - hbar*div with
   SuperPoly derivatives and products alone, and `pack_exponents` and
   `unpack_exponents` turn exponent tuples into the packed words the hbar
@@ -90,6 +91,23 @@ def step_map(n: int, step):
         return SuperPoly(n, {key: gauss(a, b, den) for key, (a, b) in terms.items() if a or b})
 
     return apply
+
+
+def map_columns(eta, keep):
+    """SuperPoly maps eta and keep as a SliceSolver column kernel: key -> -keep(eta(x^key)) as (Gaussian integers, den)."""
+
+    def column(key):
+        terms = keep(eta(SuperPoly(len(key[0]), {key: Scalar(-1)}))).terms
+        pairs, den = clear_denominators(terms.values())
+        return dict(zip(terms, pairs)), den
+
+    return column
+
+
+def column_poly(n: int, column) -> SuperPoly:
+    """A cleared column (terms, den), as a column kernel or `SliceSolver._slice` hands it over, as a SuperPoly."""
+    terms, den = column
+    return SuperPoly(n, {key: gauss(a, b, den) for key, (a, b) in terms.items() if a or b})
 
 
 def map_solver(n: int, d: int, eta, column, drop) -> SliceSolver:

@@ -14,7 +14,7 @@ from bvreduce import (
     d_div,
     q,
 )
-from bvreduce.bvdiff import _gradients
+from bvreduce.bvdiff import _contract, _gradients
 from bvreduce.scalars import ONE
 from bvreduce.verify import random_action, random_degree1, random_rational
 from oracles import contract, contraction_terms, weight_split
@@ -269,3 +269,51 @@ def test_differentials_square_to_zero():
         assert d_div(d_div(v)).is_zero
         assert (d_cl(a, d_div(v)) + d_div(d_cl(a, v))).is_zero
         assert d_bv(a, d_bv(a, v)).is_zero
+
+
+def _contract_per_term(gterms, terms, div):
+    """`_contract` computed term by term: each contribution as its own complex product, then added per key."""
+    rows, gden = gterms
+    out = {}
+    for (e, m), (ca, cb) in terms.items():
+        for i in range(len(e)):
+            bit = 1 << i
+            if not m & bit:
+                continue
+            sign = -1 if (m & (bit - 1)).bit_count() % 2 else 1
+            parts = [(tuple(x + y for x, y in zip(e, ge)), ga, gb) for ge, ga, gb in rows[i]]
+            if div and e[i]:
+                parts.append((tuple(x - (j == i) for j, x in enumerate(e)), e[i] * gden, 0))
+            for ee, ga, gb in parts:
+                s = out.setdefault((ee, m ^ bit), [0, 0])
+                s[0] += sign * (ga * ca - gb * cb)
+                s[1] += sign * (ga * cb + gb * ca)
+    return out
+
+
+def test_contract_accumulates_as_the_per_term_reference():
+    """`_contract` equals the per-term sums on random inputs, with and without the divergence."""
+    rng = random.Random(57)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = tuple(
+            [(tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(-3, 3), rng.randint(-2, 2) * rng.randint(0, 1))
+             for _ in range(rng.randint(0, 3))]
+            for _ in range(n)
+        )
+        gterms = rows, rng.randint(1, 6)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            key = tuple(rng.randint(0, 3) for _ in range(n)), rng.randrange(1 << n)
+            terms[key] = rng.randint(-4, 4), rng.randint(-4, 4) * rng.randint(0, 1)
+        for div in (False, True):
+            assert _contract(gterms, terms, div) == _contract_per_term(gterms, terms, div)
+
+
+def test_contract_keeps_a_cancelled_sum():
+    # x0 xi0 and -x1 xi1 contracted with the gradients (x1, x0) both reach x0 x1, and cancel there
+    gterms = ([((0, 1), 1, 0)], [((1, 0), 1, 0)]), 1
+    terms = {((1, 0), 1): (2, 1), ((0, 1), 2): (-2, -1)}
+    assert _contract(gterms, terms) == {((1, 1), 0): [0, 0]}
+    # with the divergence they also reach 1, with 2 + i and -2 - i, and that sum is kept too
+    assert _contract(gterms, terms, div=True) == {((1, 1), 0): [0, 0], ((0, 0), 0): [0, 0]}

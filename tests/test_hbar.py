@@ -323,6 +323,26 @@ def test_slot_width_follows_the_budget():
     assert 2 * (MAX_HBAR_ORDER_DEGREE // 2) < 1 << SLOT_BITS
 
 
+def test_a_budget_lifted_at_run_time_cannot_overflow_a_slot(monkeypatch):
+    """The slot width is fixed at import: past it, a K is refused, not answered with carried exponents."""
+    import bvreduce.hbar as hbar
+
+    monkeypatch.setattr(hbar, "MAX_HBAR_ORDER_DEGREE", 2000)
+    n = 2
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    quartic = HbarModel(n, [[2, 1], [1, 3]], {4: x0**4 + x0 * x1**3})
+    for route in (hbar_reduce, hbar_oracle):
+        with pytest.raises(InputError, match=f"order K=400 holds exponents up to 800, past the {SLOT_BITS}-bit slot"):
+            route(x0**2, quartic, 400)
+    # the last K whose 2K fits a slot is answered, and the next one refused
+    free = HbarModel(n, [[2, 1], [1, 3]])
+    top = (1 << SLOT_BITS) // 2 - 1
+    f = x0 ** (2 * top - 2) * x1**2
+    assert hbar_reduce(f, free, top) == hbar_oracle(f, free, top)
+    with pytest.raises(InputError, match="past the"):
+        hbar_reduce(f, free, top + 1)
+
+
 @pytest.mark.parametrize("e", [(MAX_HBAR_ORDER_DEGREE,), (16, 16, 16)])
 def test_largest_exponent_in_a_slot(e):
     """No vertex and K = MAX_HBAR_ORDER_DEGREE / 2: the observable's exponents fill their slots to 2K."""

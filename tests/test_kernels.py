@@ -21,7 +21,7 @@ from bvreduce.errors import SingularMatrix
 from bvreduce.reduce import ReduceSession
 from bvreduce.scalars import clear_denominators, gauss
 from bvreduce.superpoly import monomials_of_degree
-from oracles import contract, contraction_terms, map_solver, step_map
+from oracles import contract, contraction_terms, map_columns, map_solver, step_map
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -497,9 +497,8 @@ def test_slice_solver_apply_matches_reference(data):
     def drop(v):
         return from_ref(2, drop_ref(ref(v)))
 
-    def column(key):
-        # eta is the identity, so the column kernel is key -> -keep(x^key)
-        return dict(keep(SuperPoly(2, {key: -Scalar(1)})).terms)
+    # eta is the identity, so the column kernel is key -> -keep(x^key)
+    column = map_columns(lambda v: v, keep)
 
     y = data.draw(polys(2, xi=True))
     # v = y - t(y): the leak of each solved slice cancels the matching terms of v

@@ -589,3 +589,62 @@ def test_rank_of_sparse_vectors_matches_fraction_reference():
         keys = sorted({key for v in vectors for key in v}, key=repr)
         dense = [[v.get(key, Scalar(0)) for key in keys] for v in vectors]
         assert rank(vectors) == _fraction_gauss_rank(dense) == rank(dense)
+
+
+def test_real_factor_sums_real_columns_for_a_complex_bucket():
+    """A real factor's memoized solve of a bucket with imaginary parts equals `solve` and the Fraction route.
+
+    The bucket holds a real, a purely imaginary and a complex entry, so the
+    real-only column sum adds X Im g only where g has an imaginary part; a
+    real bucket leaves the imaginary half 0.
+    """
+    rng = random.Random(30)
+    k = 5
+    while True:
+        a = _mat(rng, k, k, complex_part=False)
+        if rank(a) == k:
+            break
+    f = invert(a)
+    assert len(f._upper) == k  # not realified
+    rhs = {0: _frac_scalar(Fraction(3, 4)), 2: _frac_scalar(0, Fraction(-5, 3)), 4: _frac_scalar(2, Fraction(1, 6))}
+    want = _dense_fraction_solve(a, rhs)
+    assert f.solve(rhs) == want  # the first solve, one substitution
+    assert _solved_columns(f) == []
+    g, den = clear_denominators(rhs.values())
+    yr, yi = f.solve_cleared(list(rhs), g)  # through memoized columns
+    assert _solved_columns(f) == [0, 2, 4]
+    assert {key: gauss(re, im, den * f.det) for key, re, im in zip(f.keys, yr, yi) if re or im} == want
+    assert f.solve(rhs) == invert(a).solve(rhs) == want
+    real = {0: _frac_scalar(Fraction(3, 4)), 4: _frac_scalar(2)}
+    g, den = clear_denominators(real.values())
+    yr, yi = f.solve_cleared(list(real), g)
+    assert yi == [0] * k
+    assert {key: gauss(re, 0, den * f.det) for key, re in zip(f.keys, yr) if re} == _dense_fraction_solve(a, real)
+
+
+def test_invert_of_cleared_columns_is_invert_of_their_scalars():
+    """Columns handed to `invert` as Gaussian integers over their denominators factor as their Scalar columns do.
+
+    A column over a denominator with a common factor left in solves the same.
+    """
+    rng = random.Random(31)
+    k = 5
+    for complex_matrix in (False, True):
+        while True:
+            a = _mat(rng, k, k, complex_part=complex_matrix)
+            if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
+                break
+        cols = {j: {i: a[i][j] for i in range(k) if a[i][j]} for j in range(k)}
+        cleared, dens = {}, []
+        for j, col in cols.items():
+            g, den = clear_denominators(col.values())
+            cleared[j] = dict(zip(col, g))
+            dens.append(den)
+        f, ref = invert(cleared, dens), invert(cols)
+        assert (len(f._upper) > k) == complex_matrix
+        assert f.det == ref.det and f.inverse() == ref.inverse()
+        rhs = {1: _frac_scalar(Fraction(2, 7), 1), 3: _frac_scalar(-3)}
+        assert f.solve(rhs) == f.solve(rhs) == _dense_fraction_solve(a, rhs)
+        cleared[2] = {i: (3 * re, 3 * im) for i, (re, im) in cleared[2].items()}
+        dens[2] *= 3
+        assert invert(cleared, dens).inverse() == ref.inverse()

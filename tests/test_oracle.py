@@ -1,11 +1,14 @@
 import cmath
+import copy
 import json
 import math
+import pickle
 import warnings
 
 import pytest
 
 from bvreduce import (
+    ComplexEstimate,
     ContourSpec,
     InputError,
     NotAllowable,
@@ -137,6 +140,42 @@ def test_contour_json_round_trip():
         "ray_length": c.ray_length,
     }
     assert ContourSpec.from_json(json.loads(json.dumps(doc))) == c
+
+
+def test_contour_spec_is_an_immutable_value():
+    c = ContourSpec((1, 2j), (2 + 0j, -3j), 5.0)
+    assert c.waypoints == (1 + 0j, 2j) and c.end_directions == (1 + 0j, -1j)
+    same = ContourSpec(waypoints=(1 + 0j, 2j), end_directions=(1, -1j), ray_length=5.0)
+    assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+    assert c != c.with_ray_length(6.0) and c != (c.waypoints, c.end_directions, c.ray_length)
+    assert repr(c) == f"ContourSpec(waypoints={c.waypoints!r}, end_directions={c.end_directions!r}, ray_length=5.0)"
+    with pytest.raises(AttributeError):
+        c.ray_length = 1.0
+    with pytest.raises(AttributeError):
+        del c.waypoints
+    # copies and pickles keep the stored fields as they are, without validating them again
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and twin is not c and twin._fields() == c._fields()
+    for args, msg in [
+        (((), (1, 1), 1.0), "at least one waypoint"),
+        (((0j,), (1, complex("nan")), 1.0), "finite"),
+        (((0j,), (1, 1), 0.0), "positive and finite"),
+        (((0j,), (1, 0), 1.0), "nonzero"),
+    ]:
+        with pytest.raises(InputError, match=msg):
+            ContourSpec(*args)
+
+
+def test_complex_estimate_is_a_value_not_a_tuple():
+    est = ComplexEstimate(1 + 2j, 0.5)
+    assert est + ComplexEstimate(1j, 0.25) == ComplexEstimate(1 + 3j, 0.75)
+    assert est != (1 + 2j, 0.5) and hash(est) == hash(ComplexEstimate(1 + 2j, 0.5))
+    assert repr(est) == "ComplexEstimate(value=(1+2j), err=0.5)"
+    assert pickle.loads(pickle.dumps(est)) == est == copy.deepcopy(est)
+    with pytest.raises(TypeError):
+        est * 2
+    with pytest.raises(AttributeError):
+        est.err = 0.0
 
 
 def test_oracle_rejects_multivariable():

@@ -2,6 +2,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,14 @@ def test_every_src_cache_is_bounded():
                 sizes[f"{path.stem}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"hpl.slice_basis", "reduce.jac_basis"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size is None} == {}
+
+
+def test_cli_oracle_and_verify_import_no_dataclasses():
+    """A fresh `bvreduce oracle` or `verify` child does not import dataclasses, which pulls in inspect, ast and dis."""
+    src = Path(bvreduce.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bvreduce.cli, bvreduce.oracle, bvreduce.verify; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
