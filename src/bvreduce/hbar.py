@@ -41,12 +41,13 @@ walk holds is at most 2K, which the budget on K keeps inside a slot.
 from __future__ import annotations
 
 import re
-from math import factorial, gcd, lcm
+from math import gcd, lcm
+from operator import add
 
 from .bvdiff import _gradients
 from .errors import InputError
 from .linalg import invert
-from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
+from .scalars import ZERO, Scalar, clear_denominators, gauss
 from .superpoly import SuperPoly, sum_pairs
 
 MAX_HBAR_ORDER_DEGREE = 48
@@ -372,76 +373,131 @@ def _gather(parts: list) -> tuple[dict, int]:
     return {e: (a // g, b // g) for e, (a, b) in terms.items() if a or b}, den // g
 
 
-def isserlis_moment(cov_rows, alpha: tuple[int, ...]) -> Scalar:
-    """Gaussian moment E[x^alpha] for a covariance matrix, by pair recursion."""
-    cov = tuple(tuple(Scalar.of(v) for v in row) for row in cov_rows)
-    return _isserlis(cov, tuple(alpha), {})
+def gaussian_moments(cov_rows):
+    """(moment, A) for a covariance matrix cov = C / A, C a Gaussian-integer matrix and A > 0 the lcm of its
+    denominators: E[x^alpha] = M_C(alpha) / A^(|alpha|/2), and moment(alpha) is M_C(alpha) as a pair (a, b).
 
+    M_C is the Isserlis pair recursion on C, which takes one entry of C per
+    pair, so it stays in integers; an odd alpha gives 0.  moment keeps one memo
+    of the moments it has found, so a caller that reads many moments of one
+    matrix finds each once.
+    """
+    rows = [[Scalar.of(v) for v in row] for row in cov_rows]
+    n = len(rows)
+    flat, A = clear_denominators([v for row in rows for v in row])
+    # the nonzero entries (j, a, b) of each row of C
+    nonzero = [[(j, a, b) for j, (a, b) in enumerate(flat[n * i:n * (i + 1)]) if a or b] for i in range(n)]
+    memo = {(0,) * n: (1, 0)}
 
-def _isserlis(cov, alpha: tuple[int, ...], memo: dict) -> Scalar:
-    """E[x^alpha] for cov; memo holds the moments of cov found so far, so a caller keeps one per matrix."""
-    total_deg = sum(alpha)
-    if total_deg == 0:
-        return ONE
-    if total_deg % 2:
-        return ZERO
-    got = memo.get(alpha)
-    if got is not None:
+    def moment(alpha: tuple[int, ...]) -> tuple[int, int]:
+        got = memo.get(alpha)
+        if got is not None:
+            return got
+        i = next(k for k, p in enumerate(alpha) if p)
+        beta = list(alpha)
+        beta[i] -= 1
+        sa = sb = 0
+        for j, ca, cb in nonzero[i]:
+            if bj := beta[j]:
+                gamma = beta.copy()
+                gamma[j] -= 1
+                ma, mb = moment(tuple(gamma))
+                sa += bj * (ca * ma - cb * mb)
+                sb += bj * (ca * mb + cb * ma)
+        memo[alpha] = got = (sa, sb)
         return got
-    i = next(k for k, a in enumerate(alpha) if a > 0)
-    beta = list(alpha)
-    beta[i] -= 1
-    acc = ZERO
-    for j, bj in enumerate(beta):
-        if bj and cov[i][j]:
-            gamma = list(beta)
-            gamma[j] -= 1
-            acc = acc + cov[i][j] * bj * _isserlis(cov, tuple(gamma), memo)
-    memo[alpha] = acc
-    return acc
+
+    return moment, A
+
+
+def isserlis_moment(cov_rows, alpha: tuple[int, ...]) -> Scalar:
+    """Gaussian moment E[x^alpha] for a covariance matrix, by pair recursion (`gaussian_moments`)."""
+    moment, A = gaussian_moments(cov_rows)
+    alpha = tuple(alpha)
+    return gauss(*moment(alpha), A ** (sum(alpha) // 2))
+
+
+def _by_degree(pairs) -> dict[int, list]:
+    """Terms (e, a, b) grouped by the degree of e."""
+    out: dict[int, list] = {}
+    for e, a, b in pairs:
+        out.setdefault(sum(e), []).append((e, a, b))
+    return out
 
 
 def hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     """Perturbative Gaussian check: <f e^U> / <e^U> with propagator hbar * a^{-1}.
 
-    Independent of the rewriting route: vertex factors are expanded as
-    polynomial powers and all moments evaluated by Isserlis pairings.  K is
-    held to the walk's budget, MAX_HBAR_ORDER_DEGREE.
+    Independent of the rewriting route, it reads only m.ainv and m.u: the
+    vertex powers U^r / r! are expanded once, as exponent tuples over Gaussian
+    integers, and every moment is found by Isserlis pairings in Gaussian
+    integers over the cleared a^{-1} (`gaussian_moments`), one memo per call.
+    A monomial of degree D in g U^r / r! contributes at hbar^(D/2 - r).  Every
+    vertex has degree >= 3, so a product with U never lowers deg - 2r, and a
+    term of U^r with deg - 2r > 2K reaches only orders past K: it is never
+    formed.  K is held to the walk's budget, MAX_HBAR_ORDER_DEGREE.
     """
     _check_budget(K, m)  # before any vertex power is expanded
+    if f.n != m.n:
+        raise ValueError("variable count mismatch")
     if any(mask for _, mask in f.terms):
         raise InputError("observables must be xi-free")
-    cov = tuple(tuple(v for v in row) for row in m.ainv)
-    memo: dict = {}
-    u = m.u
+    n = m.n
+    moment, A = gaussian_moments(m.ainv)
+    upairs, uden = clear_denominators(m.u.terms.values())
+    # the terms of U by degree, lowest first, so a product stops at the first degree past the cut
+    vertex = sorted(_by_degree((e, a, b) for (e, _), (a, b) in zip(m.u.terms, upairs)).items())
+    # powers[r] = (terms, den): U^r / r! is sum terms[deg][e] x^e / den, with deg - 2r <= 2K
+    powers = [({0: {(0,) * n: [1, 0]}}, 1)]
+    while vertex:
+        terms, den = powers[-1]
+        r = len(powers)
+        top = 2 * (K + r)
+        nxt: dict[int, dict] = {}
+        for deg, part in terms.items():
+            for l, uterms in vertex:
+                if deg + l > top:
+                    break
+                out = nxt.setdefault(deg + l, {})
+                for e, (a, b) in part.items():
+                    for eu, ua, ub in uterms:
+                        key = tuple(map(add, e, eu))
+                        ca, cb = a * ua - b * ub, a * ub + b * ua
+                        s = out.get(key)
+                        if s is None:
+                            out[key] = [ca, cb]
+                        else:
+                            s[0] += ca
+                            s[1] += cb
+        if not nxt:
+            break
+        powers.append((nxt, den * uden * r))
 
-    def bracket(g: SuperPoly) -> list[Scalar]:
-        # <g e^{U/hbar}>_0 as a truncated series; each monomial of degree D in
-        # the r-th vertex power contributes at hbar^(D/2 - r)
+    def bracket(g: dict, gden: int) -> list[Scalar]:
+        # <g e^{U/hbar}>_0 truncated at hbar^K, g by degree over gden; one Scalar per (r, hbar order)
         out = [ZERO] * (K + 1)
-        rmax = 2 * K if not u.is_zero else 0
-        upow = SuperPoly.one(m.n)
-        for r in range(rmax + 1):
-            inv_fact = Scalar(q(1, factorial(r)))
-            prod = g * upow
-            for (e, _), c in prod.terms.items():
-                deg = sum(e)
-                if deg % 2:
-                    continue
-                p = deg // 2 - r
-                if p < 0:
-                    raise AssertionError("negative hbar power; vertex degrees < 3?")
-                if p > K:
-                    continue
-                mom = _isserlis(cov, e, memo)
-                if mom:
-                    out[p] = out[p] + c * inv_fact * mom
-            if r < rmax:
-                upow = upow * u
+        for r, (terms, den) in enumerate(powers):
+            for dg, gterms in g.items():
+                for deg, part in terms.items():
+                    total = dg + deg
+                    p = total // 2 - r
+                    if total % 2 or p > K:
+                        continue
+                    sa = sb = 0
+                    for eg, ga, gb in gterms:
+                        for e, (a, b) in part.items():
+                            ma, mb = moment(tuple(map(add, eg, e)))
+                            if ma or mb:
+                                ca, cb = ga * a - gb * b, ga * b + gb * a
+                                sa += ca * ma - cb * mb
+                                sb += ca * mb + cb * ma
+                    if sa or sb:
+                        out[p] = out[p] + gauss(sa, sb, gden * den * A ** (p + r))
         return out
 
-    num = bracket(f)
-    den = bracket(SuperPoly.one(m.n))
+    fpairs, fden = clear_denominators(f.terms.values())
+    num = bracket(_by_degree((e, a, b) for (e, _), (a, b) in zip(f.terms, fpairs)), fden)
+    den = bracket({0: [((0,) * n, 1, 0)]}, 1)
     if not den[0]:
         raise AssertionError("normalization series has zero constant term")
     ratio = [ZERO] * (K + 1)

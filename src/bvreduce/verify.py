@@ -12,10 +12,10 @@ import random
 from . import reduce as reduce_mod
 from .bvdiff import Action, action_build, d_bv
 from .errors import EngineError, NotGenericAtWeight, SingularMatrix
-from .hbar import isserlis_moment
+from .hbar import gaussian_moments
 from .linalg import invert
 from .reduce import jac_basis, jac_rank_check, reduce_full, wick
-from .scalars import ZERO, Scalar, q
+from .scalars import ZERO, Scalar, gauss, q
 from .superpoly import SuperPoly, monomials_of_degree
 
 class SuiteReport:
@@ -182,18 +182,21 @@ def check_section(trials: int, seed: int, n_max: int = 3, d_max: int = 4) -> Sui
 
 
 def isserlis_wick(a: Action, f: SuperPoly) -> Scalar:
-    """Independent quadratic oracle: shift to the critical point, pair with covariance -(s2)^{-1}."""
+    """Independent quadratic oracle: shift to the critical point, pair with covariance -(s2)^{-1}.
+
+    The covariance is cleared once and one moment memo serves every term.
+    """
     s2, s1, _ = a.quad
     s2inv = invert(s2).inverse()
     n = a.n
     crit = [-sum((s2inv[i][j] * s1[j] for j in range(n)), ZERO) for i in range(n)]
-    cov = tuple(tuple(-s2inv[i][j] for j in range(n)) for i in range(n))
+    moment, cden = gaussian_moments([[-s2inv[i][j] for j in range(n)] for i in range(n)])
     g = f.shift(crit)
     total = ZERO
     for (e, mask), c in g.terms.items():
         if mask:
             raise ValueError("degree-0 observables only")
-        total = total + c * isserlis_moment(cov, e)
+        total = total + c * gauss(*moment(e), cden ** (sum(e) // 2))
     return total
 
 

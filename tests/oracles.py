@@ -16,16 +16,22 @@ These deliberately avoid the engine's homotopy machinery and kernels:
   SuperPoly derivatives and products alone, and `pack_exponents` and
   `unpack_exponents` turn exponent tuples into the packed words the hbar
   walk keys its terms by and back;
+- `reference_hbar_oracle` is the plain perturbative expansion that
+  `hbar.hbar_oracle` is tested against: every power of U in full, once for
+  <f e^U> and again for <e^U>, and each moment by the Isserlis recursion in
+  Scalars (`scalar_moment`);
 - `result_from_json` reads a `bvreduce reduce` result back into a JacClass.
 """
 from __future__ import annotations
 
-from bvreduce import Action, HbarModel, InputError, JacClass, Scalar, SuperPoly, jac_basis
+from math import factorial
+
+from bvreduce import Action, HbarModel, HbarSeries, InputError, JacClass, Scalar, SuperPoly, jac_basis
 from bvreduce.bvdiff import _contract_poly
 from bvreduce.cli import _is_int, _scalar_from_json
 from bvreduce.hbar import SLOT_BITS
 from bvreduce.hpl import SliceSolver
-from bvreduce.scalars import clear_denominators, gauss
+from bvreduce.scalars import ONE, ZERO, clear_denominators, gauss, q
 
 
 def ibp_moments(action: Action, k_max: int) -> list[list[Scalar]]:
@@ -147,6 +153,68 @@ def unpack_exponents(word: int, n: int) -> tuple[int, ...]:
     """The exponent tuple of a packed word with n slots; nothing may be set past the n-th slot."""
     assert 0 <= word < 1 << (SLOT_BITS * n), f"word {word} has more than {n} slots"
     return tuple((word >> (SLOT_BITS * j)) & ((1 << SLOT_BITS) - 1) for j in range(n))
+
+
+def scalar_moment(cov, alpha: tuple[int, ...], memo: dict) -> Scalar:
+    """E[x^alpha] for the Scalar covariance rows cov by the Isserlis pair recursion; memo holds the moments of cov
+    found so far."""
+    total_deg = sum(alpha)
+    if total_deg == 0:
+        return ONE
+    if total_deg % 2:
+        return ZERO
+    got = memo.get(alpha)
+    if got is not None:
+        return got
+    i = next(k for k, a in enumerate(alpha) if a > 0)
+    beta = list(alpha)
+    beta[i] -= 1
+    acc = ZERO
+    for j, bj in enumerate(beta):
+        if bj and cov[i][j]:
+            gamma = list(beta)
+            gamma[j] -= 1
+            acc = acc + cov[i][j] * bj * scalar_moment(cov, tuple(gamma), memo)
+    memo[alpha] = acc
+    return acc
+
+
+def reference_hbar_oracle(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
+    """<f e^U> / <e^U> with propagator hbar * a^{-1}, every power U^r, r <= 2K, expanded in full for each bracket."""
+    cov = tuple(tuple(v for v in row) for row in m.ainv)
+    memo: dict = {}
+    u = m.u
+
+    def bracket(g: SuperPoly) -> list[Scalar]:
+        # each monomial of degree D in g U^r / r! contributes at hbar^(D/2 - r)
+        out = [ZERO] * (K + 1)
+        rmax = 2 * K if not u.is_zero else 0
+        upow = SuperPoly.one(m.n)
+        for r in range(rmax + 1):
+            inv_fact = Scalar(q(1, factorial(r)))
+            for (e, _), c in (g * upow).terms.items():
+                deg = sum(e)
+                if deg % 2:
+                    continue
+                p = deg // 2 - r
+                assert p >= 0, "negative hbar power; vertex degrees < 3?"
+                if p <= K:
+                    mom = scalar_moment(cov, e, memo)
+                    if mom:
+                        out[p] = out[p] + c * inv_fact * mom
+            if r < rmax:
+                upow = upow * u
+        return out
+
+    num = bracket(f)
+    den = bracket(SuperPoly.one(m.n))
+    ratio = [ZERO] * (K + 1)
+    for k in range(K + 1):
+        acc = num[k]
+        for j in range(k):
+            acc = acc - ratio[j] * den[k - j]
+        ratio[k] = acc / den[0]
+    return HbarSeries(m.n, K, ratio)
 
 
 def result_from_json(data) -> JacClass:

@@ -19,12 +19,19 @@ from bvreduce import (
     wick,
 )
 from bvreduce.bvdiff import d_div
-from bvreduce.hbar import MAX_HBAR_ORDER_DEGREE, SLOT_BITS, feynman_rules
+from bvreduce.hbar import MAX_HBAR_ORDER_DEGREE, SLOT_BITS, feynman_rules, gaussian_moments
 from bvreduce.linalg import invert
 from bvreduce.scalars import clear_denominators, gauss
 from bvreduce.superpoly import monomials_of_degree
 from bvreduce.verify import random_rational
-from oracles import contract, contraction_terms, model_differential, pack_exponents, unpack_exponents
+from oracles import (
+    contract,
+    contraction_terms,
+    model_differential,
+    pack_exponents,
+    reference_hbar_oracle,
+    unpack_exponents,
+)
 
 
 def _model1(vertices=None):
@@ -280,6 +287,16 @@ def test_isserlis_values():
     cov2 = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(1)]]
     assert isserlis_moment(cov2, (2, 2)) == Scalar(1)
     assert isserlis_moment(cov2, (1, 1)) == Scalar(0)
+    # complex entries: E[x0^2 x1^2] = c00 c11 + 2 c01^2
+    i = Scalar(0, 1)
+    assert isserlis_moment([[i, 1], [1, 2]], (2, 2)) == Scalar(2, 2)
+    assert isserlis_moment([[i / 2, Scalar(q(1, 3))], [Scalar(q(1, 3)), 2]], (2, 2)) == Scalar(q(2, 9), 1)
+    # the integer core: cov = C / 6 and E[x^alpha] = M_C(alpha) / 6^(|alpha|/2)
+    moment, A = gaussian_moments([[i / 2, Scalar(q(1, 3))], [Scalar(q(1, 3)), 2]])
+    assert A == 6
+    assert moment((2, 2)) == (8, 36)
+    assert moment((3, 0)) == (0, 0)
+    assert moment((0, 0)) == (1, 0)
 
 
 def test_model_validation():
@@ -433,3 +450,96 @@ def test_pinned_series_digest():
             line = "SingularMatrix"
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == "00d5f0896930dde8f4d08391ba0a54ef24694357cd2dcd4f0e66009eb0e66973"
+
+
+def test_routes_refuse_a_variable_count_mismatch(monkeypatch):
+    """An observable in another number of variables than the model is refused before any moment is found."""
+    import bvreduce.hbar as hbar
+
+    m = HbarModel(2, [[2, 1], [1, 3]], {3: SuperPoly.x(2, 0) ** 3})
+    monkeypatch.setattr(hbar, "gaussian_moments", None)  # an oracle that went on would fail with a TypeError
+    for f in (SuperPoly.x(1, 0) ** 2, SuperPoly.x(3, 2) ** 2):
+        for route in (hbar_reduce, hbar_oracle):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                route(f, m, 2)
+
+
+def _random_model(rng, n, degrees, cplx):
+    """A pairing (complex entries when cplx) and random vertices of the given degrees; None when singular."""
+
+    def entry(height, nonzero=False):
+        c = random_rational(rng, height, nonzero)
+        return c + random_rational(rng, 2, nonzero=True) * Scalar(0, 1) if cplx and rng.random() < 0.7 else c
+
+    a = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = entry(3, nonzero=True)
+        for j in range(i):
+            a[i][j] = a[j][i] = entry(2)
+    vertices = {}
+    for deg in degrees:
+        terms = [e for e in monomials_of_degree(n, deg) if rng.random() < 0.5] or [(deg,) + (0,) * (n - 1)]
+        vertices[deg] = sum((SuperPoly.monomial(n, e, coeff=entry(2, nonzero=True)) for e in terms), SuperPoly.zero(n))
+    try:
+        return HbarModel(n, a, vertices)
+    except SingularMatrix:
+        return None
+
+
+@pytest.mark.parametrize("degrees", [(), (3,), (4,), (3, 4)], ids=["free", "cubic", "quartic", "cubic+quartic"])
+def test_oracle_matches_the_full_expansion(degrees):
+    """hbar_oracle against the plain expansion: every power of U in full and Scalar Isserlis moments."""
+    rng = random.Random(91 + len(degrees) + sum(degrees))
+    checked = 0
+    for case in range(8):
+        n = 1 + case % 3
+        K = rng.randint(0, 4 if n < 3 else 3) if case else 4  # the first case at n = 1, K = 4
+        m = _random_model(rng, n, degrees, cplx=case % 2 == 1)
+        if m is None:
+            continue
+        f = SuperPoly.zero(n)
+        for deg in range(6):  # degrees 0 to 5, odd ones included
+            if rng.random() < 0.6:
+                e = [0] * n
+                for _ in range(deg):
+                    e[rng.randrange(n)] += 1
+                f = f + SuperPoly.monomial(n, e, coeff=random_rational(rng, 3, nonzero=True))
+        assert hbar_oracle(f, m, K) == reference_hbar_oracle(f, m, K)
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("n, K", [(2, 12), (3, 6)])
+def test_reduce_matches_oracle_with_every_cubic_and_quartic_monomial(n, K):
+    """The largest K the budget admits for quartic vertices at n = 2, and n = 3 at K = 6."""
+    vertices = {
+        deg: sum((SuperPoly.monomial(n, e, coeff=Scalar(q(1, fact))) for e in monomials_of_degree(n, deg)),
+                 SuperPoly.zero(n))
+        for deg, fact in ((3, 6), (4, 24))
+    }
+    m = HbarModel(n, [[2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)], vertices)
+    x0, xl = SuperPoly.x(n, 0), SuperPoly.x(n, n - 1)
+    f = x0**2 + x0 * xl * Scalar(q(1, 2)) + xl**3 * Scalar(q(1, 3))
+    got = hbar_oracle(f, m, K)
+    assert got == hbar_reduce(f, m, K)
+    assert all(got.scalars()[1:])
+
+
+def test_oracle_needs_nothing_of_the_walk(monkeypatch):
+    """hbar_oracle reads m.ainv and m.u only: the walk's kernels and its cleared a^{-1} may all be gone."""
+    import bvreduce.hbar as hbar
+
+    rng = random.Random(93)
+    m = _random_model(rng, 2, (3, 4), cplx=True)
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    f = x0**2 * x1 + x1**2 - x0 * Scalar(q(2, 5))
+    want = hbar_oracle(f, m, 4)
+
+    def gone(*args, **kwargs):
+        raise AssertionError("hbar_oracle called into the walk")
+
+    for name in ("feynman_rules", "_gather", "_pack"):
+        monkeypatch.setattr(hbar, name, gone)
+    m.cainv = None
+    assert hbar_oracle(f, m, 4) == want
+    assert want == reference_hbar_oracle(f, m, 4)

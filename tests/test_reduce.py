@@ -246,6 +246,20 @@ def test_wick_triple_agreement_random():
         assert w == o == r
 
 
+def test_isserlis_wick_clears_the_covariance_once(monkeypatch):
+    """A complex action and an observable of many terms: one cleared covariance serves every moment."""
+    import bvreduce.verify as verify_mod
+
+    real, calls = verify_mod.gaussian_moments, []
+    monkeypatch.setattr(verify_mod, "gaussian_moments", lambda cov: calls.append(cov) or real(cov))
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    i = Scalar(0, 1)
+    a = action_build(x0**2 * (i - 1) * Scalar(q(1, 2)) + x0 * x1 * Scalar(q(1, 3)) - x1**2 + x0 * Scalar(q(1, 2)))
+    f = x0**4 + x0**2 * x1**2 * i + x1**3 - x0 * Scalar(q(2, 5)) + Scalar(7)
+    assert isserlis_wick(a, f) == wick(a, f)
+    assert len(calls) == 1
+
+
 def test_wick_rejects_nonquadratic():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
