@@ -48,7 +48,7 @@ from .bvdiff import _gradients
 from .errors import InputError
 from .linalg import invert
 from .scalars import ZERO, Scalar, clear_denominators, gauss
-from .superpoly import SuperPoly, sum_pairs
+from .superpoly import SuperPoly, pack, sum_pairs
 
 MAX_HBAR_ORDER_DEGREE = 48
 """Budget on K * max(2, largest vertex degree) in hbar_reduce and hbar_oracle; a larger product is an InputError.
@@ -60,14 +60,6 @@ with the number of variables, which the budget does not read.
 SLOT_BITS = MAX_HBAR_ORDER_DEGREE.bit_length()
 """Bits per exponent in a packed word: enough for 2K, the largest exponent the walk holds, under the budget."""
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-
-
-def _pack(e) -> int:
-    """The exponent tuple e as one word, e_j in bits SLOT_BITS * j and up; each e_j must fit its slot."""
-    word = 0
-    for j, p in enumerate(e):
-        word += p << (SLOT_BITS * j)
-    return word
 
 
 def _check_order(K) -> None:
@@ -156,7 +148,7 @@ class HbarModel:
         grads = []
         for deg in sorted(verts):
             rows, gden = _gradients(verts[deg])
-            grads.append((deg, tuple([(_pack(e), a, b) for e, a, b in row] for row in rows), gden))
+            grads.append((deg, tuple([(pack(e, SLOT_BITS), a, b) for e, a, b in row] for row in rows), gden))
         self.cgrad_vertices = tuple(grads)
         self.max_vertex_degree = max(verts) if verts else 0
 
@@ -258,7 +250,7 @@ def hbar_reduce(f: SuperPoly, m: HbarModel, K: int) -> HbarSeries:
     for (e, _), c in f.terms.items():
         deg = sum(e)
         if deg <= 2 * K:  # packed only once it survives the cut: a dropped term's exponent may not fit a slot
-            push(0, deg, {_pack(e): [c.a, c.b]}, c.den)
+            push(0, deg, {pack(e, SLOT_BITS): [c.a, c.b]}, c.den)
     result = [ZERO] * (K + 1)
     while buckets:
         r, deg = pair = max(buckets)

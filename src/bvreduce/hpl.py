@@ -24,35 +24,15 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import InputError, NonTerminating, NotGenericAtWeight, SingularMatrix
 from .linalg import Factor, invert
 from .scalars import Scalar, clear_denominators, gauss
-from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, term_weight
+from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, pack, term_weight
 
 Step = Callable[[dict, int], tuple[dict, int]]
-
-
-@lru_cache(maxsize=256)
-def slice_basis(n: int, d: int, h: int, w: int) -> tuple[Key, ...]:
-    """Monomial basis of the (homological degree h, weight w) slice, lexicographic.
-
-    It depends on the slice's shape alone, so it is built once per shape and
-    shared: every fresh session's slice of that shape reads the same tuple.
-    """
-    xdeg = w - (d - 1) * h
-    if xdeg < 0 or h > n:
-        return ()
-    exps = monomials_of_degree(n, xdeg)
-    return tuple(sorted((e, mask) for mask in range(1 << n) if mask.bit_count() == h for e in exps))
-
-
-def slice_rows(n: int, d: int, h: int, w: int) -> int:
-    """The size of slice_basis(n, d, h, w), counted before anything is built."""
-    xdeg = w - (d - 1) * h
-    return comb(n, h) * comb(xdeg + n - 1, n - 1) if xdeg >= 0 else 0
-
+Column = Callable[[Key], tuple[Sequence[int], Sequence[tuple[int, int]], int]]
 
 MAX_SLICE_ROWS = 256
 """Budget on the rows of one (degree, weight) slice; a larger slice is an InputError."""
@@ -65,10 +45,69 @@ it is built with.  The sweep visits every weight level from the input's
 weight down, applying the perturbation at each and solving a slice at each
 when it has a weight-keeping part, so the cost grows with the weight, and
 faster with n: at this budget n = 2 x0^128 on x0^3 + x1^3 + x0 x1^2 - x0
-takes about 0.18 s of CPU time, and about 3.3 s with the complex
-coefficients 1 + i/2 on x1^3 and 1 + i on x0 x1^2 (Python 3.11.7 on a
-2-vCPU VM), without building a slice over MAX_SLICE_ROWS.
+takes about 0.17 s of CPU time, and about 3.8 s with the complex
+coefficients 1 + i/2 on x1^3 and 1 + i on x0 x1^2 (the lowest of three
+runs each, Python 3.11.7 on a 2-vCPU VM), without building a slice over
+MAX_SLICE_ROWS.
 """
+
+SLOT_BITS = MAX_OBSERVABLE_WEIGHT.bit_length()
+"""Bits per exponent in a slice's packed words: enough for every exponent of a slice under the weight budget.
+
+It is fixed when the module is imported, so a budget raised at run time
+cannot let an exponent carry into the next slot: `slice_basis` refuses a
+slice whose exponents do not fit.
+"""
+
+
+def key_word(key: Key) -> int:
+    """The packed word of a term key (e, mask): e_j in bits SLOT_BITS * j and up, the xi mask above the n slots."""
+    e, mask = key
+    return pack(e, SLOT_BITS) | mask << (SLOT_BITS * len(e))
+
+
+def word_key(word: int, n: int) -> Key:
+    """The term key of a packed word with n slots, as `key_word` packed it."""
+    slot = (1 << SLOT_BITS) - 1
+    return tuple(word >> (SLOT_BITS * j) & slot for j in range(n)), word >> (SLOT_BITS * n)
+
+
+class SliceBasis(tuple):
+    """A slice's basis keys with their packed words: `words[i]` is key_word(self[i]) and `index` maps it back to i."""
+
+    words: tuple[int, ...]
+    index: dict[int, int]
+
+
+@lru_cache(maxsize=256)
+def slice_basis(n: int, d: int, h: int, w: int) -> SliceBasis:
+    """Monomial basis of the (homological degree h, weight w) slice, lexicographic, with its packed words.
+
+    It depends on the slice's shape alone, so it is built once per shape and
+    shared: every fresh session's slice of that shape reads the same basis,
+    words and index.  A slice with an exponent past SLOT_BITS is an
+    InputError.
+    """
+    xdeg = w - (d - 1) * h
+    keys = ()
+    if xdeg >= 0 and h <= n:
+        if xdeg >> SLOT_BITS:
+            raise InputError(
+                f"the (degree {h}, weight {w}) slice holds exponents up to {xdeg}, "
+                f"past the {SLOT_BITS}-bit slot of a packed word"
+            )
+        exps = monomials_of_degree(n, xdeg)
+        keys = sorted((e, mask) for mask in range(1 << n) if mask.bit_count() == h for e in exps)
+    basis = SliceBasis(keys)
+    basis.words = tuple(map(key_word, basis))
+    basis.index = {word: i for i, word in enumerate(basis.words)}
+    return basis
+
+
+def slice_rows(n: int, d: int, h: int, w: int) -> int:
+    """The size of slice_basis(n, d, h, w), counted before anything is built."""
+    xdeg = w - (d - 1) * h
+    return comb(n, h) * comb(xdeg + n - 1, n - 1) if xdeg >= 0 else 0
 
 
 class SliceSolver:
@@ -79,9 +118,11 @@ class SliceSolver:
     / L)) the same way, as (term map, its denominator); drop strictly lowers
     weight.  keep, which preserves weight exactly, is given as its column
     kernel: column(key) is -keep(eta(x^key)) for a basis monomial as
-    (terms, den), a fresh term map of Gaussian integers (a, b) meaning (a +
-    b*i)/den, which the solver keeps.  A kernel that reduces each column by
-    its content hands the elimination its smallest integers.
+    (offsets, values, den), the packed word of each of its terms less
+    key_word(key) and, at the same places, Gaussian integers (a, b) meaning
+    (a + b*i)/den.  The solver only reads the two sequences, so a kernel may
+    hand the same ones to many columns.  A kernel that reduces
+    each column by its content hands the elimination its smallest integers.
 
     keep o eta stays in its (homological degree, weight) slice and drop o
     eta strictly lowers weight, so (id - delta o eta)^{-1} = sum_k (S drop
@@ -99,22 +140,27 @@ class SliceSolver:
     plain Neumann series, the step run once per weight level.
 
     With a kernel, each slice the sweep reaches is solved against id - keep
-    o eta: `_slice` calls the kernel once per basis monomial, adds e_key to
-    each column in integers, as den at key, and hands the k cleared columns
-    with their denominators to one `linalg.invert`.  The slice is memoized as
-    its `Factor`, keyed by the basis monomials, or as None where keep o eta
-    vanishes on the slice.  A bucket is solved by `Factor.solve_cleared`:
-    the first bucket a slice sees is one substitution, and later ones go
-    through memoized columns, each solved once on first use.  Concurrent
+    o eta, assembled from packed words: `slice_basis` gives the shape's keys,
+    their words and a {word: position} index, and `_slice` calls the kernel
+    once per basis monomial, places each image term at the position of the
+    key's word plus the term's offset, adds den on the diagonal for e_key,
+    and hands the k placed columns with their denominators and the basis to
+    one `linalg.invert`.  The slice is memoized as its `Factor`, keyed by
+    the basis monomials, or as None where keep o eta vanishes on the slice.
+    A bucket is solved by `Factor.solve_cleared`: the first bucket a slice
+    sees is one substitution, and later ones go through memoized columns,
+    each solved once on first use.  Concurrent
     readers see a consistent cache: slices are populated single-flight under
     the solver's lock, columns under the factor's own.
 
     Nothing about the kernel or the step is taken on trust: a kernel image
-    off its slice, or a step image at or above its source weight, is a
-    NonTerminating error, never a silent truncation.
+    off its slice, a word missing from the slice's index, or a step image at
+    or above its source weight, is a NonTerminating error, never a silent
+    truncation.  The one thing a kernel must get right is the packing: an
+    exponent past its slot would carry into the next one.
     """
 
-    def __init__(self, n: int, d: int, column: Callable[[Key], dict] | None, step: Step):
+    def __init__(self, n: int, d: int, column: Column | None, step: Step):
         self.n = n
         self.d = d
         self.column = column
@@ -139,25 +185,30 @@ class SliceSolver:
                 raise InputError(
                     f"the (degree {h}, weight {w}) slice has {k} rows, over the budget of {MAX_SLICE_ROWS}"
                 )
-            # the columns e_key - keep(eta(e_key)), keyed by the basis monomials in basis order, column j over dens[j]
-            cols = dict.fromkeys(slice_basis(self.n, self.d, h, w))
+            basis = slice_basis(self.n, self.d, h, w)
+            index = basis.index
+            column = self.column
+            # column j is e_j - keep(eta(e_j)) over dens[j], placed by position: each image term at the position
+            # of word + its offset, then dens[j] on the diagonal
+            cols = []
             dens = []
             nontrivial = False
-            for key in cols:
-                col, den = self.column(key)
-                nontrivial = nontrivial or bool(col)
-                for kk in col:
-                    if kk not in cols:
-                        ww = term_weight(kk, self.d)
-                        raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {ww}")
-                a, b = col.get(key, (0, 0))
-                col[key] = a + den, b
-                cols[key] = col
+            for j, (key, word) in enumerate(zip(basis, basis.words)):
+                offsets, values, den = column(key)
+                try:
+                    rows = [index[word + x] for x in offsets]
+                except KeyError:
+                    off = next(word + x for x in offsets if word + x not in index)
+                    ww = term_weight(word_key(off, self.n), self.d)
+                    raise NonTerminating(f"the weight-keeping part sent weight {w} to weight {ww}") from None
+                nontrivial = nontrivial or bool(rows)
+                rows.append(j)
+                cols.append((rows, [*values, (den, 0)]))
                 dens.append(den)
             factor = None
             if nontrivial:
                 try:
-                    factor = invert(cols, dens)
+                    factor = invert(cols, dens, basis)
                 except SingularMatrix:
                     raise NotGenericAtWeight(w) from None
             cache[(h, w)] = factor

@@ -4,14 +4,17 @@ This module owns the matrix format.  A matrix is handed over as sparse
 vectors {key: Scalar} in the caller's keys, a dense list of Scalar rows being
 the same matrix keyed by position, and answers come back in those keys; a
 caller that builds its columns in integers hands them to `invert` already
-cleared, as Gaussian integers over one denominator each.
-`_gaussian_columns` clears Scalar columns to Gaussian integers, one by one,
-and `_embed` replaces a matrix with an imaginary part B + iC by its real
-embedding [[B, -C], [C, B]], so one elimination on plain ints,
-`_forward_eliminate`, serves every matrix.  It uses the one-step Bareiss recurrence, whose
-divisions are exact in any integral domain.  Everything stays in big integers
-until a single division at the end, which keeps intermediate entries at
-minor-determinant size instead of letting rational numerators blow up.
+cleared and placed, each as the row positions and Gaussian integers of its
+entries over one denominator, with the keys that name the positions.
+`_gaussian_columns` maps the keys of Scalar columns to positions once and
+clears the columns one by one, and `_embed` turns placed columns into one
+integer matrix, replacing a matrix with an imaginary part B + iC by its real
+embedding [[B, -C], [C, B]], so one embedding and one elimination on plain
+ints, `_forward_eliminate`, serve every matrix.  The elimination uses the
+one-step Bareiss recurrence, whose divisions are exact in any integral
+domain.  Everything stays in big integers until a single division at the
+end, which keeps intermediate entries at minor-determinant size instead of
+letting rational numerators blow up.
 
 A square matrix is factored once by `invert` into a fraction-free LU, and the
 columns of its inverse are solved on first use.  `rank` counts the pivots of
@@ -26,44 +29,49 @@ from .errors import SingularMatrix
 from .scalars import ZERO, Scalar, clear_denominators, gauss
 
 
-def _embed(cols, row_keys) -> tuple[list[list[int]], bool]:
-    """Sparse Gaussian-integer columns {row key: (a, b)} as one integer matrix, (m, realified).
+def _embed(cols, height: int) -> tuple[list[list[int]], bool]:
+    """Columns of Gaussian integers placed by position as one integer matrix of `height` rows, (m, realified).
 
-    Rows follow the order of row_keys, and the columns B + iC give m = B for
-    a real matrix and otherwise its real embedding [[B, -C], [C, B]], of
-    twice the size and rank.  A row key not in row_keys is a ValueError.
+    Column j is (rows, values): values[t] = (a, b) sits at row rows[t], and
+    entries at one row are summed.  The columns B + iC give m = B for a real
+    matrix and otherwise its real embedding [[B, -C], [C, B]], of twice the
+    size and rank.
     """
     width = len(cols)
-    re = {key: [0] * width for key in row_keys}
+    re = [[0] * width for _ in range(height)]
     im = None
-    for j, col in enumerate(cols):
-        for key, (a, b) in col.items():
-            try:
-                re[key][j] = a
-            except KeyError:
-                raise ValueError(f"row key {key!r} is not a column key") from None
+    for j, (rows, values) in enumerate(cols):
+        for i, (a, b) in zip(rows, values):
+            re[i][j] += a
             if b:
                 if im is None:
-                    im = {key: [0] * width for key in re}
-                im[key][j] = b
+                    im = [[0] * width for _ in range(height)]
+                im[i][j] += b
     if im is None:
-        return list(re.values()), False
-    pairs = list(zip(re.values(), im.values()))
+        return re, False
+    pairs = list(zip(re, im))
     return [b + [-x for x in c] for b, c in pairs] + [c + b for b, c in pairs], True
 
 
 def _gaussian_columns(cols, row_keys) -> tuple[list[list[int]], bool, list[int]]:
     """Sparse columns {row key: Scalar} cleared to Gaussian integers one by one, as (m, realified, dens).
 
-    Column j is cleared over dens[j], and the cleared columns go to `_embed`.
+    The row keys are mapped to their positions in row_keys once, column j
+    is cleared over dens[j], and the placed columns go to `_embed`.  A row
+    key not in row_keys is a ValueError.
     """
-    cleared = []
+    index = {key: i for i, key in enumerate(row_keys)}
+    placed = []
     dens = []
     for col in cols:
+        try:
+            rows = [index[key] for key in col]
+        except KeyError as exc:
+            raise ValueError(f"row key {exc.args[0]!r} is not a column key") from None
         g, den = clear_denominators(col.values())
-        cleared.append(dict(zip(col, g)))
+        placed.append((rows, g))
         dens.append(den)
-    return (*_embed(cleared, row_keys), dens)
+    return (*_embed(placed, len(index)), dens)
 
 
 def _forward_eliminate(m: list[list[int]]):
@@ -150,7 +158,7 @@ class Factor:
     the echelon rows and each step's multipliers, and `det`, the last pivot:
     a nonzero integer with det * M^{-1} a Gaussian-integer matrix, and so
     X = det * A^{-1} = D (det * M^{-1}) as well.  `keys` lists the column
-    keys of A in the caller's order, which key its rows too.
+    keys of A in the caller's order, which name its row positions too.
 
     `solve_cleared(keys, g)` finds X g in integers for Gaussian integers g,
     the caller's vector r cleared over one denominator L, so that A^{-1} r =
@@ -169,21 +177,21 @@ class Factor:
 
     __slots__ = ("k", "keys", "det", "columns", "_dens", "_steps", "_upper", "_lock", "_used")
 
-    def __init__(self, a: dict, m: list[list[int]], realified: bool, dens: list[int]):
-        k = len(a)
+    def __init__(self, keys, m: list[list[int]], realified: bool, dens: list[int]):
+        k = len(keys)
         steps, upper = _forward_eliminate(m)
         if len(steps) < len(m):
             rk = len(steps) // 2 if realified else len(steps)
             raise SingularMatrix(f"matrix of size {k} has rank {rk}")
         self.k = k
-        self.keys = list(a)
+        self.keys = list(keys)
         self.det = steps[-1][3] if steps else 1
         self._dens = dens
         self._steps = steps
         self._upper = upper
         self._lock = threading.Lock()
         self._used = False
-        self.columns: dict = dict.fromkeys(a)
+        self.columns: dict = dict.fromkeys(keys)
 
     def _solve_int(self, b: list[int]) -> list[int]:
         """x with M x = det * b for the factored integer matrix M, by forward and back substitution.
@@ -314,15 +322,17 @@ class Factor:
 solve_square = Factor.solve
 
 
-def invert(a, dens: list[int] | None = None) -> Factor:
+def invert(a, dens: list[int] | None = None, keys=None) -> Factor:
     """The fraction-free LU `Factor` of a square matrix over Q(i).
 
     a is given as its sparse columns {key: {row key: Scalar}}, in the
     caller's order; every row key must be a column key.  A dense list of
-    Scalar rows is the same matrix keyed by position.  With dens, the
-    columns come cleared: column j maps each row key to a Gaussian integer
-    (a, b), and its entries are (a + b*i) / dens[j].  They are embedded as
-    they are, with no Scalar built.
+    Scalar rows is the same matrix keyed by position.  With dens, a comes
+    cleared and placed: a list of k columns, column j as (rows, values) with
+    the Gaussian integer values[t] = (a, b) at row position rows[t], so that
+    its entries are (a + b*i) / dens[j], entries at one position summed.
+    keys name the positions, range(k) by default.  The columns are embedded
+    as they are, with no Scalar built.
 
     The factor is computed once; columns of det * a^{-1} are solved on
     first use, and `inverse()` gives the whole inverse as Scalar rows.  det
@@ -331,10 +341,11 @@ def invert(a, dens: list[int] | None = None) -> Factor:
     Raises ValueError when a is not square and SingularMatrix when it is
     rank-deficient.
     """
+    if dens is not None:
+        k = len(a)
+        return Factor(range(k) if keys is None else keys, *_embed(a, k), dens)
     if isinstance(a, list):
         if any(len(row) != len(a) for row in a):
             raise ValueError(f"a dense matrix of {len(a)} rows is not square")
         a = {j: {i: row[j] for i, row in enumerate(a)} for j in range(len(a))}
-    if dens is None:
-        return Factor(a, *_gaussian_columns(a.values(), a))
-    return Factor(a, *_embed(a.values(), a), dens)
+    return Factor(a, *_gaussian_columns(a.values(), a))

@@ -25,14 +25,13 @@ import itertools
 import threading
 from functools import lru_cache
 from math import factorial, gcd
-from operator import add
 
 from .bvdiff import Action, _contract, d_cl
 from .errors import InputError, NonDiagonalizableAction, SingularMatrix
-from .hpl import SliceSolver
+from .hpl import SLOT_BITS, SliceSolver
 from .linalg import invert, rank
 from .scalars import ONE, ZERO, Scalar, clear_denominators, gauss, q
-from .superpoly import Key, SuperPoly, add_term, monomials_of_degree
+from .superpoly import Key, SuperPoly, add_term, monomials_of_degree, pack
 
 
 class JacBasis:
@@ -206,65 +205,64 @@ def _units(action: Action) -> tuple[tuple[tuple[int, int], ...], int]:
 def keep_columns(action: Action):
     """The column kernel of id - keep o eta_diag for `SliceSolver`, keep being the contraction with cgrad_mix.
 
-    column(key) is -keep(eta_diag(x^key)) as a fresh term map of Gaussian
-    integers over one denominator, (terms, den).  eta_diag sends x^e xi^S to
-    at most one term, units[i] x^e' xi^(S+i), and keep contracts it with the
-    Gaussian-integer rows of cgrad_mix: xi_j goes to the sign of dxi_j times
-    row j.  The products -units[i] * row j are made once, on first use, as
-    integers over U * G, so a column costs tuple additions and one gcd and
-    builds no Scalar.  Distinct (j, row term) give distinct keys, so nothing
-    is summed.  A column is reduced by its own content, which keeps the
-    integers the elimination sees small.
+    column(key) is -keep(eta_diag(x^key)) as (offsets, values, den): each
+    term's packed word less key_word(key), and its Gaussian integer over one
+    denominator.  eta_diag sends x^e xi^S to at most one term, units[i]
+    x^e' xi^(S+i), and keep contracts it with the Gaussian-integer rows of
+    cgrad_mix: xi_j goes to the sign of dxi_j times row j.  So the column
+    depends on (i, S) alone, and is made once per action, on first use, in
+    integers over U * G: each product -units[i] * row j with its sign, its
+    term shifted into one packed offset, the word of x^ge xi^(S+i-j) less
+    that of x^((d-1)e_i) xi^S, and one division by the gcd of U * G and the
+    products, which is the column's own content.  A column costs a scan for
+    i and a lookup.  Distinct (j, row term) give distinct words, so nothing
+    is summed.
     """
     rows, gden = action.cgrad_mix
     units, uden = _units(action)
     den = uden * gden
     d1 = action.d - 1
-    products: dict[tuple[int, int], tuple] = {}
+    top = SLOT_BITS * action.n
+    columns: dict[tuple[int, int], tuple] = {}
 
-    def product(i: int, j: int) -> tuple:
-        # ((exponents, coefficient under an even sign of dxi_j, under an odd one) per row term, content)
+    def assemble(i: int, mask: int) -> tuple:
+        # the column of every key whose eta_diag image is units[i] x^e' xi^mask
         ua, ub = units[i]
-        out = []
-        content = den
-        for ge, ga, gb in rows[j]:
-            a, b = ua * ga - ub * gb, ua * gb + ub * ga
-            out.append((ge, (-a, -b), (a, b)))
-            content = gcd(content, a, b)
-        prod = products[(i, j)] = out, content
-        return prod
+        lead = (1 << i << top) - (d1 << (SLOT_BITS * i))
+        offsets = []
+        values = []
+        g = den
+        for j, row in enumerate(rows):
+            bit = 1 << j
+            if mask & bit:
+                shift = lead - (bit << top)
+                # -units[i] * row j, under the sign of dxi_j
+                sign = 1 if (mask & (bit - 1)).bit_count() & 1 else -1
+                for ge, ga, gb in row:
+                    a, b = ua * ga - ub * gb, ua * gb + ub * ga
+                    offsets.append(pack(ge, SLOT_BITS) + shift)
+                    values.append((sign * a, sign * b))
+                    g = gcd(g, a, b)
+        col = columns[(i, mask)] = tuple(offsets), tuple([(a // g, b // g) for a, b in values]), den // g
+        return col
 
-    def column(key: Key) -> tuple[dict[Key, tuple[int, int]], int]:
+    def column(key: Key) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
         e, mask = key
         for i, p in enumerate(e):
             if mask >> i & 1:
-                return {}, 1
+                return _NO_COLUMN
             if p >= d1:
                 break
         else:
-            return {}, 1
-        e = e[:i] + (p - d1,) + e[i + 1:]
+            return _NO_COLUMN
         mask |= 1 << i
-        out = {}
-        g = den
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            j = bit.bit_length() - 1
-            odd = (mask & (bit - 1)).bit_count() & 1
-            prod = products.get((i, j))
-            if prod is None:
-                prod = product(i, j)
-            terms, content = prod
-            g = gcd(g, content)
-            for ge, plus, minus in terms:
-                out[(tuple(map(add, e, ge)), mask ^ bit)] = minus if odd else plus
-        if g == 1:
-            return out, den
-        return {kk: (a // g, b // g) for kk, (a, b) in out.items()}, den // g
+        col = columns.get((i, mask))
+        return assemble(i, mask) if col is None else col
 
     return column
+
+
+_NO_COLUMN = ((), (), 1)  # the column of a key that eta_diag sends to 0
 
 
 class ReduceSession:

@@ -347,6 +347,18 @@ def term_weight(key: Key, d: int) -> int:
     return sum(e) + (d - 1) * m.bit_count()
 
 
+def pack(e, bits: int) -> int:
+    """The exponent word e as one int, e_j in bits `bits` * j and up; each e_j must fit its slot.
+
+    Packing is additive: a product of monomials is the sum of their words,
+    and a shift of one exponent is the addition of a constant.
+    """
+    word = 0
+    for j, p in enumerate(e):
+        word += p << (bits * j)
+    return word
+
+
 def monomials_of_degree(n: int, deg: int) -> list[tuple[int, ...]]:
     """All exponent words of total degree deg in n variables, lexicographic."""
     if n == 1:

@@ -11,7 +11,9 @@ These deliberately avoid the engine's homotopy machinery and kernels:
   maps do, `step_map` and `map_solver` turn the integer step of a
   `SliceSolver` into a SuperPoly map and back, and `map_columns` and
   `column_poly` do the same for its integer column kernel, so tests state
-  maps on SuperPoly values;
+  maps on SuperPoly values; `slice_word` and `slice_key` turn term keys into
+  the packed words slices are assembled from and back, and `placed_poly`
+  reads a column as `linalg.invert` receives it from a slice;
 - `model_differential` applies the hbar model's L - B - hbar*div with
   SuperPoly derivatives and products alone, and `pack_exponents` and
   `unpack_exponents` turn exponent tuples into the packed words the hbar
@@ -29,6 +31,7 @@ from math import factorial
 from bvreduce import Action, HbarModel, HbarSeries, InputError, JacClass, Scalar, SuperPoly, jac_basis
 from bvreduce.bvdiff import _contract_poly
 from bvreduce.cli import _is_int, _scalar_from_json
+from bvreduce import hpl
 from bvreduce.hbar import SLOT_BITS
 from bvreduce.hpl import SliceSolver
 from bvreduce.scalars import ONE, ZERO, clear_denominators, gauss, q
@@ -99,20 +102,49 @@ def step_map(n: int, step):
     return apply
 
 
+def slice_word(key) -> int:
+    """A term key (e, mask) as a packed word of a slice: e_j in bits hpl.SLOT_BITS * j and up, the mask above."""
+    e, mask = key
+    bits = hpl.SLOT_BITS
+    assert all(0 <= p < 1 << bits for p in e), f"{e} does not fit {bits}-bit slots"
+    return sum(p << (bits * j) for j, p in enumerate(e)) + (mask << (bits * len(e)))
+
+
+def slice_key(word: int, n: int):
+    """The term key (e, mask) of a packed word of a slice with n slots."""
+    bits = hpl.SLOT_BITS
+    return tuple((word >> (bits * j)) & ((1 << bits) - 1) for j in range(n)), word >> (bits * n)
+
+
 def map_columns(eta, keep):
-    """SuperPoly maps eta and keep as a SliceSolver column kernel: key -> -keep(eta(x^key)) as (Gaussian integers, den)."""
+    """SuperPoly maps eta and keep as a SliceSolver column kernel: key -> -keep(eta(x^key)) as (offsets of the
+    packed words from key's own, Gaussian integers, den)."""
 
     def column(key):
         terms = keep(eta(SuperPoly(len(key[0]), {key: Scalar(-1)}))).terms
         pairs, den = clear_denominators(terms.values())
-        return dict(zip(terms, pairs)), den
+        word = slice_word(key)
+        return [slice_word(kk) - word for kk in terms], pairs, den
 
     return column
 
 
-def column_poly(n: int, column) -> SuperPoly:
-    """A cleared column (terms, den), as a column kernel or `SliceSolver._slice` hands it over, as a SuperPoly."""
-    terms, den = column
+def column_poly(n: int, column, key) -> SuperPoly:
+    """The column of a column kernel at key, (offsets, Gaussian integers, den), as a SuperPoly."""
+    offsets, values, den = column(key)
+    assert len(offsets) == len(values) == len(set(offsets))
+    word = slice_word(key)
+    return SuperPoly(n, {slice_key(word + x, n): gauss(a, b, den) for x, (a, b) in zip(offsets, values) if a or b})
+
+
+def placed_poly(n: int, keys, column, den: int) -> SuperPoly:
+    """A column (rows, Gaussian integers) placed by position, as `linalg.invert` receives it, over den, as a
+    SuperPoly: the entry at row i goes to keys[i], entries at one row summed."""
+    rows, values = column
+    terms = {}
+    for i, (a, b) in zip(rows, values):
+        ra, rb = terms.get(keys[i], (0, 0))
+        terms[keys[i]] = ra + a, rb + b
     return SuperPoly(n, {key: gauss(a, b, den) for key, (a, b) in terms.items() if a or b})
 
 

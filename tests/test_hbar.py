@@ -538,7 +538,7 @@ def test_oracle_needs_nothing_of_the_walk(monkeypatch):
     def gone(*args, **kwargs):
         raise AssertionError("hbar_oracle called into the walk")
 
-    for name in ("feynman_rules", "_gather", "_pack"):
+    for name in ("feynman_rules", "_gather", "pack"):
         monkeypatch.setattr(hbar, name, gone)
     m.cainv = None
     assert hbar_oracle(f, m, 4) == want

@@ -5,6 +5,7 @@ import pytest
 
 import bvreduce.hpl as hpl
 from bvreduce import (
+    InputError,
     NonTerminating,
     NotGenericAtWeight,
     Scalar,
@@ -21,7 +22,17 @@ from bvreduce.hpl import SliceSolver, slice_basis
 from bvreduce.reduce import JacClass, ReduceSession, jac_basis
 from bvreduce.superpoly import term_weight
 from bvreduce.verify import random_action, random_degree1, random_rational
-from oracles import column_poly, contract, contraction_terms, map_columns, map_solver, step_map
+from oracles import (
+    column_poly,
+    contract,
+    contraction_terms,
+    map_columns,
+    map_solver,
+    placed_poly,
+    slice_key,
+    slice_word,
+    step_map,
+)
 
 
 def _zero(v):
@@ -295,7 +306,7 @@ def test_declared_gradings_hold_at_runtime():
                 _assert_grading(lambda p: contract(a.cgrad_low, p, div=True), v, d, -1, drop_change, exact=False)
                 _assert_grading(step_map(n, solver.step), v, d, 0, drop_change, exact=False)
                 if solver.column is not None:
-                    _assert_grading(lambda p: column_poly(p.n, solver.column(*p.terms)), v, d, 0, 0, exact=True)
+                    _assert_grading(lambda p: column_poly(p.n, solver.column, *p.terms), v, d, 0, 0, exact=True)
     assert len(kinds) == 4
 
 
@@ -355,9 +366,9 @@ def test_slice_solver_apply_inverts_id_minus_t(monkeypatch, images):
     builds = []
     hpl_invert = hpl.invert
 
-    def counting_invert(cols, dens):
+    def counting_invert(cols, dens, keys):
         builds.append(len(cols))
-        return hpl_invert(cols, dens)
+        return hpl_invert(cols, dens, keys)
 
     monkeypatch.setattr(hpl, "invert", counting_invert)
     v = SuperPoly(n, {
@@ -406,6 +417,56 @@ def test_slice_basis_is_built_once_per_shape():
     assert isinstance(basis, tuple) and basis == tuple(sorted(basis)) and len(basis) == hpl.slice_rows(3, 4, 1, 7)
     assert slice_basis(3, 4, 1, 7) is basis
     assert slice_basis(2, 3, 3, 9) == ()
+
+
+def test_slice_words_pack_each_key_with_its_mask_above_the_slots():
+    """A slice's words are its keys in SLOT_BITS-bit slots with the xi mask above them, and its index finds each."""
+    for n, d, h, w in [(3, 4, 1, 7), (2, 3, 2, 9), (1, 3, 0, 5), (3, 2, 3, 6)]:
+        basis = slice_basis(n, d, h, w)
+        assert basis and basis.words == tuple(slice_word(key) for key in basis)
+        assert basis.index == {word: i for i, word in enumerate(basis.words)} and len(basis.index) == len(basis)
+        assert [hpl.word_key(word, n) for word in basis.words] == [slice_key(word, n) for word in basis.words]
+        assert [slice_key(word, n) for word in basis.words] == list(basis)
+
+
+def test_slot_width_follows_the_weight_budget():
+    """A slot holds every exponent of a slice under the weight budget; a slice past the slot is refused."""
+    bits = hpl.SLOT_BITS
+    assert bits == hpl.MAX_OBSERVABLE_WEIGHT.bit_length() and hpl.MAX_OBSERVABLE_WEIGHT < 1 << bits
+    top = (1 << bits) - 1
+    assert slice_basis(2, 3, 0, top).words[-1] == top  # x0^top, the last key, fills the first slot
+    with pytest.raises(InputError, match=f"slice holds exponents up to {top + 1}, past the {bits}-bit slot"):
+        slice_basis(2, 3, 0, top + 1)
+    # the exponents of a degree-h slice reach w - (d-1)h, not w
+    assert len(slice_basis(2, 3, 1, top + 2)) == 2 * (top + 1)
+
+
+def test_slices_at_the_edge_of_a_slot_place_every_column(monkeypatch):
+    """The largest slices whose exponents fit a slot, built past the row budget, have the columns of the definition
+    at the slot's edge, where a carry would alias another word."""
+    monkeypatch.setattr(hpl, "MAX_SLICE_ROWS", 1 << 12)
+    seen = []
+    hpl_invert = hpl.invert
+
+    def recording_invert(cols, dens, keys):
+        seen.append((cols, dens, keys))
+        return hpl_invert(cols, dens, keys)
+
+    monkeypatch.setattr(hpl, "invert", recording_invert)
+    n, top = 2, (1 << hpl.SLOT_BITS) - 1
+    x0, x1 = SuperPoly.x(n, 0), SuperPoly.x(n, 1)
+    a = action_build(x0**3 + x1**3 + x0 * x1**2 - x0)
+    solver = ReduceSession(a).solver
+    for h, w in [(0, top), (1, top + 2)]:
+        assert solver._slice(h, w).k == hpl.slice_rows(n, 3, h, w)
+    checked = 0
+    for cols, dens, keys in seen:
+        for key, col, den in zip(keys, cols, dens):
+            if top in key[0] or top - 1 in key[0]:
+                e = SuperPoly(n, {key: Scalar(1)})
+                assert placed_poly(n, keys, col, den) == e - contract(a.cgrad_mix, eta_diag(e, a))
+                checked += 1
+    assert checked == 12  # x0^top, x1^top, x0^(top-1) x1 and x0 x1^(top-1) in each of the three xi words
 
 
 def test_slice_solver_solves_only_the_columns_apply_reaches():
@@ -523,9 +584,9 @@ def test_slice_columns_match_the_definition(monkeypatch):
     seen = []
     hpl_invert = hpl.invert
 
-    def recording_invert(cols, dens):
-        seen.append((cols, dens))
-        return hpl_invert(cols, dens)
+    def recording_invert(cols, dens, keys):
+        seen.append((cols, dens, keys))
+        return hpl_invert(cols, dens, keys)
 
     monkeypatch.setattr(hpl, "invert", recording_invert)
     checked = complex_checked = 0
@@ -545,13 +606,14 @@ def test_slice_columns_match_the_definition(monkeypatch):
         except NotGenericAtWeight:
             pass
         assert seen
-        for cols, dens in seen:
-            assert len(dens) == len(cols)
-            for (key, col), den in zip(cols.items(), dens):
+        for cols, dens, keys in seen:
+            assert len(dens) == len(cols) == len(keys)
+            assert keys == slice_basis(n, d, keys[0][1].bit_count(), term_weight(keys[0], d))
+            for key, col, den in zip(keys, cols, dens):
                 e = SuperPoly(n, {key: Scalar(1)})
-                assert column_poly(n, (col, den)) == e - contract(a.cgrad_mix, eta_diag(e, a))
+                assert placed_poly(n, keys, col, den) == e - contract(a.cgrad_mix, eta_diag(e, a))
                 # each column comes reduced by its own content
-                assert gcd(den, *[x for ab in col.values() for x in ab]) == 1
+                assert gcd(den, *[x for ab in col[1] for x in ab]) == 1
                 checked += 1
                 complex_checked += t % 2
     assert checked and complex_checked

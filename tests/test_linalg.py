@@ -623,9 +623,11 @@ def test_real_factor_sums_real_columns_for_a_complex_bucket():
 
 
 def test_invert_of_cleared_columns_is_invert_of_their_scalars():
-    """Columns handed to `invert` as Gaussian integers over their denominators factor as their Scalar columns do.
+    """Columns handed to `invert` as Gaussian integers placed by position over their denominators factor as their
+    Scalar columns do.
 
-    A column over a denominator with a common factor left in solves the same.
+    A column over a denominator with a common factor left in solves the same,
+    and so does a column whose entry at one row is split into two summands.
     """
     rng = random.Random(31)
     k = 5
@@ -635,16 +637,23 @@ def test_invert_of_cleared_columns_is_invert_of_their_scalars():
             if rank(a) == k and any(v.b for row in a for v in row) == complex_matrix:
                 break
         cols = {j: {i: a[i][j] for i in range(k) if a[i][j]} for j in range(k)}
-        cleared, dens = {}, []
-        for j, col in cols.items():
+        cleared, dens = [], []
+        for col in cols.values():
             g, den = clear_denominators(col.values())
-            cleared[j] = dict(zip(col, g))
+            cleared.append((list(col), g))
             dens.append(den)
         f, ref = invert(cleared, dens), invert(cols)
+        assert f.keys == list(range(k))
         assert (len(f._upper) > k) == complex_matrix
         assert f.det == ref.det and f.inverse() == ref.inverse()
         rhs = {1: _frac_scalar(Fraction(2, 7), 1), 3: _frac_scalar(-3)}
         assert f.solve(rhs) == f.solve(rhs) == _dense_fraction_solve(a, rhs)
-        cleared[2] = {i: (3 * re, 3 * im) for i, (re, im) in cleared[2].items()}
+        rows, values = cleared[2]
+        cleared[2] = rows, [(3 * re, 3 * im) for re, im in values]
         dens[2] *= 3
         assert invert(cleared, dens).inverse() == ref.inverse()
+        rows, values = cleared[2]
+        (re, im), i = values[0], rows[0]
+        cleared[2] = rows + [i], [(re - 1, im + 2)] + values[1:] + [(1, -2)]
+        named = invert(cleared, dens, "abcde")
+        assert named.keys == list("abcde") and named.inverse() == ref.inverse()

@@ -539,6 +539,33 @@ def test_section_correction_over_the_weight_budget_is_refused_before_the_sweep(m
         ReduceSession(a, phi_correction={(0, 0): x0**200})
 
 
+def test_a_budget_lifted_at_run_time_cannot_overflow_a_slot(monkeypatch):
+    """The slot width of a slice's packed words is fixed at import: past it, a reduction is refused, not answered
+    from words whose exponents carried into the next slot."""
+    monkeypatch.setattr(hpl, "MAX_OBSERVABLE_WEIGHT", 4000)
+    monkeypatch.setattr(hpl, "MAX_SLICE_ROWS", 4000)
+    bits = hpl.SLOT_BITS
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    a = action_build(x0**3 + x1**3 + x0 * x1**2 - x0)
+    w = 1 << bits
+    with pytest.raises(InputError, match=rf"the \(degree 0, weight {w}\) slice holds exponents up to {w}, past the"):
+        ReduceSession(a).reduce(x0**w)
+    with pytest.raises(InputError, match=f"past the {bits}-bit slot of a packed word"):
+        reduce_full(a, x0**300 * x1 - x1**2)
+
+
+def test_class_at_the_top_of_the_weight_budget_is_pinned():
+    """x0^128, at the weight budget, on x0^3 + x1^3 + x0 x1^2 - x0: every weight level, the largest slices the
+    budget lets n = 2 build, and exponents near the top of a slot.  Its class is pinned by the sha256 of its line
+    in the format of `test_pinned_classes_digest`."""
+    assert hpl.MAX_OBSERVABLE_WEIGHT == 128
+    x0, x1 = SuperPoly.x(2, 0), SuperPoly.x(2, 1)
+    jc = ReduceSession(action_build(x0**3 + x1**3 + x0 * x1**2 - x0)).reduce(x0**128)
+    line = " ".join(f"{c.a},{c.b},{c.den}" for c in jc.vector())
+    want = "82f55254574f5457d4ff5eb280e25780dd41ee0cbe01ac85be2b5af4e300d099"
+    assert hashlib.sha256(line.encode()).hexdigest() == want
+
+
 def test_session_reuse_is_cached():
     x = SuperPoly.x(1, 0)
     a = action_build(x**3)
